@@ -21,6 +21,7 @@ from .errors import (
     DuplicateModule,
     IndexMismatch,
     KmodsimError,
+    LoadSetMismatch,
     MalformedInventory,
     MalformedRecord,
     MalformedTrace,

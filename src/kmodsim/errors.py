@@ -67,5 +67,11 @@ class MalformedTrace(KmodsimError):
     code = "malformed-trace"
 
 
+class LoadSetMismatch(KmodsimError):
+    """Repeated runs of one strategy on identical inputs loaded different sets."""
+
+    code = "load-set-mismatch"
+
+
 class ConfigError(KmodsimError):
     code = "config"

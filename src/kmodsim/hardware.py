@@ -4,16 +4,28 @@ Inventory files carry one device description per line under a ``HWINV v1``
 header. A module is supported when any of its tags occurs, case-insensitively
 and on word boundaries, inside any device string. Modules without tags are
 not hardware-gated at all (filesystems, syscall shims) and always pass.
+
+``_contains_word`` is the definition of a match. The gate reaches it through
+a word-run index of the inventory, so a tag costs a dictionary lookup plus a
+check of the few devices that share its rarest word run, not a scan of every
+device. The index is built on the first tagged query, so sessions that never
+check a tag (stage1, untagged catalogs) never pay for it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .catalog import ModuleRecord
 from .errors import MalformedInventory
 
 INVENTORY_HEADER = "HWINV v1"
+
+# Maximal runs of ``_is_word_char`` characters: for str patterns, ``\w`` is
+# exactly ``isalnum() or "_"``.
+_WORD_RUN = re.compile(r"\w+")
 
 
 @dataclass(frozen=True)
@@ -31,6 +43,32 @@ class HardwareInventory:
 
     def __len__(self) -> int:
         return len(self.devices)
+
+    @cached_property
+    def _postings(self) -> dict[str, list[int]]:
+        # Word run -> positions of the devices containing it as a whole run.
+        # Built once per inventory; a concurrent double build is harmless
+        # because the result is deterministic.
+        postings: dict[str, list[int]] = {}
+        for pos, device in enumerate(self._folded):
+            for run in set(_WORD_RUN.findall(device)):
+                postings.setdefault(run, []).append(pos)
+        return postings
+
+    def _matches(self, tag: str) -> bool:
+        """True when ``_contains_word`` holds for some device and casefolded ``tag``."""
+        if not (tag and _is_word_char(tag[0]) and _is_word_char(tag[-1])):
+            return any(_contains_word(device, tag) for device in self._folded)
+        # A match is bounded by non-word characters on both sides, so every
+        # word run of such a tag is a whole word run of the matching device.
+        candidates: list[int] | None = None
+        for run in _WORD_RUN.findall(tag):
+            hits = self._postings.get(run)
+            if hits is None:
+                return False
+            if candidates is None or len(hits) < len(candidates):
+                candidates = hits
+        return any(_contains_word(self._folded[pos], tag) for pos in candidates)
 
 
 def parse_inventory(text: str) -> HardwareInventory:
@@ -56,12 +94,7 @@ def check_hardware_support(module: ModuleRecord, inventory: HardwareInventory) -
     """
     if not module.hw_tags:
         return True
-    folded_tags = [t.casefold() for t in module.hw_tags]
-    for device in inventory._folded:
-        for tag in folded_tags:
-            if _contains_word(device, tag):
-                return True
-    return False
+    return any(inventory._matches(tag.casefold()) for tag in module.hw_tags)
 
 
 def _contains_word(haystack: str, needle: str) -> bool:

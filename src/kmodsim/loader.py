@@ -187,10 +187,6 @@ class LoadState:
         with self._loaded_lock:
             return frozenset(self._loaded)
 
-    def load_order(self) -> tuple[str, ...]:
-        with self._loaded_lock:
-            return tuple(self._loaded)
-
 
 class LoadSession:
     """One strategy execution: owns the state, the trace, and the workers."""
@@ -221,7 +217,7 @@ class LoadSession:
 
         self._strategy = strategy
         self._catalog = catalog
-        self._index = index
+        self._values = [value for _, value in index.entries]
         self._inventory = inventory
         self._config = config
         self._clock = _SessionClock(instant=config.instant)
@@ -229,10 +225,6 @@ class LoadSession:
         self._events: list[LoadEvent] = []
         self._events_lock = threading.Lock()
         self._attach_lock = threading.Lock()  # stage2's single exclusion region
-        # Produced by the setup phase (concurrently for stage2/3); scans only
-        # read these after the setup tasks have been joined.
-        self._values: list[int] = []
-        self._hw: HardwareInventory | None = None
 
     def run(self) -> tuple[LoadState, list[LoadEvent]]:
         runner = {
@@ -247,22 +239,20 @@ class LoadSession:
     # -- strategies ------------------------------------------------------
 
     def _run_stage0(self) -> None:
-        self._map_index()
-        self._read_devices()
         self._scan(worker=0, start=0, end=len(self._catalog))
 
     def _run_stage1(self) -> None:
-        self._map_index()
-        values = self._values
-        records = self._catalog.records
-        top = max(values, default=0)
-        for depth in range(1, top + 1):
-            for pos, rec in enumerate(records):
-                if values[pos] == depth and not rec.base_kernel_only:
-                    self._load_one(rec, worker=0)
+        # Depth-major, then catalog position; depth 0 (not selected) is empty.
+        top = max(self._values, default=0)
+        buckets: list[list[ModuleRecord]] = [[] for _ in range(top + 1)]
+        for rec, value in zip(self._catalog.records, self._values):
+            if value and not rec.base_kernel_only:
+                buckets[value].append(rec)
+        for bucket in buckets:
+            for rec in bucket:
+                self._load_one(rec, worker=0)
 
     def _run_stage2(self) -> None:
-        self._setup_concurrently([self._map_index, self._read_devices])
         n = len(self._catalog)
         workers = self._config.workers
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -275,27 +265,12 @@ class LoadSession:
 
     def _run_stage3(self) -> None:
         plan = plan_partitions(len(self._catalog), self._config.workers)
-        mappers = [self._map_index] * (self._config.workers - 1)
-        self._setup_concurrently(mappers + [self._read_devices])
         with ThreadPoolExecutor(max_workers=plan.workers) as pool:
             futures = [
                 pool.submit(self._scan, w, start, end)
                 for w, (start, end) in enumerate(plan.ranges)
             ]
             for fut in futures:
-                fut.result()
-
-    # -- setup phase -----------------------------------------------------
-
-    def _map_index(self) -> None:
-        self._values = [value for _, value in self._index.entries]
-
-    def _read_devices(self) -> None:
-        self._hw = self._inventory
-
-    def _setup_concurrently(self, tasks) -> None:
-        with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
-            for fut in [pool.submit(t) for t in tasks]:
                 fut.result()
 
     # -- scanning and attachment -----------------------------------------
@@ -309,7 +284,7 @@ class LoadSession:
             if not self._values[pos]:
                 self._emit(worker, SKIP_FLAG, rec.name)
                 continue
-            if not check_hardware_support(rec, self._hw):
+            if not check_hardware_support(rec, self._inventory):
                 self._emit(worker, SKIP_HW, rec.name)
                 continue
             if self.state.is_complete(rec.name):

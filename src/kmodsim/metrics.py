@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .catalog import ModuleCatalog
-from .errors import ConfigError
+from .errors import ConfigError, LoadSetMismatch
 from .hardware import HardwareInventory
 from .loader import (
     DUP_ATTEMPT,
@@ -192,8 +192,10 @@ def bench(
             loads, dups = timing.loads, timing.dup_attempts
             if loaded is None:
                 loaded = state.loaded()
-            else:
-                assert state.loaded() == loaded, "loaded set changed between repetitions"
+            elif state.loaded() != loaded:
+                raise LoadSetMismatch(
+                    f"{strategy}: loaded set changed between repetitions"
+                )
         rows.append((strategy, statistics.median(walls), loads, dups, loaded or frozenset()))
 
     base = next((wall for strategy, wall, *_ in rows if strategy == "stage0"), None)

@@ -8,10 +8,12 @@ stage0 load orders come from a standalone post-order walk.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import strategies as st
 
+from kmodsim import metrics
 from kmodsim.catalog import ModuleCatalog, parse_catalog
 from kmodsim.hardware import parse_inventory
 from kmodsim.loader import LOAD
@@ -143,6 +145,22 @@ def random_catalog_pair(rng: random.Random, max_modules=200, max_depth=8):
     catalog = parse_catalog("MODCAT v1\n" + "\n".join(records) + "\n")
     inventory = parse_inventory("HWINV v1\n" + "\n".join(devices) + "\n")
     return catalog, inventory
+
+
+@pytest.fixture
+def drifting_bench(monkeypatch):
+    """Make ``bench``'s second run of a strategy report an empty loaded set."""
+    real = metrics.run_strategy
+    runs = []
+
+    def drifting(*args):
+        state, trace = real(*args)
+        runs.append(state)
+        if len(runs) == 2:
+            state = SimpleNamespace(loaded=lambda: frozenset())
+        return state, trace
+
+    monkeypatch.setattr(metrics, "run_strategy", drifting)
 
 
 @pytest.fixture(scope="session")

@@ -224,6 +224,16 @@ class TestBenchAndReport:
         stage0_row = lines[1].split(",")
         assert stage0_row[0] == "stage0" and float(stage0_row[4]) == 1.0
 
+    def test_bench_load_set_mismatch_is_a_coded_error(self, workdir, capsys, drifting_bench):
+        run_gen(workdir)
+        rc = main([
+            "bench", "--catalog", str(workdir / "catalog.txt"),
+            "--inventory", str(workdir / "inventory.txt"),
+            "--policy", "all-load", "--strategy", "stage0", "--reps", "2",
+        ])
+        assert rc == 1
+        assert "error: load-set-mismatch: " in capsys.readouterr().err
+
     def test_report_roundtrip(self, workdir, capsys):
         run_gen(workdir)
         run_register(workdir)

@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kmodsim.catalog import ModuleRecord
+from kmodsim.catalog import ModuleRecord, parse_catalog
 from kmodsim.errors import MalformedInventory
-from kmodsim.hardware import HardwareInventory, check_hardware_support, parse_inventory
+from kmodsim.fixtures import generate_fixture
+from kmodsim.hardware import (
+    HardwareInventory,
+    _contains_word,
+    _is_word_char,
+    check_hardware_support,
+    parse_inventory,
+)
+from kmodsim.loader import StrategyConfig, load_stage0, load_stage1
+from kmodsim.registry import SelectionPolicy, register_v0, register_v1
 
-from conftest import make_inventory
+from conftest import make_catalog, make_inventory
 
 
 def module(*tags: str) -> ModuleRecord:
@@ -103,3 +114,121 @@ class TestProperties:
             HardwareInventory(tuple(d.upper() for d in devices)),
         )
         assert plain == upper
+
+
+def oracle(tags, devices) -> bool:
+    """The gate by definition: any tag on word boundaries in any device."""
+    if not tags:
+        return True
+    return any(_contains_word(d.casefold(), t.casefold()) for d in devices for t in tags)
+
+
+def index_built(inventory: HardwareInventory) -> bool:
+    return "_postings" in vars(inventory)
+
+
+# Word characters whose casefolding is not one-to-one or not ASCII: sharp s
+# folds to "ss", dotted capital I to "i" plus a combining dot (not a word
+# character), final sigma to sigma, the fi ligature to "fi"; Arabic-Indic
+# three, Devanagari five and superscript two are digits of other scripts.
+WORDY = "abAB01_ßSsİiσςΣ٣५²ﬁ"
+EDGES = " -/.\u0307"
+
+
+@st.composite
+def devices_and_tags(draw):
+    devices = draw(st.lists(
+        st.text(WORDY + EDGES, min_size=1, max_size=16).map(str.strip).filter(bool),
+        max_size=6,
+    ))
+    tags = []
+    for _ in range(draw(st.integers(0, 3))):
+        if devices and draw(st.booleans()):
+            # A slice of a device, so that matches and near misses are common.
+            device = draw(st.sampled_from(devices))
+            start = draw(st.integers(0, len(device) - 1))
+            tag = device[start:draw(st.integers(start + 1, len(device)))]
+            tags.append(tag.upper() if draw(st.booleans()) else tag)
+        else:
+            tags.append(draw(st.text(WORDY + EDGES, max_size=6)))
+    return devices, tags
+
+
+class TestIndexedGate:
+    """The indexed gate against ``_contains_word`` over every device and tag."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=devices_and_tags())
+    @example(case=(["Broadcom NetXtreme II controller"], ["netxtreme ii"]))
+    @example(case=(["Realtek RTL8111/8168 PCIe"], ["/8168"]))
+    @example(case=(["ab ab", "ab"], ["ab ab"]))
+    @example(case=(["STRASSE", "STRAßEN"], ["straße"]))
+    @example(case=(["İ", "i"], ["İ"]))
+    @example(case=(["ΟΔΟΣ"], ["οδος", "οδοσ"]))
+    @example(case=(["port ٣"], ["٣"]))
+    def test_matches_the_oracle(self, case):
+        devices, tags = case
+        inventory = HardwareInventory(tuple(devices))
+        assert check_hardware_support(module(*tags), inventory) == oracle(tags, devices)
+
+    @pytest.mark.parametrize(
+        "devices, tag, expected, indexed",
+        [
+            (["Intel dev-foo adapter"], "dev-foo", True, True),
+            (["Intel dev-foo adapter", "dev-bar"], "dev-foobar", False, True),
+            (["Intel dev-foo adapter"], "nowhere", False, True),
+            (["Broadcom NetXtreme II controller"], "NetXtreme II", True, True),
+            (["ab ab"], "ab ab", True, True),
+            (["ab", "ab x"], "ab ab", False, True),
+            (["STRASSE"], "Straße", True, True),
+            (["ΟΔΟΣ"], "οδος", True, True),
+            (["port ٣"], "٣", True, True),
+            (["Intel e1000 - rev 2"], "- rev", True, False),
+            (["Realtek RTL8111/8168 PCIe"], "/8168", False, False),
+            (["Realtek RTL8111/8168 PCIe"], "8168 ", False, False),
+            (["İ"], "İ", True, False),
+            (["a"], "", False, False),
+        ],
+    )
+    def test_path_and_result(self, devices, tag, expected, indexed):
+        inventory = HardwareInventory(tuple(devices))
+        assert check_hardware_support(module(tag), inventory) is expected
+        assert oracle([tag], devices) is expected
+        assert index_built(inventory) is indexed
+
+    def test_index_is_built_once(self):
+        inventory = make_inventory("Intel dev-foo adapter", "Realtek dev-bar PHY")
+        assert check_hardware_support(module("dev-foo"), inventory)
+        postings = inventory._postings
+        assert check_hardware_support(module("dev-bar"), inventory)
+        assert inventory._postings is postings
+
+    def test_word_run_pattern_is_the_word_char_predicate(self):
+        word = re.compile(r"\w")
+        for code in range(0x110000):
+            ch = chr(code)
+            assert bool(word.fullmatch(ch)) == _is_word_char(ch), hex(code)
+
+
+class TestLazyIndex:
+    """Sessions that never check a tag never pay for the index."""
+
+    def test_untagged_sweep_never_builds_the_index(self):
+        catalog = make_catalog("a|1||", "b|1|a|", "c|1||")
+        inventory = make_inventory("Intel dev-a adapter")
+        _, trace = load_stage0(
+            catalog, register_v0(catalog, SelectionPolicy.all_load()), inventory
+        )
+        assert len(trace) == 3
+        assert not index_built(inventory)
+
+    def test_stage1_session_never_builds_the_index(self):
+        catalog_text, inventory_text = generate_fixture(60, 4, seed=5, hw_coverage=0.8)
+        catalog = parse_catalog(catalog_text)
+        registered_with = parse_inventory(inventory_text)
+        index = register_v1(catalog, SelectionPolicy.all_load(), registered_with)
+        assert index_built(registered_with)
+
+        inventory = parse_inventory(inventory_text)
+        load_stage1(catalog, index, inventory, StrategyConfig("stage1"))
+        assert not index_built(inventory)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from kmodsim.errors import ConfigError
+from kmodsim.errors import ConfigError, LoadSetMismatch
 from kmodsim.hardware import HardwareInventory
 from kmodsim.loader import (
     DUP_ATTEMPT,
@@ -184,6 +184,12 @@ class TestBench:
         with pytest.raises(ConfigError):
             bench(self.catalog, SelectionPolicy.all_load(), self.inventory,
                   ["stage9"], workers=1, repetitions=1)
+
+    def test_changing_loaded_set_is_a_coded_error(self, drifting_bench):
+        with pytest.raises(LoadSetMismatch) as info:
+            bench(self.catalog, SelectionPolicy.all_load(), self.inventory,
+                  ["stage0"], workers=1, repetitions=2)
+        assert info.value.code == "load-set-mismatch"
 
     def test_csv_shape(self):
         report = bench(
