@@ -22,6 +22,7 @@ from .errors import (
     IndexMismatch,
     KmodsimError,
     LoadSetMismatch,
+    LoadTimeout,
     MalformedInventory,
     MalformedRecord,
     MalformedTrace,

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .catalog import parse_catalog
-from .errors import ConfigError, KmodsimError
+from .errors import ConfigError, KmodsimError, MalformedTrace
 from .fixtures import generate_fixture
 from .hardware import HardwareInventory, parse_inventory
 from .loader import (
@@ -189,8 +189,16 @@ def _cmd_bench(args) -> int:
 def _cmd_report(args) -> int:
     catalog = parse_catalog(Path(args.catalog).read_text())
     trace = parse_trace(Path(args.trace).read_text())
+    loaded: set[str] = set()
+    for event in trace:
+        if event.kind != LOAD:
+            continue
+        if event.module not in catalog:
+            raise MalformedTrace(f"LOAD of {event.module!r}, which is not in the catalog")
+        if event.module in loaded:
+            raise MalformedTrace(f"second LOAD of {event.module!r}")
+        loaded.add(event.module)
     timing = timing_from_trace(trace)
-    loaded = {e.module for e in trace if e.kind == LOAD}
     space = space_report(catalog, loaded)
     render = render_session_csv if args.format == "csv" else render_session_text
     sys.stdout.write(render(timing, space))

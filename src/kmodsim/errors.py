@@ -73,5 +73,11 @@ class LoadSetMismatch(KmodsimError):
     code = "load-set-mismatch"
 
 
+class LoadTimeout(KmodsimError):
+    """A worker waited too long for another worker to finish a module."""
+
+    code = "load-timeout"
+
+
 class ConfigError(KmodsimError):
     code = "config"

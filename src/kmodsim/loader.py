@@ -5,13 +5,14 @@ stage1  depth sweep over a v1 index (no dependency walk, no hardware check)
 stage2  parallel redundant scans with one global lock around attachment
 stage3  lock-free: disjoint catalog partitions, one per loading worker
 
-All strategies share a per-session ``LoadState``. The unloaded->loaded
-transition is a single atomic test-and-set per module; the pre-claim check is
-a plain read. A worker that passes the read check but loses the claim records
-a ``DUP_ATTEMPT`` event and then blocks until the winner finishes, so a
-dependent module can never start attaching before its dependencies have
-completed. Duplicates therefore surface only as DUP_ATTEMPT events, never as
-a second LOAD.
+All strategies share a per-session ``LoadState``: a claimed set and a done
+set guarded by one ``threading.Condition`` for the whole session, however
+large the catalog. The unloaded->loaded claim is a test-and-set under that
+condition; the pre-claim check is a plain read of the done set. A worker that
+passes the read check but loses the claim records a ``DUP_ATTEMPT`` event and
+then waits on the condition until the winner finishes, so a dependent module
+can never start attaching before its dependencies have completed. Duplicates
+therefore surface only as DUP_ATTEMPT events, never as a second LOAD.
 
 Base-kernel modules are resident from the start: they are never attached,
 produce no events, and satisfy any dependency on them immediately.
@@ -29,13 +30,14 @@ may run concurrently in one process.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .catalog import ModuleCatalog, ModuleRecord
-from .errors import ConfigError, IndexMismatch, MalformedTrace
+from .errors import ConfigError, IndexMismatch, LoadTimeout, MalformedTrace
 from .hardware import HardwareInventory, check_hardware_support
 from .registry import IndexFile
 
@@ -126,65 +128,44 @@ class _SessionClock:
         return (time.monotonic_ns() - self._t0) // 1000
 
 
-class _Slot:
-    __slots__ = ("lock", "claimed", "done", "attempts")
-
-    def __init__(self, resident: bool):
-        self.lock = threading.Lock()
-        self.claimed = resident
-        self.done = threading.Event()
-        self.attempts = 0
-        if resident:
-            self.done.set()
-
-
 class LoadState:
-    """Shared load table: per-module claim/completion plus attempt counts.
+    """Shared load table: claimed and done sets under one session condition.
 
-    ``is_complete`` is a plain read; ``try_claim`` is the only mutating
-    transition. Base-kernel modules start resident (complete, unclaimable).
+    ``is_complete`` is a plain read; ``try_claim`` is the only transition
+    that can fail. Base-kernel modules start resident (done, unclaimable).
     """
 
-    def __init__(self, catalog: ModuleCatalog, clock: _SessionClock | None = None):
-        self._catalog = catalog
-        self.clock = clock if clock is not None else _SessionClock(instant=True)
-        self._slots = {
-            rec.name: _Slot(resident=rec.base_kernel_only) for rec in catalog.records
-        }
+    def __init__(self, catalog: ModuleCatalog):
+        resident = {rec.name for rec in catalog.records if rec.base_kernel_only}
+        self._claimed = set(resident)
+        self._done = set(resident)
         self._loaded: list[str] = []
-        self._loaded_lock = threading.Lock()
+        self._cond = threading.Condition()
 
     def is_complete(self, name: str) -> bool:
-        return self._slots[name].done.is_set()
+        return name in self._done
 
     def try_claim(self, name: str) -> bool:
-        slot = self._slots[name]
-        with slot.lock:
-            slot.attempts += 1
-            if slot.claimed:
+        with self._cond:
+            if name in self._claimed:
                 return False
-            slot.claimed = True
+            self._claimed.add(name)
             return True
 
     def mark_complete(self, name: str) -> None:
-        slot = self._slots[name]
-        with self._loaded_lock:
+        with self._cond:
             self._loaded.append(name)
-        slot.done.set()
+            self._done.add(name)
+            self._cond.notify_all()
 
     def wait_complete(self, name: str) -> None:
-        if not self._slots[name].done.wait(timeout=_COMPLETION_TIMEOUT_S):
-            raise RuntimeError(f"timed out waiting for module {name!r} to finish loading")
-
-    def attempts(self, name: str) -> int:
-        return self._slots[name].attempts
-
-    def status(self, name: str) -> str:
-        return "loaded" if self._slots[name].done.is_set() else "unloaded"
+        with self._cond:
+            if not self._cond.wait_for(lambda: name in self._done, _COMPLETION_TIMEOUT_S):
+                raise LoadTimeout(f"timed out waiting for module {name!r} to finish loading")
 
     def loaded(self) -> frozenset[str]:
         """Names attached dynamically this session (resident modules excluded)."""
-        with self._loaded_lock:
+        with self._cond:
             return frozenset(self._loaded)
 
 
@@ -205,8 +186,17 @@ class LoadSession:
             raise ConfigError(f"workers must be positive, got {config.workers}")
         if strategy in ("stage2", "stage3") and config.workers < 2:
             raise ConfigError(f"{strategy} needs at least 2 workers, got {config.workers}")
-        if config.load_base_us < 0 or config.load_per_kb_us < 0:
-            raise ConfigError("load costs must be non-negative")
+        if not all(0 <= cost < math.inf for cost in (config.load_base_us, config.load_per_kb_us)):
+            raise ConfigError("load costs must be finite and non-negative")
+        largest_kb = max(
+            (rec.size_kb for rec in catalog.records if not rec.base_kernel_only), default=0
+        )
+        worst_us = config.load_base_us + largest_kb * config.load_per_kb_us
+        if worst_us > _COMPLETION_TIMEOUT_S * 1_000_000:
+            raise ConfigError(
+                f"one attach would take {worst_us:g} us, longer than the "
+                f"{_COMPLETION_TIMEOUT_S:g} s a worker waits for a claim winner"
+            )
         required = "v1" if strategy == "stage1" else "v0"
         if index.version != required:
             raise IndexMismatch(
@@ -221,7 +211,7 @@ class LoadSession:
         self._inventory = inventory
         self._config = config
         self._clock = _SessionClock(instant=config.instant)
-        self.state = LoadState(catalog, self._clock)
+        self.state = LoadState(catalog)
         self._events: list[LoadEvent] = []
         self._events_lock = threading.Lock()
         self._attach_lock = threading.Lock()  # stage2's single exclusion region
@@ -341,7 +331,7 @@ def load_stage2(catalog, index, inventory, config=None):
 
 
 def load_stage3(catalog, index, inventory, config=None):
-    """Lock-free partitioned loading; workers share only the per-module claim."""
+    """Lock-free partitioned loading; workers share only the module claims."""
     return _run("stage3", catalog, index, inventory, config)
 
 

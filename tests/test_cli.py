@@ -208,6 +208,19 @@ class TestLoad:
         assert rc == 1
         assert "error: config: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cost", ["nan", "inf", "1e20"])
+    def test_impossible_load_cost_is_a_usage_error(self, workdir, capsys, cost):
+        run_gen(workdir)
+        run_register(workdir)
+        rc = main([
+            "load", "--catalog", str(workdir / "catalog.txt"),
+            "--index", str(workdir / "index.txt"),
+            "--inventory", str(workdir / "inventory.txt"),
+            "--strategy", "stage0", "--load-base-us", cost,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: config: ")
+
 
 class TestBenchAndReport:
     def test_bench_csv_has_one_row_per_strategy(self, workdir, capsys):
@@ -264,6 +277,25 @@ class TestBenchAndReport:
         data = dict(zip(header.split(","), row.split(",")))
         assert data["loads"] == "0"
         assert data["saved_kb"] == data["total_kb"]  # gen makes no @base modules
+
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            "0 0 LOAD ghost\n0 0 LOAD ghost\n",  # not in the catalog
+            "0 0 LOAD fs\n0 1 LOAD fs\n",  # loaded twice
+        ],
+    )
+    def test_report_rejects_an_impossible_trace(self, workdir, capsys, trace):
+        (workdir / "catalog.txt").write_text("MODCAT v1\nfs|4||\n")
+        (workdir / "trace.txt").write_text(trace)
+        rc = main([
+            "report", "--trace", str(workdir / "trace.txt"),
+            "--catalog", str(workdir / "catalog.txt"),
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: malformed-trace: ")
+        assert captured.out == ""
 
 
 def test_module_entry_point_runs():

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from kmodsim.catalog import ModuleRecord
-from kmodsim.errors import ConfigError, IndexMismatch
+from kmodsim import loader
+from kmodsim.errors import ConfigError, IndexMismatch, LoadTimeout
 from kmodsim.hardware import HardwareInventory
 from kmodsim.loader import (
     DUP_ATTEMPT,
     LOAD,
+    LoadState,
     SKIP_FLAG,
     SKIP_HW,
     StrategyConfig,
@@ -106,6 +110,65 @@ def simulate(rec, base, per_kb):
     )
 
 
+class TestLoadState:
+    def test_mark_complete_wakes_every_waiter(self):
+        state = LoadState(make_catalog("a|1||"))
+        assert state.try_claim("a")
+        waiters = [
+            threading.Thread(target=state.wait_complete, args=("a",), daemon=True)
+            for _ in range(4)
+        ]
+        for waiter in waiters:
+            waiter.start()
+        time.sleep(0.05)  # let the waiters block on the condition
+        assert all(waiter.is_alive() for waiter in waiters)
+        state.mark_complete("a")
+        deadline = time.monotonic() + 1.0
+        for waiter in waiters:
+            waiter.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not any(waiter.is_alive() for waiter in waiters)
+
+    def test_waiting_on_an_unfinished_claim_times_out_with_a_code(self, monkeypatch):
+        monkeypatch.setattr(loader, "_COMPLETION_TIMEOUT_S", 0.05)
+        state = LoadState(make_catalog("a|1||"))
+        assert state.try_claim("a")
+        with pytest.raises(LoadTimeout) as info:
+            state.wait_complete("a")
+        assert info.value.code == "load-timeout"
+
+
+class TestLoadCosts:
+    @pytest.mark.parametrize(
+        "costs",
+        [
+            {"load_base_us": math.nan},
+            {"load_per_kb_us": math.nan},
+            {"load_base_us": math.inf},
+            {"load_per_kb_us": math.inf},
+        ],
+    )
+    def test_non_finite_costs_are_rejected(self, costs):
+        catalog = make_catalog("a|1||")
+        config = StrategyConfig("stage0", **costs)
+        with pytest.raises(ConfigError, match="finite"):
+            load_stage0(catalog, flags_index(catalog, ["a"]), NO_HW, config)
+
+    def test_base_cost_beyond_the_completion_timeout_is_rejected(self):
+        catalog = make_catalog("a|1||")
+        config = StrategyConfig("stage0", load_base_us=1e20)
+        with pytest.raises(ConfigError, match="longer than"):
+            load_stage0(catalog, flags_index(catalog, ["a"]), NO_HW, config)
+
+    def test_the_largest_module_sets_the_limit(self, monkeypatch):
+        monkeypatch.setattr(loader, "_COMPLETION_TIMEOUT_S", 0.05)  # 50,000 us
+        catalog = make_catalog("a|10||", "b|1000||", "fs|9999||@base")
+        index = flags_index(catalog, ["a"])
+        # 1,000 kB at 40 us/kB is 40,000 us; the resident module never attaches.
+        load_stage0(catalog, index, NO_HW, StrategyConfig("stage0", load_per_kb_us=40))
+        with pytest.raises(ConfigError, match="longer than"):
+            load_stage0(catalog, index, NO_HW, StrategyConfig("stage0", load_per_kb_us=60))
+
+
 class TestStage0:
     def test_flag_gating(self):
         catalog = make_catalog("a|1||", "b|1||")
@@ -158,7 +221,7 @@ class TestStage0:
         state, trace = load_stage0(catalog, index, NO_HW)
         assert load_events(trace) == ["app"]
         assert all(e.module != "fs" for e in trace)
-        assert state.status("fs") == "loaded"  # resident from the start
+        assert state.is_complete("fs")  # resident from the start
         assert state.loaded() == {"app"}
 
     def test_wrong_index_version(self):
@@ -276,16 +339,6 @@ class TestStage3:
                 assert all(e.module == "a" for e in dups)
                 return
         pytest.fail("no DUP_ATTEMPT observed in five heavily overlapped runs")
-
-    def test_attempts_count_claims_not_loads(self):
-        catalog = make_catalog(*SHARED_DEP)
-        index = register_v0(catalog, SelectionPolicy.all_load())
-        state, trace = load_stage3(
-            catalog, index, NO_HW, StrategyConfig("stage3", workers=3, load_base_us=20_000)
-        )
-        dups = sum(1 for e in trace if e.kind == DUP_ATTEMPT)
-        total_attempts = sum(state.attempts(name) for name in ("a", "b", "c"))
-        assert total_attempts == len(load_events(trace)) + dups
 
 
 class TestTraces:

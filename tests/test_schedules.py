@@ -1,19 +1,24 @@
 """Exhaustive interleaving check of the lock-free claim protocol.
 
-This models the partitioned strategy's attach path on a three-module fixture
-(two roots sharing one dependency) as step machines with a scheduling point
-at every shared-state interaction: the completeness read, the gap before the
-test-and-set, the in-flight load window, and the wait-for-completion loop.
-Every reachable schedule of the two workers is enumerated by replaying choice
-prefixes, so the exactly-once and dependency-ordering guarantees are checked
-against *all* interleavings, not just the ones a real scheduler happens to
-produce.
+This drives the real ``LoadState`` from step machines that follow the
+partitioned strategy's attach path on a three-module fixture (two roots
+sharing one dependency), with a scheduling point at every shared-state
+interaction: the completeness read, the gap before the test-and-set, the
+in-flight load window, and the wait-for-completion loop. Every reachable
+schedule of the two workers is enumerated by replaying choice prefixes, so
+the exactly-once and dependency-ordering guarantees of ``try_claim``,
+``is_complete`` and ``mark_complete`` are checked against *all*
+interleavings, not just the ones a real scheduler happens to produce.
 """
 
 from __future__ import annotations
 
-DEPS = {"a": (), "b": ("a",), "c": ("a",)}
-PARTITIONS = (("a", "b"), ("c",))  # catalog order [a, b, c], step 2, 2 workers
+from kmodsim.loader import LoadState, plan_partitions
+
+from conftest import make_catalog
+
+CATALOG = make_catalog("a|1||", "b|1|a|", "c|1|a|")
+PLAN = plan_partitions(len(CATALOG), 3)  # [a, b] and [c]: two loading workers
 
 LOAD = "LOAD"
 DUP = "DUP"
@@ -21,12 +26,12 @@ DUP = "DUP"
 
 class World:
     def __init__(self):
-        self.claimed = {name: False for name in DEPS}
-        self.done = {name: False for name in DEPS}
+        self.state = LoadState(CATALOG)
         self.trace: list[tuple[str, str, int]] = []
-        self.waiting: dict[int, str | None] = {0: None, 1: None}
+        self.waiting: dict[int, str | None] = {wid: None for wid in range(PLAN.workers)}
         self.workers = {
-            wid: self._scan(wid, partition) for wid, partition in enumerate(PARTITIONS)
+            wid: self._scan(wid, CATALOG.names[start:end])
+            for wid, (start, end) in enumerate(PLAN.ranges)
         }
         self.finished: set[int] = set()
 
@@ -35,23 +40,24 @@ class World:
             yield from self._attach(wid, root)
 
     def _attach(self, wid, name):
+        state = self.state
         yield  # about to read completeness
-        if self.done[name]:
+        if state.is_complete(name):
             return
-        for dep in DEPS[name]:
+        for dep in CATALOG.record(name).deps:
             yield from self._attach(wid, dep)
         yield  # race window between the read and the test-and-set
-        if self.claimed[name]:
+        if not state.try_claim(name):
             self.trace.append((DUP, name, wid))
-            while not self.done[name]:
+            while not state.is_complete(name):
                 self.waiting[wid] = name
                 yield  # blocked until the claimer completes
             self.waiting[wid] = None
+            state.wait_complete(name)  # already complete: returns at once
             return
-        self.claimed[name] = True
         yield  # load in flight: claimed but not yet complete
         self.trace.append((LOAD, name, wid))
-        self.done[name] = True
+        state.mark_complete(name)
 
     def runnable(self) -> list[int]:
         ready = []
@@ -59,7 +65,7 @@ class World:
             if wid in self.finished:
                 continue
             target = self.waiting[wid]
-            if target is None or self.done[target]:
+            if target is None or self.state.is_complete(target):
                 ready.append(wid)
         return ready
 
@@ -103,7 +109,8 @@ def test_all_interleavings_load_each_module_exactly_once():
     for world in terminals:
         loads = [name for kind, name, _ in world.trace if kind == LOAD]
         assert sorted(loads) == ["a", "b", "c"], world.trace
-        assert all(world.done.values())
+        assert all(world.state.is_complete(name) for name in CATALOG.names)
+        assert world.state.loaded() == {"a", "b", "c"}
 
         order = {name: i for i, (kind, name, _) in enumerate(world.trace) if kind == LOAD}
         assert order["a"] < order["b"] and order["a"] < order["c"], world.trace
