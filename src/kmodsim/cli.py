@@ -197,6 +197,12 @@ def _cmd_report(args) -> int:
             raise MalformedTrace(f"LOAD of {event.module!r}, which is not in the catalog")
         if event.module in loaded:
             raise MalformedTrace(f"second LOAD of {event.module!r}")
+        rec = catalog.record(event.module)
+        if rec.base_kernel_only:
+            raise MalformedTrace(f"LOAD of {event.module!r}, which is a resident @base module")
+        for dep in rec.deps:
+            if dep not in loaded and not catalog.record(dep).base_kernel_only:
+                raise MalformedTrace(f"LOAD of {event.module!r} before its dependency {dep!r}")
         loaded.add(event.module)
     timing = timing_from_trace(trace)
     space = space_report(catalog, loaded)

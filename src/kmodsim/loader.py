@@ -174,12 +174,12 @@ class LoadSession:
 
     def __init__(
         self,
-        strategy: str,
         catalog: ModuleCatalog,
         index: IndexFile,
         inventory: HardwareInventory,
         config: StrategyConfig,
     ):
+        strategy = config.strategy
         if strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {strategy!r}")
         if config.workers < 1:
@@ -342,13 +342,15 @@ def run_strategy(
     config: StrategyConfig,
 ) -> tuple[LoadState, list[LoadEvent]]:
     """Dispatch on ``config.strategy``."""
-    return _run(config.strategy, catalog, index, inventory, config)
+    return LoadSession(catalog, index, inventory, config).run()
 
 
 def _run(strategy, catalog, index, inventory, config):
     if config is None:
         config = StrategyConfig(strategy, workers=2 if strategy in ("stage2", "stage3") else 1)
-    return LoadSession(strategy, catalog, index, inventory, config).run()
+    elif config.strategy != strategy:
+        raise ConfigError(f"load_{strategy} was given a {config.strategy!r} config")
+    return LoadSession(catalog, index, inventory, config).run()
 
 
 def format_trace(events) -> str:

@@ -8,7 +8,9 @@ passes the hardware check receives its dependency depth (1 = independent,
 2-255 = dependent), and every module reachable through its dependencies is
 depth-tagged as well, whether or not it was selected itself. Modules that
 stay unselected or fail the hardware check keep value 0 and are never swept
-in at load time.
+in at load time. Registration walks the dependency closure of all roots at
+once and reads each reached module's depth from ``topo_levels``, since a
+module's depth does not depend on which root reaches it.
 
 Base-kernel modules are already resident, so they are never registered as
 roots; they still receive depth values when a loadable module depends on
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .catalog import ModuleCatalog
+from .catalog import ModuleCatalog, topo_levels
 from .errors import (
     ConfigError,
     DepthOverflow,
@@ -120,23 +122,37 @@ def register_v1(
 ) -> IndexFile:
     """Assign dependency-depth bytes to every loadable, supported selection.
 
-    Each hardware-supported selected module and all of its transitive
-    dependencies get their depth; everything else stays 0. Re-encountering a
-    module through a later root keeps the larger of the two depths (they are
-    always equal on an acyclic catalog).
+    The roots are the selected, non-base modules that pass the hardware
+    check. One walk from all roots collects their transitive dependencies;
+    every module it reaches gets its ``topo_levels`` depth, everything else
+    stays 0.
     """
     selected = resolve_selection(catalog, policy)
-    values = {rec.name: 0 for rec in catalog.records}
-    depths: dict[str, int] = {}
+    reached = {
+        rec.name
+        for rec in catalog.records
+        if rec.name in selected
+        and not rec.base_kernel_only
+        and check_hardware_support(rec, inventory)
+    }
+    queue = list(reached)
+    while queue:
+        for dep in catalog.record(queue.pop()).deps:
+            if dep not in reached:
+                reached.add(dep)
+                queue.append(dep)
+
+    levels = topo_levels(catalog)
+    entries = []
     for rec in catalog.records:
-        if rec.name not in selected or rec.base_kernel_only:
-            continue
-        if not check_hardware_support(rec, inventory):
-            continue
-        for member in _dependency_closure(catalog, rec.name):
-            values[member] = max(values[member], _depth_of(catalog, member, depths))
-    entries = tuple((rec.name, values[rec.name]) for rec in catalog.records)
-    return IndexFile("v1", entries)
+        depth = levels[rec.name] if rec.name in reached else 0
+        if depth > MAX_DEPTH_VALUE:
+            raise DepthOverflow(
+                f"module {rec.name!r} sits at dependency depth {depth}; "
+                f"index values top out at {MAX_DEPTH_VALUE}"
+            )
+        entries.append((rec.name, depth))
+    return IndexFile("v1", tuple(entries))
 
 
 def write_index(index: IndexFile) -> str:
@@ -182,38 +198,3 @@ def read_index(text: str, catalog: ModuleCatalog) -> IndexFile:
         entries.append((name, value))
     return IndexFile(version, tuple(entries))
 
-
-def _dependency_closure(catalog: ModuleCatalog, root: str) -> set[str]:
-    closure = {root}
-    queue = [root]
-    while queue:
-        for dep in catalog.record(queue.pop()).deps:
-            if dep not in closure:
-                closure.add(dep)
-                queue.append(dep)
-    return closure
-
-
-def _depth_of(catalog: ModuleCatalog, name: str, memo: dict[str, int]) -> int:
-    # Post-order walk with an explicit stack; depth is one more than the
-    # deepest dependency, and anything past one byte is a hard error.
-    stack = [name]
-    while stack:
-        cur = stack[-1]
-        if cur in memo:
-            stack.pop()
-            continue
-        deps = catalog.record(cur).deps
-        pending = [d for d in deps if d not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        depth = 1 + max((memo[d] for d in deps), default=0)
-        if depth > MAX_DEPTH_VALUE:
-            raise DepthOverflow(
-                f"module {cur!r} sits at dependency depth {depth}; "
-                f"index values top out at {MAX_DEPTH_VALUE}"
-            )
-        memo[cur] = depth
-        stack.pop()
-    return memo[name]

@@ -1,8 +1,9 @@
 """Shared fixtures, independent oracles, and trace checkers.
 
 The oracles here deliberately avoid the production code paths they check:
-dependency depth is computed by enumerating every simple path, and expected
-stage0 load orders come from a standalone post-order walk.
+dependency depth is computed by enumerating every simple path, v1 index
+values by a memoised recursive longest path over a recursive closure, and
+expected stage0 load orders come from a standalone post-order walk.
 """
 
 from __future__ import annotations
@@ -47,6 +48,34 @@ def brute_force_levels(catalog: ModuleCatalog) -> dict[str, int]:
         return [[name] + tail for dep in deps for tail in paths(dep)]
 
     return {rec.name: max(len(p) for p in paths(rec.name)) for rec in catalog.records}
+
+
+def reference_v1_values(catalog, selected, supported) -> dict[str, int]:
+    """v1 index values from a recursive closure and a memoised longest path.
+
+    Roots are the ``selected`` non-base modules for which ``supported(rec)``
+    holds; every module in their dependency closure gets its depth, every
+    other module 0.
+    """
+    by_name = {rec.name: rec for rec in catalog.records}
+    depth: dict[str, int] = {}
+    reached: set[str] = set()
+
+    def depth_of(name: str) -> int:
+        if name not in depth:
+            depth[name] = 1 + max((depth_of(d) for d in by_name[name].deps), default=0)
+        return depth[name]
+
+    def reach(name: str) -> None:
+        if name not in reached:
+            reached.add(name)
+            for dep in by_name[name].deps:
+                reach(dep)
+
+    for rec in catalog.records:
+        if rec.name in selected and not rec.base_kernel_only and supported(rec):
+            reach(rec.name)
+    return {name: depth_of(name) if name in reached else 0 for name in by_name}
 
 
 def sequential_load_order(catalog, flags: dict[str, int], supported) -> list[str]:

@@ -33,6 +33,7 @@ from conftest import (
     load_events,
     make_catalog,
     make_inventory,
+    reference_v1_values,
 )
 
 NO_HW = HardwareInventory(())
@@ -45,8 +46,10 @@ def _passed(number: int, label: str, detail: str = "") -> None:
 
 
 def test_criterion_1_registry_levels_match_the_depth_oracle(random_cases):
-    # topo_levels is the independent longest-path oracle; its own agreement
-    # with exhaustive path enumeration is pinned in test_catalog.py.
+    # topo_levels agrees with exhaustive path enumeration (test_catalog.py),
+    # but register_v1 reads its depths from it, so the whole entry map is
+    # also checked against reference_v1_values, which shares no code with
+    # either.
     started = time.perf_counter()
     checked = 0
     for catalog, inventory in random_cases:
@@ -56,6 +59,11 @@ def test_criterion_1_registry_levels_match_the_depth_oracle(random_cases):
             if value:
                 assert value == oracle[name], (name, value, oracle[name])
                 checked += 1
+        assert dict(index.entries) == reference_v1_values(
+            catalog,
+            frozenset(catalog.names),
+            lambda rec: check_hardware_support(rec, inventory),
+        )
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"oracle sweep took {elapsed:.1f}s"
     _passed(1, "registry oracle equivalence",

@@ -283,10 +283,12 @@ class TestBenchAndReport:
         [
             "0 0 LOAD ghost\n0 0 LOAD ghost\n",  # not in the catalog
             "0 0 LOAD fs\n0 1 LOAD fs\n",  # loaded twice
+            "0 0 LOAD core\n",  # resident @base module
+            "0 0 LOAD app\n0 0 LOAD fs\n",  # before its dependency
         ],
     )
     def test_report_rejects_an_impossible_trace(self, workdir, capsys, trace):
-        (workdir / "catalog.txt").write_text("MODCAT v1\nfs|4||\n")
+        (workdir / "catalog.txt").write_text("MODCAT v1\nfs|4||\napp|1|fs,core|\ncore|2||@base\n")
         (workdir / "trace.txt").write_text(trace)
         rc = main([
             "report", "--trace", str(workdir / "trace.txt"),

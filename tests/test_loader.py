@@ -230,6 +230,13 @@ class TestStage0:
         with pytest.raises(IndexMismatch):
             load_stage0(catalog, index, NO_HW)
 
+    def test_config_for_another_strategy_is_rejected(self):
+        catalog = make_catalog("a|1||")
+        with pytest.raises(ConfigError, match="stage3"):
+            load_stage0(
+                catalog, flags_index(catalog, ["a"]), NO_HW, StrategyConfig("stage3", workers=1)
+            )
+
 
 class TestStage1:
     def test_chain_sweeps_one_level_per_pass(self):

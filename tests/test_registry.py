@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from kmodsim.catalog import parse_catalog, topo_levels
+from kmodsim.catalog import ModuleCatalog, parse_catalog, topo_levels
 from kmodsim.errors import (
     DepthOverflow,
     PositionMismatch,
@@ -13,7 +13,8 @@ from kmodsim.errors import (
     ValueOutOfRange,
     VersionMismatch,
 )
-from kmodsim.hardware import HardwareInventory
+from kmodsim.fixtures import generate_fixture
+from kmodsim.hardware import HardwareInventory, check_hardware_support, parse_inventory
 from kmodsim.registry import (
     SelectionPolicy,
     read_index,
@@ -23,7 +24,13 @@ from kmodsim.registry import (
     write_index,
 )
 
-from conftest import catalog_texts, chain_records, make_catalog, make_inventory
+from conftest import (
+    catalog_texts,
+    chain_records,
+    make_catalog,
+    make_inventory,
+    reference_v1_values,
+)
 
 NO_HW = HardwareInventory(())
 
@@ -141,6 +148,9 @@ class TestRegisterV1:
         for name, value in index.entries:
             if value:
                 assert value == oracle[name]
+        assert values_of(index) == reference_v1_values(
+            catalog, frozenset(catalog.names), lambda rec: check_hardware_support(rec, inv)
+        )
 
     @settings(max_examples=75, deadline=None)
     @given(text=catalog_texts(max_modules=40))
@@ -152,6 +162,25 @@ class TestRegisterV1:
             if values[rec.name] >= 2:
                 for dep in rec.deps:
                     assert 0 < values[dep] < values[rec.name]
+
+    def test_one_closure_walk_bounds_the_record_lookups(self, monkeypatch):
+        # One shared closure walk plus one topo_levels pass look each module
+        # up a few times; a walk per root costs modules x depth lookups.
+        catalog_text, inventory_text = generate_fixture(5000, 16, seed=1, hw_coverage=1.0)
+        catalog = parse_catalog(catalog_text)
+        inventory = parse_inventory(inventory_text)
+        edges = sum(len(rec.deps) for rec in catalog.records)
+        real_record = ModuleCatalog.record
+        calls = 0
+
+        def counting_record(self, name):
+            nonlocal calls
+            calls += 1
+            return real_record(self, name)
+
+        monkeypatch.setattr(ModuleCatalog, "record", counting_record)
+        register_v1(catalog, SelectionPolicy.all_load(), inventory)
+        assert calls <= 4 * (len(catalog) + edges), (calls, len(catalog), edges)
 
 
 class TestIndexFiles:
