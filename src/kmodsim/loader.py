@@ -50,6 +50,8 @@ EVENT_KINDS = frozenset({LOAD, SKIP_HW, SKIP_FLAG, DUP_ATTEMPT})
 STRATEGIES = ("stage0", "stage1", "stage2", "stage3")
 
 _COMPLETION_TIMEOUT_S = 120.0
+# Each worker is an OS thread; a session asking for more fails before any starts.
+MAX_WORKERS = 256
 
 
 @dataclass(frozen=True)
@@ -182,8 +184,8 @@ class LoadSession:
         strategy = config.strategy
         if strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {strategy!r}")
-        if config.workers < 1:
-            raise ConfigError(f"workers must be positive, got {config.workers}")
+        if not 1 <= config.workers <= MAX_WORKERS:
+            raise ConfigError(f"workers must be within [1, {MAX_WORKERS}], got {config.workers}")
         if strategy in ("stage2", "stage3") and config.workers < 2:
             raise ConfigError(f"{strategy} needs at least 2 workers, got {config.workers}")
         if not all(0 <= cost < math.inf for cost in (config.load_base_us, config.load_per_kb_us)):

@@ -75,15 +75,6 @@ class IndexFile:
     version: str
     entries: tuple[tuple[str, int], ...]
 
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.entries)
-
-    def value_of(self, name: str) -> int:
-        for entry_name, value in self.entries:
-            if entry_name == name:
-                return value
-        raise KeyError(name)
-
 
 def resolve_selection(catalog: ModuleCatalog, policy: SelectionPolicy) -> frozenset[str]:
     """Materialize a policy into the set of selected module names.

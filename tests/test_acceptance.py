@@ -126,15 +126,15 @@ def test_criterion_4_strategy_equivalence(random_cases):
 def test_criterion_5_count_byte_semantics():
     unsupported = make_catalog("a|1||dev-a")
     index = register_v1(unsupported, SelectionPolicy.all_load(), make_inventory("other hw"))
-    assert index.value_of("a") == 0
+    assert dict(index.entries)["a"] == 0
 
     leaf = make_catalog("a|1||dev-a")
     index = register_v1(leaf, SelectionPolicy.all_load(), make_inventory("Vendor dev-a card"))
-    assert index.value_of("a") == 1
+    assert dict(index.entries)["a"] == 1
 
     fits = make_catalog(*chain_records([f"c{i:03d}" for i in range(255)]))
     index = register_v1(fits, SelectionPolicy.all_load(), NO_HW)
-    assert max(index.values()) == 255
+    assert max(value for _, value in index.entries) == 255
 
     overflows = make_catalog(*chain_records([f"c{i:03d}" for i in range(256)]))
     with pytest.raises(DepthOverflow):

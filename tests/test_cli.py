@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -172,6 +173,20 @@ class TestLoad:
         ])
         assert rc == 1
         assert "error: config: " in capsys.readouterr().err
+
+    def test_absurd_worker_count_is_a_usage_error(self, workdir, capsys):
+        run_gen(workdir)
+        run_register(workdir)
+        threads = threading.active_count()
+        rc = main([
+            "load", "--catalog", str(workdir / "catalog.txt"),
+            "--index", str(workdir / "index.txt"),
+            "--inventory", str(workdir / "inventory.txt"),
+            "--strategy", "stage2", "--workers", str(10**6),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: config: workers must be within")
+        assert threading.active_count() == threads
 
     def test_trace_written_even_when_the_session_cannot_start(self, workdir, capsys):
         run_gen(workdir)

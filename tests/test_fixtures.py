@@ -1,13 +1,83 @@
-"""Generated catalog/inventory pairs: determinism, shape bounds, coverage."""
+"""Generated catalog/inventory pairs: determinism, shape bounds, coverage, cost."""
 
 from __future__ import annotations
 
+import hashlib
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmodsim.catalog import parse_catalog, topo_levels
 from kmodsim.errors import ConfigError
-from kmodsim.fixtures import generate_fixture
+from kmodsim.fixtures import _SkipView, generate_fixture
 from kmodsim.hardware import check_hardware_support, parse_inventory
+
+# SHA-256 of catalog_text + inventory_text. The first nine are the benchmark
+# workloads' shapes; the last three have at most 21 lower-level modules, where
+# random.sample copies its population by iteration rather than by index.
+GOLDEN = {
+    (1000, 8, 1, 0.8): "90a110f86f1e73d89f337180844db98f4beb7d5b08ad7074a563208fc7c6b270",
+    (1000, 8, 2, 0.8): "f3d36a2590a88b287cd7b5e40b7dccfbd8df50748c4a13a7be43db37890402e1",
+    (1000, 8, 3, 0.8): "24027834f9b84df6cdda83579d5224029d8f5f66b8c7b676ddc8b85de4a8090d",
+    (5000, 16, 1, 1.0): "481bc8d26127c94e0fec5337a8ab2639b1ae27f97769092a71ed6380547783c4",
+    (5000, 16, 2, 1.0): "1ca6d648f484ed40b0471996e9fdf584eb2f95d5ec957d2c8d2e66c79cf7b3a8",
+    (5000, 16, 3, 1.0): "30a987481d89788d7c9732bb759b11b4edaf55d6da2395826565e40f34adf2c6",
+    (600, 8, 1, 0.8): "ab11e5d66dff016266bc61ab6958cf283245fca4e5e9b277a082e556d4b67dc8",
+    (600, 8, 2, 0.8): "49984353d5452479650df21d0adae5f5bcce06ef7dc28490ef597834312a235e",
+    (600, 8, 3, 0.8): "bfad32595da3fce8679557ac5937977beffee50372d16667bf1a8444c686db66",
+    (1, 1, 0, 0.0): "c1ba04a4a5819531866b4f36cf2fc7bae535d8ba28c62f4a79fd92bdca787ad8",
+    (5, 2, 1, 1.0): "a9a615f029cbfab24c2742c02c91e78622b35ba0c5308a698cc211e4fde727a0",
+    (50, 5, 7, 0.5): "3b1c2c8c29f65eaca42471c6d4b409c55fd1350d0be4a933946602739c4e9420",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN), ids=str)
+def test_output_bytes_are_pinned(args):
+    catalog_text, inventory_text = generate_fixture(*args)
+    digest = hashlib.sha256((catalog_text + inventory_text).encode()).hexdigest()
+    assert digest == GOLDEN[args]
+
+
+@st.composite
+def buckets_and_skip(draw):
+    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    if not sum(sizes):
+        sizes[0] = 1
+    names = iter(f"m{i}" for i in range(sum(sizes)))
+    buckets = [[next(names) for _ in range(size)] for size in sizes]
+    return buckets, draw(st.integers(0, sum(sizes) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(buckets_and_skip())
+def test_skip_view_matches_the_materialized_list(case):
+    buckets, skip = case
+    flat = [name for bucket in buckets for name in bucket]
+    expected = flat[:skip] + flat[skip + 1 :]
+    view = _SkipView(buckets, skip)
+    assert len(view) == len(expected)
+    assert list(view) == expected
+    for i in range(-len(expected), len(expected)):
+        assert view[i] == expected[i]
+    for i in (len(expected), len(expected) + 1, -len(expected) - 1):
+        with pytest.raises(IndexError):
+            view[i]
+
+
+def test_generation_time_grows_linearly():
+    def cpu_s(modules):
+        runs = []
+        for _ in range(3):
+            start = time.process_time()
+            generate_fixture(modules, 16, 1, 1.0)
+            runs.append(time.process_time() - start)
+        return min(runs)
+
+    # Ten times the modules: about 10x for linear code, about 75x for a
+    # generator that rebuilds the lower-level list for every module.
+    assert cpu_s(20_000) / cpu_s(2_000) < 30
 
 
 def test_same_seed_is_byte_identical():

@@ -169,6 +169,18 @@ class TestLoadCosts:
             load_stage0(catalog, index, NO_HW, StrategyConfig("stage0", load_per_kb_us=60))
 
 
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [loader.MAX_WORKERS + 1, 10**6])
+    @pytest.mark.parametrize("run", [load_stage2, load_stage3])
+    def test_absurd_worker_count_fails_before_any_thread_starts(self, run, workers):
+        catalog = make_catalog("a|1||")
+        strategy = run.__name__.removeprefix("load_")
+        threads = threading.active_count()
+        with pytest.raises(ConfigError, match="workers must be within"):
+            run(catalog, flags_index(catalog, ["a"]), NO_HW, StrategyConfig(strategy, workers))
+        assert threading.active_count() == threads
+
+
 class TestStage0:
     def test_flag_gating(self):
         catalog = make_catalog("a|1||", "b|1||")
