@@ -11,12 +11,22 @@ The reserved tag ``@base`` marks a module as part of the base kernel: it can
 never be attached dynamically. Because a non-isolatable region cannot depend
 on something that is absent until attached, base status propagates to every
 transitive dependency of a ``@base`` module.
+
+Parsing costs O(modules + edges): one scan of the text, then one pass of
+Kahn's algorithm over dependency positions, which proves the graph acyclic
+and yields every module's level. A file whose record lines all have the
+canonical shape is scanned with one regular expression; any other file goes
+through ``_parse_record`` line by line, with the same result.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain, repeat
+from operator import sub
+from typing import Sequence
 
 from .errors import (
     CircularDependency,
@@ -30,6 +40,21 @@ BASE_TAG = "@base"
 SYMBOLS_SUFFIX = ".symbols"
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+
+# A body line in canonical form: a record whose name and dependencies match
+# _NAME_RE, whose size is at most 640 ASCII digits (int() converts that many
+# under any int_max_str_digits setting) and whose lists have no empty item and
+# no whitespace; or a comment; or an empty line. ``\s`` matches exactly what
+# str.isspace accepts, which covers every line break str.splitlines honours,
+# so a body of such lines splits the same way on "\n" alone, and
+# _parse_record would return the same fields for each record line.
+_NAME = r"[A-Za-z0-9._-]+"
+_ITEM = r"[^\s|,]+"
+_CANONICAL_LINE_RE = re.compile(
+    rf"^(?:{_NAME}\|[0-9]{{1,640}}\|(?:{_NAME}(?:,{_NAME})*)?"
+    rf"\|(?:{_ITEM}(?:,{_ITEM})*)?|#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*|)$",
+    re.MULTILINE,
+)
 
 
 @dataclass(frozen=True)
@@ -47,16 +72,14 @@ class ModuleRecord:
 class ModuleCatalog:
     """Immutable, alphabetically ordered module set with a validated DAG.
 
-    Safe for concurrent reads; nothing here mutates after construction.
+    Safe for concurrent reads. The graph facts are cached properties over
+    catalog positions: ``parse_catalog`` stores the ones its own pass
+    produced, and a catalog built directly from records computes each on
+    first use. Dependency positions are kept flat, in two tuples of ints, so
+    a catalog holds no container per record beyond the records themselves.
     """
 
     records: tuple[ModuleRecord, ...]
-    index_of: dict[str, int] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "index_of", {r.name: i for i, r in enumerate(self.records)}
-        )
 
     def __len__(self) -> int:
         return len(self.records)
@@ -64,9 +87,32 @@ class ModuleCatalog:
     def __contains__(self, name: str) -> bool:
         return name in self.index_of
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.records)
+
+    @cached_property
+    def index_of(self) -> dict[str, int]:
+        return dict(zip(self.names, range(len(self.names))))
+
+    @cached_property
+    def dep_targets(self) -> tuple[int, ...]:
+        """Catalog positions of every record's dependencies, record after
+        record, each record's in ``deps`` order."""
+        return _resolve(self.names, [r.deps for r in self.records], self.index_of)
+
+    @cached_property
+    def dep_offsets(self) -> tuple[int, ...]:
+        """Where each record's run in ``dep_targets`` starts, plus one closing
+        entry: record ``i`` depends on
+        ``dep_targets[dep_offsets[i]:dep_offsets[i + 1]]``."""
+        return tuple(accumulate((len(r.deps) for r in self.records), initial=0))
+
+    @cached_property
+    def levels(self) -> tuple[int, ...]:
+        """Dependency depth of each record: 1 without dependencies, else one
+        more than its deepest dependency."""
+        return _levels(self.names, self.dep_offsets, self.dep_targets)
 
     def record(self, name: str) -> ModuleRecord:
         return self.records[self.index_of[name]]
@@ -79,36 +125,8 @@ def parse_catalog(text: str) -> ModuleCatalog:
     dependencies and dependency cycles are rejected. The result does not
     depend on the order of records in the input.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != CATALOG_HEADER:
-        raise MalformedRecord(f"catalog must start with a '{CATALOG_HEADER}' header line")
-
-    raw: list[ModuleRecord] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        raw.append(_parse_record(stripped, lineno))
-
-    records = [r for r in raw if not r.name.endswith(SYMBOLS_SUFFIX)]
-
-    seen: set[str] = set()
-    for rec in records:
-        if rec.name in seen:
-            raise DuplicateModule(f"module {rec.name!r} appears more than once")
-        seen.add(rec.name)
-
-    records.sort(key=lambda r: r.name.encode("utf-8"))
-
-    for rec in records:
-        for dep in rec.deps:
-            if dep not in seen:
-                raise UnknownDependency(
-                    f"module {rec.name!r} depends on unknown module {dep!r}"
-                )
-
-    _reject_cycles(records)
-    return ModuleCatalog(tuple(_propagate_base(records)))
+    columns = _scan_canonical(text)
+    return _assemble(*(_scan_lines(text) if columns is None else columns))
 
 
 def serialize_catalog(catalog: ModuleCatalog) -> str:
@@ -130,29 +148,58 @@ def topo_levels(catalog: ModuleCatalog) -> dict[str, int]:
     A module without dependencies sits at level 1; otherwise its level is one
     more than its deepest dependency. Lower levels must attach first.
     """
-    levels: dict[str, int] = {}
-    for rec in catalog.records:
-        _fill_level(catalog, rec.name, levels)
-    return levels
+    return dict(zip(catalog.names, catalog.levels))
 
 
-def _fill_level(catalog: ModuleCatalog, name: str, levels: dict[str, int]) -> None:
-    stack = [name]
-    while stack:
-        cur = stack[-1]
-        if cur in levels:
-            stack.pop()
+# One parsed record's ModuleRecord fields, before @base status has propagated.
+_Fields = tuple[str, int, tuple[str, ...], tuple[str, ...], bool]
+# The same fields for every parsed record, one sequence per field, in file order.
+_Columns = tuple[
+    Sequence[str],
+    Sequence[int],
+    Sequence[tuple[str, ...]],
+    Sequence[tuple[str, ...]],
+    Sequence[bool],
+]
+
+
+def _scan_canonical(text: str) -> _Columns | None:
+    """The records of a file in canonical shape, or None to parse it line by line."""
+    header, _, body = text.partition("\n")
+    if header != CATALOG_HEADER:
+        return None
+    lines = _CANONICAL_LINE_RE.findall(body)
+    if len(lines) != body.count("\n") + 1:
+        return None
+    # Each record line has exactly four fields, so the joined record lines
+    # split into four fields per record. Plain strings keep this scan from
+    # allocating a container per record that the garbage collector tracks.
+    records = [line for line in lines if line and line[0] != "#"]
+    fields = "|".join(records).split("|") if records else []
+    names, sizes, deps, tags = (fields[i::4] for i in range(4))
+    hw_tags = [tuple(t.split(",")) if t else () for t in tags]
+    base = [False] * len(hw_tags)
+    for i in [i for i, t in enumerate(tags) if BASE_TAG in t]:
+        hw_tags[i], base[i] = _tag_fields(hw_tags[i])
+    deps = [tuple(dict.fromkeys(d.split(","))) if "," in d else (d,) if d else () for d in deps]
+    return names, list(map(int, sizes)), deps, hw_tags, base
+
+
+def _scan_lines(text: str) -> _Columns:
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != CATALOG_HEADER:
+        raise MalformedRecord(f"catalog must start with a '{CATALOG_HEADER}' header line")
+
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
-        deps = catalog.record(cur).deps
-        pending = [d for d in deps if d not in levels]
-        if pending:
-            stack.extend(pending)
-            continue
-        levels[cur] = 1 + max((levels[d] for d in deps), default=0)
-        stack.pop()
+        rows.append(_parse_record(stripped, lineno))
+    return list(zip(*rows)) or [()] * 5
 
 
-def _parse_record(line: str, lineno: int) -> ModuleRecord:
+def _parse_record(line: str, lineno: int) -> _Fields:
     parts = line.split("|")
     if len(parts) != 4:
         raise MalformedRecord(
@@ -178,36 +225,123 @@ def _parse_record(line: str, lineno: int) -> ModuleRecord:
             raise MalformedRecord(f"line {lineno}: bad dependency name {dep!r}")
         deps.append(dep)
 
-    tags = _split_list(parts[3])
-    base = BASE_TAG in tags
-    hw_tags = tuple(t for t in tags if t != BASE_TAG)
+    return (name, size_kb, tuple(dict.fromkeys(deps)), *_tag_fields(_split_list(parts[3])))
 
-    return ModuleRecord(
-        name=name,
-        size_kb=size_kb,
-        deps=tuple(dict.fromkeys(deps)),
-        hw_tags=hw_tags,
-        base_kernel_only=base,
-    )
+
+def _tag_fields(tags: list[str]) -> tuple[tuple[str, ...], bool]:
+    """A record's device tags and whether it carries the base tag."""
+    if BASE_TAG in tags:
+        return tuple(t for t in tags if t != BASE_TAG), True
+    return tuple(tags), False
 
 
 def _split_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _reject_cycles(records: list[ModuleRecord]) -> None:
-    # Iterative three-color DFS; reports one cycle rotated so that the
+def _assemble(names, sizes, deps, hw_tags, base) -> ModuleCatalog:
+    """Validate parsed records and build the catalog with its graph facts."""
+    keep = [i for i, name in enumerate(names) if not name.endswith(SYMBOLS_SUFFIX)]
+    kept = [names[i] for i in keep]
+    if len(set(kept)) != len(kept):
+        seen: set[str] = set()
+        for name in kept:
+            if name in seen:
+                raise DuplicateModule(f"module {name!r} appears more than once")
+            seen.add(name)
+
+    # UTF-8 keeps code point order, so str order is the bytewise order.
+    keep.sort(key=names.__getitem__)
+    names, sizes, deps, hw_tags, base = (
+        [column[i] for i in keep] for column in (names, sizes, deps, hw_tags, base)
+    )
+    index_of = dict(zip(names, range(len(names))))
+    targets = _resolve(names, deps, index_of)
+    offsets = tuple(accumulate(map(len, deps), initial=0))
+    levels = _levels(names, offsets, targets)
+
+    stack = [i for i, flag in enumerate(base) if flag]
+    while stack:
+        module = stack.pop()
+        for dep in targets[offsets[module] : offsets[module + 1]]:
+            if not base[dep]:
+                base[dep] = True
+                stack.append(dep)
+
+    catalog = ModuleCatalog(tuple(map(ModuleRecord, names, sizes, deps, hw_tags, base)))
+    # Store the facts this pass computed in place of their cached properties.
+    vars(catalog).update(
+        names=tuple(names),
+        index_of=index_of,
+        dep_targets=targets,
+        dep_offsets=offsets,
+        levels=levels,
+    )
+    return catalog
+
+
+def _resolve(names, deps, index_of: dict[str, int]) -> tuple[int, ...]:
+    try:
+        return tuple(map(index_of.__getitem__, chain.from_iterable(deps)))
+    except KeyError as missing:
+        # The first record holding the unknown name is the one that raised.
+        dep = missing.args[0]
+        name = next(name for name, module_deps in zip(names, deps) if dep in module_deps)
+        raise UnknownDependency(
+            f"module {name!r} depends on unknown module {dep!r}"
+        ) from None
+
+
+def _levels(names, offsets: tuple[int, ...], targets: tuple[int, ...]) -> tuple[int, ...]:
+    # Kahn's algorithm, one frontier per level: a module joins the next
+    # frontier when its last dependency is placed, which is on the level of
+    # its deepest dependency. Modules never placed lie on or above a cycle.
+    count = len(names)
+    pending = list(map(sub, offsets[1:], offsets))
+    # The reverse edges in the same flat layout: module m's dependents are
+    # dependents[starts[m] : starts[m + 1]], found by counting, then filling.
+    starts = [0] * (count + 1)
+    for dep in targets:
+        starts[dep + 1] += 1
+    starts = list(accumulate(starts))
+    free = starts[:count]
+    dependents = [0] * len(targets)
+    for module, dep in zip(chain.from_iterable(map(repeat, range(count), pending)), targets):
+        dependents[free[dep]] = module
+        free[dep] += 1
+
+    levels = [0] * count
+    frontier = [module for module, waiting in enumerate(pending) if not waiting]
+    level = placed = 0
+    while frontier:
+        level += 1
+        placed += len(frontier)
+        ready = []
+        for module in frontier:
+            levels[module] = level
+            for dependent in dependents[starts[module] : starts[module + 1]]:
+                pending[dependent] -= 1
+                if not pending[dependent]:
+                    ready.append(dependent)
+        frontier = ready
+    if placed < count:
+        _reject_cycles(names, offsets, targets)
+    return tuple(levels)
+
+
+def _reject_cycles(names, offsets: tuple[int, ...], targets: tuple[int, ...]) -> None:
+    # Only called when a cycle exists. Iterative three-color DFS from each
+    # position in order; reports the first cycle found, rotated so that the
     # bytewise-smallest member leads, keeping the error deterministic.
     WHITE, GRAY, BLACK = 0, 1, 2
-    by_name = {r.name: r for r in records}
-    color = {r.name: WHITE for r in records}
+    color = [WHITE] * len(names)
 
-    for root in by_name:
+    for root in range(len(names)):
         if color[root] != WHITE:
             continue
         color[root] = GRAY
         path = [root]
-        stack = [iter(by_name[root].deps)]
+        stack = [iter(targets[offsets[root] : offsets[root + 1]])]
         while stack:
             dep = next(stack[-1], None)
             if dep is None:
@@ -215,25 +349,10 @@ def _reject_cycles(records: list[ModuleRecord]) -> None:
                 stack.pop()
                 continue
             if color[dep] == GRAY:
-                cycle = path[path.index(dep):]
+                cycle = [names[i] for i in path[path.index(dep):]]
                 pivot = min(range(len(cycle)), key=lambda i: cycle[i].encode("utf-8"))
                 raise CircularDependency(cycle[pivot:] + cycle[:pivot])
             if color[dep] == WHITE:
                 color[dep] = GRAY
                 path.append(dep)
-                stack.append(iter(by_name[dep].deps))
-
-
-def _propagate_base(records: list[ModuleRecord]) -> list[ModuleRecord]:
-    by_name = {r.name: r for r in records}
-    base = {r.name for r in records if r.base_kernel_only}
-    queue = list(base)
-    while queue:
-        for dep in by_name[queue.pop()].deps:
-            if dep not in base:
-                base.add(dep)
-                queue.append(dep)
-    return [
-        r if r.base_kernel_only == (r.name in base) else replace(r, base_kernel_only=True)
-        for r in records
-    ]
+                stack.append(iter(targets[offsets[dep] : offsets[dep + 1]]))

@@ -27,6 +27,9 @@ _VENDORS = (
     "Qualcomm", "Realtek", "Silicom",
 )
 _SUFFIXES = ("adapter", "controller", "bridge rev 2", "PHY", "offload engine")
+# How many distinct names _unique_names can draw: every 2- and 3-syllable stem
+# (24**2 + 24**3, all distinct), bare or followed by one of 0..99.
+MAX_MODULES = 14_400 * 101
 
 
 def generate_fixture(
@@ -39,6 +42,10 @@ def generate_fixture(
     """
     if modules < 1:
         raise ConfigError(f"module count must be at least 1, got {modules}")
+    if modules > MAX_MODULES:
+        raise ConfigError(
+            f"module count must be at most {MAX_MODULES} (distinct names), got {modules}"
+        )
     if max_depth < 1:
         raise ConfigError(f"max depth must be at least 1, got {max_depth}")
     if not 0.0 <= hw_coverage <= 1.0:
@@ -48,8 +55,9 @@ def generate_fixture(
     names = _unique_names(rng, modules)
 
     # Levels grow one at a time so a level-k module always has a level-(k-1)
-    # dependency available; that pins the longest chain to the deepest level.
-    buckets: list[list[str]] = [[] for _ in range(max_depth)]
+    # dependency available; that pins the longest chain to the deepest level,
+    # which therefore never exceeds the module count.
+    buckets: list[list[str]] = [[] for _ in range(min(max_depth, modules))]
     highest = 0
     plan = []
     for name in names:

@@ -9,8 +9,9 @@ passes the hardware check receives its dependency depth (1 = independent,
 depth-tagged as well, whether or not it was selected itself. Modules that
 stay unselected or fail the hardware check keep value 0 and are never swept
 in at load time. Registration walks the dependency closure of all roots at
-once and reads each reached module's depth from ``topo_levels``, since a
-module's depth does not depend on which root reaches it.
+once and reads each reached module's depth from the levels the catalog
+computed when it was parsed, since a module's depth does not depend on which
+root reaches it.
 
 Base-kernel modules are already resident, so they are never registered as
 roots; they still receive depth values when a loadable module depends on
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .catalog import ModuleCatalog, topo_levels
+from .catalog import ModuleCatalog
 from .errors import (
     ConfigError,
     DepthOverflow,
@@ -114,35 +115,38 @@ def register_v1(
     """Assign dependency-depth bytes to every loadable, supported selection.
 
     The roots are the selected, non-base modules that pass the hardware
-    check. One walk from all roots collects their transitive dependencies;
-    every module it reaches gets its ``topo_levels`` depth, everything else
-    stays 0.
+    check. One walk over dependency positions from all roots collects their
+    transitive dependencies; every module it reaches gets its level from the
+    catalog, everything else stays 0.
     """
     selected = resolve_selection(catalog, policy)
-    reached = {
-        rec.name
-        for rec in catalog.records
-        if rec.name in selected
-        and not rec.base_kernel_only
-        and check_hardware_support(rec, inventory)
-    }
-    queue = list(reached)
+    offsets, targets = catalog.dep_offsets, catalog.dep_targets
+    reached = bytearray(len(catalog))
+    queue = []
+    for position, rec in enumerate(catalog.records):
+        if (
+            rec.name in selected
+            and not rec.base_kernel_only
+            and check_hardware_support(rec, inventory)
+        ):
+            reached[position] = 1
+            queue.append(position)
     while queue:
-        for dep in catalog.record(queue.pop()).deps:
-            if dep not in reached:
-                reached.add(dep)
+        position = queue.pop()
+        for dep in targets[offsets[position] : offsets[position + 1]]:
+            if not reached[dep]:
+                reached[dep] = 1
                 queue.append(dep)
 
-    levels = topo_levels(catalog)
     entries = []
-    for rec in catalog.records:
-        depth = levels[rec.name] if rec.name in reached else 0
+    for name, level, hit in zip(catalog.names, catalog.levels, reached):
+        depth = level if hit else 0
         if depth > MAX_DEPTH_VALUE:
             raise DepthOverflow(
-                f"module {rec.name!r} sits at dependency depth {depth}; "
+                f"module {name!r} sits at dependency depth {depth}; "
                 f"index values top out at {MAX_DEPTH_VALUE}"
             )
-        entries.append((rec.name, depth))
+        entries.append((name, depth))
     return IndexFile("v1", tuple(entries))
 
 

@@ -5,11 +5,16 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kmodsim import catalog as catalog_module
 from kmodsim.catalog import (
+    ModuleCatalog,
     ModuleRecord,
+    _assemble,
+    _scan_canonical,
+    _scan_lines,
     parse_catalog,
     serialize_catalog,
     topo_levels,
@@ -17,9 +22,11 @@ from kmodsim.catalog import (
 from kmodsim.errors import (
     CircularDependency,
     DuplicateModule,
+    KmodsimError,
     MalformedRecord,
     UnknownDependency,
 )
+from kmodsim.fixtures import generate_fixture
 
 from conftest import brute_force_levels, catalog_texts, make_catalog
 
@@ -79,6 +86,13 @@ class TestParse:
         catalog = parse_catalog("MODCAT v1\n# note\n\na|1||\n")
         assert catalog.names == ("a",)
 
+    @pytest.mark.parametrize(
+        "text", ["MODCAT v1", "MODCAT v1\n", "MODCAT v1\n# only a note\n\n", "MODCAT v1\na.symbols|1||\n"]
+    )
+    def test_catalog_without_modules_is_empty(self, text):
+        catalog = parse_catalog(text)
+        assert catalog.records == () and topo_levels(catalog) == {}
+
     def test_sort_is_bytewise(self):
         # 'B' (0x42) sorts before 'a' (0x61); a locale-aware sort would not.
         catalog = make_catalog("a|1||", "B|1||")
@@ -125,6 +139,25 @@ class TestTopoLevels:
     def test_agrees_with_brute_force(self, text):
         catalog = parse_catalog(text)
         assert topo_levels(catalog) == brute_force_levels(catalog)
+        assert topo_levels(ModuleCatalog(catalog.records)) == brute_force_levels(catalog)
+
+    @pytest.mark.parametrize(
+        "records, cycle",
+        [
+            ((ModuleRecord("a", 1, ("b",)), ModuleRecord("b", 1, ("a",))), ["a", "b"]),
+            ((ModuleRecord("a", 1, ("a",)),), ["a"]),
+        ],
+        ids=["two-cycle", "self-loop"],
+    )
+    def test_cycle_in_a_directly_built_catalog_is_rejected(self, records, cycle):
+        with pytest.raises(CircularDependency) as err:
+            topo_levels(ModuleCatalog(records))
+        assert err.value.cycle == cycle
+
+    def test_unknown_dependency_in_a_directly_built_catalog_is_rejected(self):
+        catalog = ModuleCatalog((ModuleRecord("a", 1, ("ghost",)),))
+        with pytest.raises(UnknownDependency, match="module 'a' depends on unknown module 'ghost'"):
+            topo_levels(catalog)
 
     @settings(max_examples=100, deadline=None)
     @given(text=catalog_texts())
@@ -168,3 +201,158 @@ class TestProperties:
 def test_record_defaults():
     rec = ModuleRecord(name="a", size_kb=0)
     assert rec.deps == () and rec.hw_tags == () and not rec.base_kernel_only
+
+
+# -- one-pass parsing ----------------------------------------------------
+
+# Every line break str.splitlines honours.
+LINE_BREAKS = (
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+)
+PADDING = ("", " ", "\t", "\xa0", "\u3000")
+
+
+@st.composite
+def catalog_variants(draw) -> tuple[str, bool]:
+    """Catalog text and whether it is in canonical shape.
+
+    Canonical text keeps to what the one-pass scan accepts, including sizes
+    with leading zeros, repeated dependencies, comments, empty lines,
+    ``.symbols`` rows and ``@base`` tags. Other text also pads fields and
+    list items with whitespace, leaves list items empty, writes sizes as
+    ``+5``, ``1_0`` or non-ASCII digits, adds malformed lines and uses
+    every line break. Dependencies mostly point at earlier modules, but can
+    repeat a name, point at a later one (a possible cycle) or at no module.
+    """
+    canonical = draw(st.booleans())
+    n = draw(st.integers(1, 8))
+    names = [f"m{i}" for i in range(n)]
+
+    def deviate():
+        # Rare, so that some texts hold a single non-canonical detail.
+        return not canonical and draw(st.integers(0, 19)) == 7
+
+    def pad():
+        return draw(st.sampled_from(PADDING[1:])) if deviate() else ""
+
+    def items(values):
+        values = list(values)
+        if deviate():
+            values.insert(draw(st.integers(0, len(values))), "")
+        return ",".join(pad() + value + pad() for value in values)
+
+    lines = []
+    for i in range(n):
+        pool = names[:i] or names
+        if draw(st.integers(0, 9)) == 0:
+            pool = names + ["ghost"]
+        deps = draw(st.lists(st.sampled_from(pool), max_size=3)) if i or draw(st.booleans()) else []
+        tags = draw(st.lists(st.sampled_from(["dev-a", "@base", "e1000", "x@basey"]), max_size=2))
+        size = draw(st.integers(0, 99))
+        sizes = [str(size), f"{size:03d}"]
+        if deviate():
+            sizes = [f"+{size}", f"{size}_0", "\u0663", f" {size} "]
+        size_text = draw(st.sampled_from(sizes))
+        name = names[0] if draw(st.integers(0, 19)) == 7 else names[i]  # rarely a duplicate
+        lines.append(f"{pad()}{name}{pad()}|{size_text}|{items(deps)}|{items(tags)}{pad()}")
+    extras = ["", "# note", f"{names[0]}.symbols|1|ghost|"]
+    if not canonical:
+        extras += ["   ", "  # note", "# a\x85b|1||", "bad line", "a|x||", "a|-1||", "a|1|b c|"]
+    for extra in draw(st.lists(st.sampled_from(extras), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+
+    text = "MODCAT v1"
+    for line in lines + [""] * draw(st.integers(0, 1)):
+        text += (draw(st.sampled_from(LINE_BREAKS)) if deviate() else "\n") + line
+    return text, canonical
+
+
+def outcome(parse, text):
+    try:
+        catalog = parse(text)
+    except KmodsimError as err:
+        return type(err), str(err)
+    return catalog.records, catalog.dep_offsets, catalog.dep_targets, catalog.levels
+
+
+class TestOnePassParse:
+    @settings(max_examples=400, deadline=None)
+    @given(case=catalog_variants())
+    @example(("MODCAT v1\na|1||dev-a \n", False))
+    @example(("MODCAT v1\na|1||Realtek 8168\n", False))
+    @example(("MODCAT v1\na|1| b|\nb|1||\n", False))
+    @example(("MODCAT v1\na|1|b,,b|\nb|1||\n", False))
+    @example(("MODCAT v1\na|+5||\n", False))
+    @example(("MODCAT v1\na|1_0||\n", False))
+    @example(("MODCAT v1\na|\u0663||\n", False))
+    @example(("MODCAT v1\n  # note\n \na|1||\n", False))
+    @example(("MODCAT v1\n# a\x85b|1|c|\n", False))
+    @example(("MODCAT v1\r\na|1||\r\n", False))
+    @example(("MODCAT v1\na|1||x\u2028b|1||\n", False))
+    def test_matches_the_per_line_path(self, case):
+        text, canonical = case
+        assert outcome(parse_catalog, text) == outcome(lambda t: _assemble(*_scan_lines(t)), text)
+        if canonical:
+            assert _scan_canonical(text) is not None
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+    @pytest.mark.parametrize("line", ["# note", "a|1||dev", "a|1|b|"])
+    def test_every_line_break_ends_a_line(self, line, brk):
+        text = f"MODCAT v1\n{line}{brk}b|2||\n"
+        assert outcome(parse_catalog, text) == outcome(lambda t: _assemble(*_scan_lines(t)), text)
+        assert parse_catalog(text).names[-1] == "b"
+
+    # Messages as the per-line parser gave them before the one-pass scan.
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("MODCAT v1\n# note\na|1||\nb|x||\n", MalformedRecord,
+             "line 4: size must be an integer, got 'x'"),
+            ("MODCAT v1\r\n\r\na|1||\r\nb|1|a\r\n", MalformedRecord,
+             "line 4: expected 4 '|'-separated fields, got 3"),
+            ("MODCAT v1\na|1||\na|1||\nbad\n", MalformedRecord,
+             "line 4: expected 4 '|'-separated fields, got 1"),
+            ("MODCAT v1\na|" + "9" * 5000 + "||\n", MalformedRecord,
+             "line 2: size must be an integer, got '" + "9" * 5000 + "'"),
+            ("MODCAT v1\nb|1||\na|1||\nb|2||\na|3||\n", DuplicateModule,
+             "module 'b' appears more than once"),
+            ("MODCAT v1\nz|1|ghost|\na|1||\na|1||\n", DuplicateModule,
+             "module 'a' appears more than once"),
+            ("MODCAT v1\nb|1|ghost|\na|1|phantom|\n", UnknownDependency,
+             "module 'a' depends on unknown module 'phantom'"),
+            ("MODCAT v1\na|1|b|\nb|1|a|\nc|1|ghost|\n", UnknownDependency,
+             "module 'c' depends on unknown module 'ghost'"),
+            ("MODCAT v1\nc|1|b|\nb|1|a|\na|1|c|\nd|1|a|\n", CircularDependency,
+             "dependency cycle: a -> c -> b"),
+            ("MODCAT v1\n c | 1 | b |\nb|1|c|\n", CircularDependency,
+             "dependency cycle: b -> c"),
+            ("a|1||\n", MalformedRecord,
+             "catalog must start with a 'MODCAT v1' header line"),
+            ("\rMODCAT v1\na|1||\n", MalformedRecord,
+             "catalog must start with a 'MODCAT v1' header line"),
+        ],
+        ids=[
+            "malformed", "malformed-crlf", "malformed-before-duplicate", "oversized-size",
+            "duplicate", "duplicate-before-unknown", "unknown", "unknown-before-cycle",
+            "cycle", "cycle-padded", "missing-header", "header-after-cr",
+        ],
+    )
+    def test_error_messages_are_pinned(self, text, error, message):
+        with pytest.raises(error) as err:
+            parse_catalog(text)
+        assert str(err.value) == message
+
+    def test_canonical_catalog_skips_the_per_line_parser_and_the_cycle_search(self, monkeypatch):
+        calls = {"_parse_record": 0, "_reject_cycles": 0}
+        for name in calls:
+            real = getattr(catalog_module, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(catalog_module, name, counted)
+        catalog_text, _ = generate_fixture(20_000, 16, 1, 1.0)
+        assert len(parse_catalog(catalog_text)) == 20_000
+        assert calls == {"_parse_record": 0, "_reject_cycles": 0}
+

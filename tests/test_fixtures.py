@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmodsim import fixtures
 from kmodsim.catalog import parse_catalog, topo_levels
 from kmodsim.errors import ConfigError
-from kmodsim.fixtures import _SkipView, generate_fixture
+from kmodsim.fixtures import MAX_MODULES, _SkipView, generate_fixture
 from kmodsim.hardware import check_hardware_support, parse_inventory
 
 # SHA-256 of catalog_text + inventory_text. The first nine are the benchmark
@@ -133,3 +136,46 @@ def test_symbols_decoys_present_in_text_but_filtered_by_parse():
 def test_bad_shapes_rejected(args):
     with pytest.raises(ConfigError):
         generate_fixture(*args)
+
+
+def test_name_space_bound_counts_every_drawable_name():
+    stems = {
+        "".join(syllables)
+        for count in (2, 3)
+        for syllables in itertools.product(fixtures._SYLLABLES, repeat=count)
+    }
+    # Each stem bare or with one of 100 numeric suffixes.
+    assert MAX_MODULES == len(stems) * 101
+
+
+@pytest.mark.parametrize("modules, allowed", [(MAX_MODULES, True), (MAX_MODULES + 1, False)])
+def test_module_count_is_checked_against_the_name_space_before_drawing(
+    monkeypatch, modules, allowed
+):
+    class Drew(Exception):
+        pass
+
+    def draw(rng, count):
+        raise Drew
+
+    monkeypatch.setattr(fixtures, "_unique_names", draw)
+    with pytest.raises(Drew if allowed else ConfigError):
+        generate_fixture(modules, 1, 0, 1.0)
+
+
+def test_depth_beyond_the_module_count_allocates_nothing():
+    tracemalloc.start()
+    try:
+        catalog_text, inventory_text = generate_fixture(1, 10**6, 0, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+    def records(text):
+        return [line for line in text.splitlines() if not line.startswith("#")]
+
+    shallow_catalog, shallow_inventory = generate_fixture(1, 1, 0, 1.0)
+    assert records(catalog_text) == records(shallow_catalog)
+    assert inventory_text == shallow_inventory
+

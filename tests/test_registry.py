@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from kmodsim import catalog as catalog_module
 from kmodsim.catalog import ModuleCatalog, parse_catalog, topo_levels
 from kmodsim.errors import (
     DepthOverflow,
@@ -181,6 +182,26 @@ class TestRegisterV1:
         monkeypatch.setattr(ModuleCatalog, "record", counting_record)
         register_v1(catalog, SelectionPolicy.all_load(), inventory)
         assert calls <= 4 * (len(catalog) + edges), (calls, len(catalog), edges)
+
+    def test_levels_are_computed_once_per_catalog(self, monkeypatch):
+        real_levels = catalog_module._levels
+        calls = 0
+
+        def counting_levels(*args):
+            nonlocal calls
+            calls += 1
+            return real_levels(*args)
+
+        monkeypatch.setattr(catalog_module, "_levels", counting_levels)
+        catalog_text, inventory_text = generate_fixture(500, 8, seed=1, hw_coverage=1.0)
+        inventory = parse_inventory(inventory_text)
+        parsed = parse_catalog(catalog_text)
+        # A catalog built from records computes its levels on first use.
+        for catalog in (parsed, ModuleCatalog(parsed.records)):
+            first = register_v1(catalog, SelectionPolicy.all_load(), inventory)
+            assert topo_levels(catalog) == dict(zip(catalog.names, catalog.levels))
+            assert register_v1(catalog, SelectionPolicy.all_load(), inventory) == first
+        assert calls == 2
 
 
 class TestIndexFiles:
