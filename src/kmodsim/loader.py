@@ -5,21 +5,26 @@ stage1  depth sweep over a v1 index (no dependency walk, no hardware check)
 stage2  parallel redundant scans with one global lock around attachment
 stage3  lock-free: disjoint catalog partitions, one per loading worker
 
-All strategies share a per-session ``LoadState``: a claimed set and a done
-set guarded by one ``threading.Condition`` for the whole session, however
-large the catalog. The unloaded->loaded claim is a test-and-set under that
-condition; the pre-claim check is a plain read of the done set. A worker that
+Workers address modules by catalog position, walk dependencies over the
+catalog's flat ``dep_offsets``/``dep_targets``, and use names only in events.
+stage0, stage2 and stage3 run one scan as different jobs: one on the calling
+thread, one full scan per worker under one shared lock, or one partition per
+loading worker.
+
+All strategies share a per-session ``LoadState``: one state byte per position
+(free, claimed, done) under one ``threading.Condition`` for the whole session,
+however large the catalog. The free->claimed step is a test-and-set under that
+condition; the pre-claim check is a plain read of the byte. A worker that
 passes the read check but loses the claim records a ``DUP_ATTEMPT`` event and
 then waits on the condition until the winner finishes, so a dependent module
 can never start attaching before its dependencies have completed. Duplicates
 therefore surface only as DUP_ATTEMPT events, never as a second LOAD.
 
-Base-kernel modules are resident from the start: they are never attached,
-produce no events, and satisfy any dependency on them immediately.
+Base-kernel modules are resident: done from the start, so they are never
+attached, produce no events, and satisfy any dependency on them immediately.
 
-Event timestamps come from the session clock. With a nonzero load cost the
-clock is real (monotonic microseconds since session start); in instant mode
-(both costs zero) all timestamps are 0 so that single-threaded runs are
+Event timestamps are monotonic microseconds since session start. In instant
+mode (both costs zero) every timestamp is 0, so that single-threaded runs are
 byte-reproducible. LOAD events are stamped and appended at *completion*, and
 a module's completion flag is raised only after its event is in the trace, so
 trace order respects dependency completion under every schedule.
@@ -117,58 +122,55 @@ def simulate_load(module: ModuleRecord, config: StrategyConfig) -> float:
     return cost_us
 
 
-class _SessionClock:
-    """Microsecond session clock: monotonic, or frozen at 0 in instant mode."""
-
-    def __init__(self, instant: bool):
-        self._instant = instant
-        self._t0 = time.monotonic_ns()
-
-    def now_us(self) -> int:
-        if self._instant:
-            return 0
-        return (time.monotonic_ns() - self._t0) // 1000
+_FREE, _CLAIMED, _DONE = 0, 1, 2
 
 
 class LoadState:
-    """Shared load table: claimed and done sets under one session condition.
+    """Shared load table: one state byte per catalog position under one
+    session condition.
 
-    ``is_complete`` is a plain read; ``try_claim`` is the only transition
-    that can fail. Base-kernel modules start resident (done, unclaimable).
+    Methods take positions; ``loaded`` returns names. ``is_complete`` is a
+    plain read; ``try_claim`` is the only transition that can fail.
+    Base-kernel modules start done, so they can never be claimed.
     """
 
     def __init__(self, catalog: ModuleCatalog):
-        resident = {rec.name for rec in catalog.records if rec.base_kernel_only}
-        self._claimed = set(resident)
-        self._done = set(resident)
-        self._loaded: list[str] = []
+        self._names = catalog.names
+        self._states = bytearray(
+            _DONE if rec.base_kernel_only else _FREE for rec in catalog.records
+        )
+        self._loaded: list[int] = []
         self._cond = threading.Condition()
 
-    def is_complete(self, name: str) -> bool:
-        return name in self._done
+    def is_complete(self, position: int) -> bool:
+        return self._states[position] == _DONE
 
-    def try_claim(self, name: str) -> bool:
+    def try_claim(self, position: int) -> bool:
         with self._cond:
-            if name in self._claimed:
+            if self._states[position] != _FREE:
                 return False
-            self._claimed.add(name)
+            self._states[position] = _CLAIMED
             return True
 
-    def mark_complete(self, name: str) -> None:
+    def mark_complete(self, position: int) -> None:
         with self._cond:
-            self._loaded.append(name)
-            self._done.add(name)
+            self._loaded.append(position)
+            self._states[position] = _DONE
             self._cond.notify_all()
 
-    def wait_complete(self, name: str) -> None:
+    def wait_complete(self, position: int) -> None:
         with self._cond:
-            if not self._cond.wait_for(lambda: name in self._done, _COMPLETION_TIMEOUT_S):
-                raise LoadTimeout(f"timed out waiting for module {name!r} to finish loading")
+            if not self._cond.wait_for(
+                lambda: self._states[position] == _DONE, _COMPLETION_TIMEOUT_S
+            ):
+                raise LoadTimeout(
+                    f"timed out waiting for module {self._names[position]!r} to finish loading"
+                )
 
     def loaded(self) -> frozenset[str]:
         """Names attached dynamically this session (resident modules excluded)."""
         with self._cond:
-            return frozenset(self._loaded)
+            return frozenset(self._names[position] for position in self._loaded)
 
 
 class LoadSession:
@@ -212,60 +214,39 @@ class LoadSession:
         self._values = [value for _, value in index.entries]
         self._inventory = inventory
         self._config = config
-        self._clock = _SessionClock(instant=config.instant)
+        self._t0 = None if config.instant else time.monotonic_ns()
         self.state = LoadState(catalog)
         self._events: list[LoadEvent] = []
         self._events_lock = threading.Lock()
-        self._attach_lock = threading.Lock()  # stage2's single exclusion region
 
     def run(self) -> tuple[LoadState, list[LoadEvent]]:
-        runner = {
-            "stage0": self._run_stage0,
-            "stage1": self._run_stage1,
-            "stage2": self._run_stage2,
-            "stage3": self._run_stage3,
-        }[self._strategy]
-        runner()
+        n, workers = len(self._catalog), self._config.workers
+        if self._strategy == "stage1":
+            self._sweep()
+        elif self._strategy == "stage0":
+            self._scan(0, 0, n)  # one job, on the calling thread
+        else:
+            if self._strategy == "stage2":
+                lock = threading.Lock()  # stage2's single exclusion region
+                jobs = [(w, 0, n, lock) for w in range(workers)]
+            else:
+                ranges = plan_partitions(n, workers).ranges
+                jobs = [(w, start, end, None) for w, (start, end) in enumerate(ranges)]
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                for future in [pool.submit(self._scan, *job) for job in jobs]:
+                    future.result()
         return self.state, list(self._events)
 
-    # -- strategies ------------------------------------------------------
-
-    def _run_stage0(self) -> None:
-        self._scan(worker=0, start=0, end=len(self._catalog))
-
-    def _run_stage1(self) -> None:
-        # Depth-major, then catalog position; depth 0 (not selected) is empty.
-        top = max(self._values, default=0)
-        buckets: list[list[ModuleRecord]] = [[] for _ in range(top + 1)]
-        for rec, value in zip(self._catalog.records, self._values):
-            if value and not rec.base_kernel_only:
-                buckets[value].append(rec)
+    def _sweep(self) -> None:
+        """stage1: depth-major, then catalog position; depth 0 (not selected) is empty."""
+        records = self._catalog.records
+        buckets: list[list[int]] = [[] for _ in range(max(self._values, default=0) + 1)]
+        for pos, value in enumerate(self._values):
+            if value and not records[pos].base_kernel_only:
+                buckets[value].append(pos)
         for bucket in buckets:
-            for rec in bucket:
-                self._load_one(rec, worker=0)
-
-    def _run_stage2(self) -> None:
-        n = len(self._catalog)
-        workers = self._config.workers
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(self._scan, w, 0, n, self._attach_lock)
-                for w in range(workers)
-            ]
-            for fut in futures:
-                fut.result()
-
-    def _run_stage3(self) -> None:
-        plan = plan_partitions(len(self._catalog), self._config.workers)
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            futures = [
-                pool.submit(self._scan, w, start, end)
-                for w, (start, end) in enumerate(plan.ranges)
-            ]
-            for fut in futures:
-                fut.result()
-
-    # -- scanning and attachment -----------------------------------------
+            for pos in bucket:
+                self._load_one(pos, worker=0)
 
     def _scan(self, worker: int, start: int, end: int, lock: threading.Lock | None = None) -> None:
         records = self._catalog.records
@@ -274,45 +255,47 @@ class LoadSession:
             if rec.base_kernel_only:
                 continue  # resident; not a dynamic-load candidate
             if not self._values[pos]:
-                self._emit(worker, SKIP_FLAG, rec.name)
+                self._emit(worker, SKIP_FLAG, pos)
                 continue
             if not check_hardware_support(rec, self._inventory):
-                self._emit(worker, SKIP_HW, rec.name)
+                self._emit(worker, SKIP_HW, pos)
                 continue
-            if self.state.is_complete(rec.name):
+            if self.state.is_complete(pos):
                 continue  # same silent fast-path _attach would take
             if lock is not None:
                 with lock:
-                    self._attach(rec.name, worker)
+                    self._attach(pos, worker)
             else:
-                self._attach(rec.name, worker)
+                self._attach(pos, worker)
 
-    def _attach(self, root: str, worker: int) -> None:
+    def _attach(self, root: int, worker: int) -> None:
         """Depth-first idempotent attach: dependencies complete before the claim."""
-        record = self._catalog.record
-        stack = [(root, 0)]
+        offsets, targets = self._catalog.dep_offsets, self._catalog.dep_targets
+        is_complete = self.state.is_complete
+        stack = [(root, offsets[root])]
         while stack:
-            name, dep_pos = stack.pop()
-            rec = record(name)
-            if rec.base_kernel_only or self.state.is_complete(name):
+            pos, next_dep = stack.pop()
+            if is_complete(pos):
                 continue
-            if dep_pos < len(rec.deps):
-                stack.append((name, dep_pos + 1))
-                stack.append((rec.deps[dep_pos], 0))
+            if next_dep < offsets[pos + 1]:
+                stack.append((pos, next_dep + 1))
+                dep = targets[next_dep]
+                stack.append((dep, offsets[dep]))
                 continue
-            self._load_one(rec, worker)
+            self._load_one(pos, worker)
 
-    def _load_one(self, rec: ModuleRecord, worker: int) -> None:
-        if self.state.try_claim(rec.name):
-            simulate_load(rec, self._config)
-            self._emit(worker, LOAD, rec.name)
-            self.state.mark_complete(rec.name)
+    def _load_one(self, pos: int, worker: int) -> None:
+        if self.state.try_claim(pos):
+            simulate_load(self._catalog.records[pos], self._config)
+            self._emit(worker, LOAD, pos)
+            self.state.mark_complete(pos)
         else:
-            self._emit(worker, DUP_ATTEMPT, rec.name)
-            self.state.wait_complete(rec.name)
+            self._emit(worker, DUP_ATTEMPT, pos)
+            self.state.wait_complete(pos)
 
-    def _emit(self, worker: int, kind: str, module: str) -> None:
-        event = LoadEvent(self._clock.now_us(), worker, kind, module)
+    def _emit(self, worker: int, kind: str, pos: int) -> None:
+        stamp = 0 if self._t0 is None else (time.monotonic_ns() - self._t0) // 1000
+        event = LoadEvent(stamp, worker, kind, self._catalog.names[pos])
         with self._events_lock:
             self._events.append(event)
 

@@ -16,7 +16,6 @@ from .loader import (
     SKIP_FLAG,
     SKIP_HW,
     LoadEvent,
-    LoadState,
     StrategyConfig,
     STRATEGIES,
     load_stage0,
@@ -121,14 +120,13 @@ def timing_from_trace(trace: Sequence[LoadEvent]) -> SessionTiming:
     )
 
 
-def space_report(catalog: ModuleCatalog, state: LoadState | Iterable[str]) -> SpaceReport:
-    """Account catalog size against what a finished session actually attached.
+def space_report(catalog: ModuleCatalog, loaded_names: Iterable[str]) -> SpaceReport:
+    """Account catalog size against the names a finished session attached.
 
-    ``state`` may be a LoadState or any iterable of dynamically loaded module
-    names. Base-kernel modules are bucketed separately: they are resident
-    whether or not anything ran.
+    Base-kernel modules are bucketed separately: they are resident whether
+    or not anything ran.
     """
-    loaded_names = state.loaded() if isinstance(state, LoadState) else frozenset(state)
+    loaded_names = frozenset(loaded_names)
     total = loaded = base_only = 0
     for rec in catalog.records:
         total += rec.size_kb

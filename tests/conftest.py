@@ -133,6 +133,20 @@ def assert_worker_clocks_monotone(trace) -> None:
         last[event.worker_id] = event.timestamp_us
 
 
+class CountingRuns(tuple):
+    """A ``dep_targets`` stand-in that counts its item and slice reads.
+
+    Install it with ``vars(catalog)["dep_targets"] = CountingRuns(...)``:
+    the cached property then returns it to every reader.
+    """
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return tuple.__getitem__(self, key)
+
+
 # -- random catalog generation (test-side, seeded) ----------------------
 
 

@@ -153,7 +153,7 @@ def test_criterion_6_space_arithmetic(random_cases):
     for catalog, inventory in random_cases[:25]:
         v0 = register_v0(catalog, SelectionPolicy.all_load())
         state, _ = run_strategy(catalog, v0, inventory, StrategyConfig("stage0"))
-        report = space_report(catalog, state)
+        report = space_report(catalog, state.loaded())
         assert report.total_kb == report.loaded_kb + report.saved_kb + report.base_only_kb
         sessions += 1
     _passed(6, "space arithmetic", f"2331/2112 fixtures, conservation on {sessions} sessions")

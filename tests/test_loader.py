@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 import threading
 import time
@@ -9,16 +11,18 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from kmodsim.catalog import ModuleRecord
+from kmodsim.catalog import ModuleCatalog, ModuleRecord, parse_catalog
 from kmodsim import loader
 from kmodsim.errors import ConfigError, IndexMismatch, LoadTimeout
-from kmodsim.hardware import HardwareInventory
+from kmodsim.fixtures import generate_fixture
+from kmodsim.hardware import HardwareInventory, parse_inventory
 from kmodsim.loader import (
     DUP_ATTEMPT,
     LOAD,
     LoadState,
     SKIP_FLAG,
     SKIP_HW,
+    STRATEGIES,
     StrategyConfig,
     format_trace,
     load_stage0,
@@ -27,10 +31,12 @@ from kmodsim.loader import (
     load_stage3,
     parse_trace,
     plan_partitions,
+    run_strategy,
 )
 from kmodsim.registry import SelectionPolicy, register_v0, register_v1
 
 from conftest import (
+    CountingRuns,
     assert_dependency_safe,
     assert_exactly_once,
     assert_worker_clocks_monotone,
@@ -112,17 +118,19 @@ def simulate(rec, base, per_kb):
 
 class TestLoadState:
     def test_mark_complete_wakes_every_waiter(self):
-        state = LoadState(make_catalog("a|1||"))
-        assert state.try_claim("a")
+        catalog = make_catalog("a|1||")
+        a = catalog.index_of["a"]
+        state = LoadState(catalog)
+        assert state.try_claim(a)
         waiters = [
-            threading.Thread(target=state.wait_complete, args=("a",), daemon=True)
+            threading.Thread(target=state.wait_complete, args=(a,), daemon=True)
             for _ in range(4)
         ]
         for waiter in waiters:
             waiter.start()
         time.sleep(0.05)  # let the waiters block on the condition
         assert all(waiter.is_alive() for waiter in waiters)
-        state.mark_complete("a")
+        state.mark_complete(a)
         deadline = time.monotonic() + 1.0
         for waiter in waiters:
             waiter.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -130,11 +138,35 @@ class TestLoadState:
 
     def test_waiting_on_an_unfinished_claim_times_out_with_a_code(self, monkeypatch):
         monkeypatch.setattr(loader, "_COMPLETION_TIMEOUT_S", 0.05)
-        state = LoadState(make_catalog("a|1||"))
-        assert state.try_claim("a")
+        catalog = make_catalog("a|1||")
+        state = LoadState(catalog)
+        assert state.try_claim(catalog.index_of["a"])
         with pytest.raises(LoadTimeout) as info:
-            state.wait_complete("a")
+            state.wait_complete(catalog.index_of["a"])
         assert info.value.code == "load-timeout"
+
+    def test_timeout_message_names_the_module_not_its_position(self, monkeypatch):
+        monkeypatch.setattr(loader, "_COMPLETION_TIMEOUT_S", 0.01)
+        catalog = make_catalog("a|1||")
+        a = catalog.index_of["a"]
+        state = LoadState(catalog)
+        assert state.try_claim(a)
+        with pytest.raises(LoadTimeout, match="module 'a' to finish") as info:
+            state.wait_complete(a)
+        assert f"module {a!r}" not in str(info.value)
+
+    def test_resident_position_is_complete_and_unclaimable(self):
+        catalog = make_catalog("app|1|fs|", "fs|4||@base")
+        fs, app = catalog.index_of["fs"], catalog.index_of["app"]
+        state = LoadState(catalog)
+        assert state.is_complete(fs)
+        assert not state.try_claim(fs)
+        assert not state.is_complete(app)
+        assert state.try_claim(app)
+        assert not state.try_claim(app)  # claimed once, never again
+        state.mark_complete(app)
+        assert state.is_complete(app)
+        assert state.loaded() == {"app"}  # names out; the resident one excluded
 
 
 class TestLoadCosts:
@@ -233,7 +265,7 @@ class TestStage0:
         state, trace = load_stage0(catalog, index, NO_HW)
         assert load_events(trace) == ["app"]
         assert all(e.module != "fs" for e in trace)
-        assert state.is_complete("fs")  # resident from the start
+        assert state.is_complete(catalog.index_of["fs"])  # resident from the start
         assert state.loaded() == {"app"}
 
     def test_wrong_index_version(self):
@@ -426,3 +458,75 @@ def test_stage2_and_stage3_overlap_sleeps_stage0_does_not():
     serial = wall(load_stage0, StrategyConfig("stage0", load_base_us=5000))
     parallel = wall(load_stage3, StrategyConfig("stage3", workers=5, load_base_us=5000))
     assert parallel < serial
+
+
+def test_stage0_reads_each_dependency_entry_at_most_once(monkeypatch):
+    # The attach walk stops at complete positions, so each module's run of
+    # dependencies is read while it is being loaded and never again.
+    catalog_text, inventory_text = generate_fixture(5000, 16, seed=1, hw_coverage=1.0)
+    catalog = parse_catalog(catalog_text)
+    inventory = parse_inventory(inventory_text)
+    index = register_v0(catalog, SelectionPolicy.all_load())
+    targets = CountingRuns(catalog.dep_targets)
+    vars(catalog)["dep_targets"] = targets
+    record_calls = 0
+    real_record = ModuleCatalog.record
+
+    def counting_record(self, name):
+        nonlocal record_calls
+        record_calls += 1
+        return real_record(self, name)
+
+    monkeypatch.setattr(ModuleCatalog, "record", counting_record)
+    state, _ = load_stage0(catalog, index, inventory)
+    assert state.loaded()
+    assert 0 < targets.reads <= len(targets), (targets.reads, len(targets))
+    assert record_calls == 0
+
+
+# (modules, max depth, hardware coverage); each shape at seeds 1-3.
+IDENTITY_SHAPES = ((1000, 8, 0.8), (5000, 16, 1.0), (600, 8, 0.8))
+
+# SHA-256 over every identity fixture in order, each under the all-load
+# policy and then a file selection of every third module: the instant-mode
+# trace for stage0 and stage1, the sorted loaded names (one per line) for
+# stage2 (2 workers) and stage3 (3 workers), whose sets are equal. A change
+# to the loader's internals must keep every one of them byte for byte.
+BOOT_DIGESTS = {
+    "stage0": "5426c041c31356b9d22bfe5d14176ed3689264731ec9b25249ed132d8de32742",
+    "stage1": "a495323105731b9157314205fe3eb26cef795a0423c1a73173561cec28376950",
+    "stage2": "0d1da935416b3996934a51d1950971a1aa19abc31e6b5b8e0f62a9ea695e4f1b",
+    "stage3": "0d1da935416b3996934a51d1950971a1aa19abc31e6b5b8e0f62a9ea695e4f1b",
+}
+
+
+@functools.cache
+def identity_fixtures():
+    fixtures = []
+    for modules, max_depth, coverage in IDENTITY_SHAPES:
+        for seed in (1, 2, 3):
+            catalog_text, inventory_text = generate_fixture(modules, max_depth, seed, coverage)
+            fixtures.append((parse_catalog(catalog_text), parse_inventory(inventory_text)))
+    return fixtures
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_boot_outputs_match_the_pinned_digests(strategy):
+    config = StrategyConfig(strategy, workers={"stage2": 2, "stage3": 3}.get(strategy, 1))
+    digest = hashlib.sha256()
+    for catalog, inventory in identity_fixtures():
+        for policy in (
+            SelectionPolicy.all_load(),
+            SelectionPolicy.from_file(catalog.names[::3]),
+        ):
+            if strategy == "stage1":
+                index = register_v1(catalog, policy, inventory)
+            else:
+                index = register_v0(catalog, policy)
+            state, trace = run_strategy(catalog, index, inventory, config)
+            if strategy in ("stage0", "stage1"):
+                output = format_trace(trace)
+            else:
+                output = "".join(f"{name}\n" for name in sorted(state.loaded()))
+            digest.update(output.encode())
+    assert digest.hexdigest() == BOOT_DIGESTS[strategy]

@@ -111,11 +111,11 @@ class TestSpace:
         assert report.saved_kb == 20
         assert report.total_kb == 530
 
-    def test_accepts_a_load_state(self):
+    def test_accepts_a_sessions_loaded_names(self):
         catalog = make_catalog("a|10||", "b|20||")
         index = register_v0(catalog, SelectionPolicy.from_file(["a"]))
         state, _ = load_stage0(catalog, index, NO_HW)
-        report = space_report(catalog, state)
+        report = space_report(catalog, state.loaded())
         assert report.loaded_kb == 10 and report.saved_kb == 20
 
     def test_conservation_identity(self):

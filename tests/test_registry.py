@@ -26,6 +26,7 @@ from kmodsim.registry import (
 )
 
 from conftest import (
+    CountingRuns,
     catalog_texts,
     chain_records,
     make_catalog,
@@ -164,24 +165,17 @@ class TestRegisterV1:
                 for dep in rec.deps:
                     assert 0 < values[dep] < values[rec.name]
 
-    def test_one_closure_walk_bounds_the_record_lookups(self, monkeypatch):
-        # One shared closure walk plus one topo_levels pass look each module
-        # up a few times; a walk per root costs modules x depth lookups.
+    def test_one_closure_walk_reads_each_dependency_run_once(self):
+        # One shared closure walk slices each reached module's dependency run
+        # once; a walk per root re-reads shared runs modules x depth times.
         catalog_text, inventory_text = generate_fixture(5000, 16, seed=1, hw_coverage=1.0)
         catalog = parse_catalog(catalog_text)
         inventory = parse_inventory(inventory_text)
-        edges = sum(len(rec.deps) for rec in catalog.records)
-        real_record = ModuleCatalog.record
-        calls = 0
-
-        def counting_record(self, name):
-            nonlocal calls
-            calls += 1
-            return real_record(self, name)
-
-        monkeypatch.setattr(ModuleCatalog, "record", counting_record)
-        register_v1(catalog, SelectionPolicy.all_load(), inventory)
-        assert calls <= 4 * (len(catalog) + edges), (calls, len(catalog), edges)
+        targets = CountingRuns(catalog.dep_targets)
+        vars(catalog)["dep_targets"] = targets
+        index = register_v1(catalog, SelectionPolicy.all_load(), inventory)
+        assert any(value for _, value in index.entries)
+        assert 0 < targets.reads <= len(catalog), (targets.reads, len(catalog))
 
     def test_levels_are_computed_once_per_catalog(self, monkeypatch):
         real_levels = catalog_module._levels

@@ -28,9 +28,9 @@ class World:
     def __init__(self):
         self.state = LoadState(CATALOG)
         self.trace: list[tuple[str, str, int]] = []
-        self.waiting: dict[int, str | None] = {wid: None for wid in range(PLAN.workers)}
+        self.waiting: dict[int, int | None] = {wid: None for wid in range(PLAN.workers)}
         self.workers = {
-            wid: self._scan(wid, CATALOG.names[start:end])
+            wid: self._scan(wid, range(start, end))
             for wid, (start, end) in enumerate(PLAN.ranges)
         }
         self.finished: set[int] = set()
@@ -39,25 +39,26 @@ class World:
         for root in partition:
             yield from self._attach(wid, root)
 
-    def _attach(self, wid, name):
-        state = self.state
+    def _attach(self, wid, pos):
+        state, name = self.state, CATALOG.names[pos]
         yield  # about to read completeness
-        if state.is_complete(name):
+        if state.is_complete(pos):
             return
-        for dep in CATALOG.record(name).deps:
+        offsets = CATALOG.dep_offsets
+        for dep in CATALOG.dep_targets[offsets[pos] : offsets[pos + 1]]:
             yield from self._attach(wid, dep)
         yield  # race window between the read and the test-and-set
-        if not state.try_claim(name):
+        if not state.try_claim(pos):
             self.trace.append((DUP, name, wid))
-            while not state.is_complete(name):
-                self.waiting[wid] = name
+            while not state.is_complete(pos):
+                self.waiting[wid] = pos
                 yield  # blocked until the claimer completes
             self.waiting[wid] = None
-            state.wait_complete(name)  # already complete: returns at once
+            state.wait_complete(pos)  # already complete: returns at once
             return
         yield  # load in flight: claimed but not yet complete
         self.trace.append((LOAD, name, wid))
-        state.mark_complete(name)
+        state.mark_complete(pos)
 
     def runnable(self) -> list[int]:
         ready = []
@@ -109,7 +110,7 @@ def test_all_interleavings_load_each_module_exactly_once():
     for world in terminals:
         loads = [name for kind, name, _ in world.trace if kind == LOAD]
         assert sorted(loads) == ["a", "b", "c"], world.trace
-        assert all(world.state.is_complete(name) for name in CATALOG.names)
+        assert all(world.state.is_complete(pos) for pos in range(len(CATALOG)))
         assert world.state.loaded() == {"a", "b", "c"}
 
         order = {name: i for i, (kind, name, _) in enumerate(world.trace) if kind == LOAD}
