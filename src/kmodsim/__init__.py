@@ -45,10 +45,6 @@ from .loader import (
     StrategyConfig,
     STRATEGIES,
     format_trace,
-    load_stage0,
-    load_stage1,
-    load_stage2,
-    load_stage3,
     parse_trace,
     plan_partitions,
     run_strategy,

@@ -11,8 +11,6 @@ O(modules × max_depth).
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator, Sequence
-from itertools import chain
 
 from .catalog import CATALOG_HEADER
 from .errors import ConfigError
@@ -64,16 +62,22 @@ def generate_fixture(
         level = rng.randint(1, min(max_depth, highest + 1))
         deps: list[str] = []
         if level > 1:
-            # Draw the first dependency's position, not its name (the RNG use
-            # is the same), so the view can skip it: randint and sample see
-            # the lower levels in order minus that module, as a materialized
-            # list would, at O(max_depth) per module in place of O(modules).
+            # Draw positions in the lower levels, not names (the RNG use is
+            # the same, since sample picks indices by length alone), so the
+            # first dependency can be skipped without copying the levels:
+            # O(max_depth) per module in place of O(modules).
             first = rng.choice(range(len(buckets[level - 2])))
             deps.append(buckets[level - 2][first])
             below = sum(len(bucket) for bucket in buckets[: level - 2])
-            lower = _SkipView(buckets[: level - 1], below + first)
-            extra = rng.randint(0, min(2, len(lower)))
-            deps.extend(rng.sample(lower, extra))
+            skip, others = below + first, below + len(buckets[level - 2]) - 1
+            extra = rng.randint(0, min(2, others))
+            for i in rng.sample(range(others), extra):
+                i += i >= skip
+                for bucket in buckets[: level - 1]:
+                    if i < len(bucket):
+                        break
+                    i -= len(bucket)
+                deps.append(bucket[i])
         buckets[level - 1].append(name)
         highest = max(highest, level)
         size_kb = rng.randint(4, 96)
@@ -102,41 +106,6 @@ def generate_fixture(
         inventory_lines.append(f"{rng.choice(_VENDORS)} decoy{rng.randint(100, 999)} hub")
 
     return "\n".join(catalog_lines) + "\n", "\n".join(inventory_lines) + "\n"
-
-
-class _SkipView(Sequence[str]):
-    """Read-only concatenation of ``buckets`` without the item at ``skip``.
-
-    Nothing is copied: an index costs O(len(buckets)). The buckets must not
-    change while the view is in use.
-    """
-
-    def __init__(self, buckets: list[list[str]], skip: int):
-        self._buckets = buckets
-        self._skip = skip
-        self._len = sum(len(bucket) for bucket in buckets) - 1
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i: int) -> str:
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("view index out of range")
-        if i >= self._skip:
-            i += 1
-        for bucket in self._buckets:
-            if i < len(bucket):
-                break
-            i -= len(bucket)
-        return bucket[i]
-
-    def __iter__(self) -> Iterator[str]:
-        items = chain.from_iterable(self._buckets)
-        for position, name in enumerate(items):
-            if position != self._skip:
-                yield name
 
 
 def _unique_names(rng: random.Random, count: int) -> list[str]:

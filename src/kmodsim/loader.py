@@ -12,15 +12,27 @@ thread, one full scan per worker under one shared lock, or one partition per
 loading worker.
 
 All strategies share a per-session ``LoadState``: one state byte per position
-(free, claimed, done) under one ``threading.Condition`` for the whole session,
-however large the catalog. The free->claimed step is a test-and-set under that
-condition; the pre-claim check is a plain read of the byte. A worker that
-passes the read check but loses the claim records a ``DUP_ATTEMPT`` event and
-then waits on the condition until the winner finishes, so a dependent module
-can never start attaching before its dependencies have completed. Duplicates
-therefore surface only as DUP_ATTEMPT events, never as a second LOAD.
+(free, claimed, done, resident) under one ``threading.Condition`` for the
+whole session, however large the catalog. The free->claimed step is a
+test-and-set under that condition; the pre-claim check is a plain read of the
+byte. A worker that passes the read check but loses the claim records a
+``DUP_ATTEMPT`` event and then waits on the condition until the winner
+finishes, so a dependent module can never start attaching before its
+dependencies have completed. Duplicates therefore surface only as DUP_ATTEMPT
+events, never as a second LOAD.
 
-Base-kernel modules are resident: done from the start, so they are never
+Each worker is a generator. Its only scheduling points are the three
+shared-state steps in ``_load_one``: it yields before the claim, while a
+claimed load is in flight (before its LOAD is emitted), and, after losing a
+claim, the position it is about to wait on. The wait (``wait_complete``)
+stays in the generator after that yield, so a failure, ``LoadTimeout``
+included, is raised in the worker and releases stage2's lock. Two runners
+drive ``LoadSession._jobs()``, one generator per worker: ``run`` exhausts
+each one, stage0 and stage1 on the calling thread and stage2 and stage3 on a
+thread pool, and ``tests/test_schedules.py`` steps stage3's jobs through
+every interleaving.
+
+Base-kernel modules are resident: complete from the start, so they are never
 attached, produce no events, and satisfy any dependency on them immediately.
 
 Event timestamps are monotonic microseconds since session start. In instant
@@ -38,7 +50,8 @@ from __future__ import annotations
 import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 from .catalog import ModuleCatalog, ModuleRecord
@@ -122,7 +135,8 @@ def simulate_load(module: ModuleRecord, config: StrategyConfig) -> float:
     return cost_us
 
 
-_FREE, _CLAIMED, _DONE = 0, 1, 2
+# Complete is _DONE or above: attached this session, or resident from the start.
+_FREE, _CLAIMED, _DONE, _RESIDENT = 0, 1, 2, 3
 
 
 class LoadState:
@@ -131,19 +145,18 @@ class LoadState:
 
     Methods take positions; ``loaded`` returns names. ``is_complete`` is a
     plain read; ``try_claim`` is the only transition that can fail.
-    Base-kernel modules start done, so they can never be claimed.
+    Base-kernel modules start resident, so they can never be claimed.
     """
 
     def __init__(self, catalog: ModuleCatalog):
         self._names = catalog.names
         self._states = bytearray(
-            _DONE if rec.base_kernel_only else _FREE for rec in catalog.records
+            _RESIDENT if rec.base_kernel_only else _FREE for rec in catalog.records
         )
-        self._loaded: list[int] = []
         self._cond = threading.Condition()
 
     def is_complete(self, position: int) -> bool:
-        return self._states[position] == _DONE
+        return self._states[position] >= _DONE
 
     def try_claim(self, position: int) -> bool:
         with self._cond:
@@ -154,14 +167,13 @@ class LoadState:
 
     def mark_complete(self, position: int) -> None:
         with self._cond:
-            self._loaded.append(position)
             self._states[position] = _DONE
             self._cond.notify_all()
 
     def wait_complete(self, position: int) -> None:
         with self._cond:
             if not self._cond.wait_for(
-                lambda: self._states[position] == _DONE, _COMPLETION_TIMEOUT_S
+                lambda: self._states[position] >= _DONE, _COMPLETION_TIMEOUT_S
             ):
                 raise LoadTimeout(
                     f"timed out waiting for module {self._names[position]!r} to finish loading"
@@ -170,7 +182,9 @@ class LoadState:
     def loaded(self) -> frozenset[str]:
         """Names attached dynamically this session (resident modules excluded)."""
         with self._cond:
-            return frozenset(self._names[position] for position in self._loaded)
+            return frozenset(
+                name for name, state in zip(self._names, self._states) if state == _DONE
+            )
 
 
 class LoadSession:
@@ -220,24 +234,32 @@ class LoadSession:
         self._events_lock = threading.Lock()
 
     def run(self) -> tuple[LoadState, list[LoadEvent]]:
-        n, workers = len(self._catalog), self._config.workers
-        if self._strategy == "stage1":
-            self._sweep()
-        elif self._strategy == "stage0":
-            self._scan(0, 0, n)  # one job, on the calling thread
+        jobs = self._jobs()
+        if self._strategy in ("stage0", "stage1"):
+            for job in jobs:  # one job, on the calling thread
+                _exhaust(job)
         else:
-            if self._strategy == "stage2":
-                lock = threading.Lock()  # stage2's single exclusion region
-                jobs = [(w, 0, n, lock) for w in range(workers)]
-            else:
-                ranges = plan_partitions(n, workers).ranges
-                jobs = [(w, start, end, None) for w, (start, end) in enumerate(ranges)]
             with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-                for future in [pool.submit(self._scan, *job) for job in jobs]:
+                # In completion order, so a failing attach is reported before
+                # the timeouts of the workers that were waiting on it.
+                for future in as_completed([pool.submit(_exhaust, job) for job in jobs]):
                     future.result()
         return self.state, list(self._events)
 
-    def _sweep(self) -> None:
+    def _jobs(self) -> list[Iterator[int | None]]:
+        """One generator per worker; see the module docstring for what they yield."""
+        n, workers = len(self._catalog), self._config.workers
+        if self._strategy == "stage1":
+            return [self._sweep()]
+        if self._strategy == "stage0":
+            return [self._scan(0, 0, n)]
+        if self._strategy == "stage2":
+            lock = threading.Lock()  # stage2's single exclusion region
+            return [self._scan(w, 0, n, lock) for w in range(workers)]
+        ranges = plan_partitions(n, workers).ranges
+        return [self._scan(w, start, end) for w, (start, end) in enumerate(ranges)]
+
+    def _sweep(self) -> Iterator[int | None]:
         """stage1: depth-major, then catalog position; depth 0 (not selected) is empty."""
         records = self._catalog.records
         buckets: list[list[int]] = [[] for _ in range(max(self._values, default=0) + 1)]
@@ -246,9 +268,11 @@ class LoadSession:
                 buckets[value].append(pos)
         for bucket in buckets:
             for pos in bucket:
-                self._load_one(pos, worker=0)
+                yield from self._load_one(pos, worker=0)
 
-    def _scan(self, worker: int, start: int, end: int, lock: threading.Lock | None = None) -> None:
+    def _scan(
+        self, worker: int, start: int, end: int, lock: threading.Lock | None = None
+    ) -> Iterator[int | None]:
         records = self._catalog.records
         for pos in range(start, end):
             rec = records[pos]
@@ -264,11 +288,11 @@ class LoadSession:
                 continue  # same silent fast-path _attach would take
             if lock is not None:
                 with lock:
-                    self._attach(pos, worker)
+                    yield from self._attach(pos, worker)
             else:
-                self._attach(pos, worker)
+                yield from self._attach(pos, worker)
 
-    def _attach(self, root: int, worker: int) -> None:
+    def _attach(self, root: int, worker: int) -> Iterator[int | None]:
         """Depth-first idempotent attach: dependencies complete before the claim."""
         offsets, targets = self._catalog.dep_offsets, self._catalog.dep_targets
         is_complete = self.state.is_complete
@@ -282,15 +306,18 @@ class LoadSession:
                 dep = targets[next_dep]
                 stack.append((dep, offsets[dep]))
                 continue
-            self._load_one(pos, worker)
+            yield from self._load_one(pos, worker)
 
-    def _load_one(self, pos: int, worker: int) -> None:
+    def _load_one(self, pos: int, worker: int) -> Iterator[int | None]:
+        yield  # about to claim
         if self.state.try_claim(pos):
+            yield  # claimed: the load is in flight, its LOAD not yet emitted
             simulate_load(self._catalog.records[pos], self._config)
             self._emit(worker, LOAD, pos)
             self.state.mark_complete(pos)
         else:
             self._emit(worker, DUP_ATTEMPT, pos)
+            yield pos  # about to wait for the claim winner
             self.state.wait_complete(pos)
 
     def _emit(self, worker: int, kind: str, pos: int) -> None:
@@ -300,42 +327,19 @@ class LoadSession:
             self._events.append(event)
 
 
-def load_stage0(catalog, index, inventory, config=None):
-    """Sequential baseline: scan alphabetically, recurse into dependencies."""
-    return _run("stage0", catalog, index, inventory, config)
-
-
-def load_stage1(catalog, index, inventory, config=None):
-    """Depth sweep over a v1 index; hardware was already checked at registration."""
-    return _run("stage1", catalog, index, inventory, config)
-
-
-def load_stage2(catalog, index, inventory, config=None):
-    """All workers scan the full catalog; attachment runs under one global lock."""
-    return _run("stage2", catalog, index, inventory, config)
-
-
-def load_stage3(catalog, index, inventory, config=None):
-    """Lock-free partitioned loading; workers share only the module claims."""
-    return _run("stage3", catalog, index, inventory, config)
-
-
 def run_strategy(
     catalog: ModuleCatalog,
     index: IndexFile,
     inventory: HardwareInventory,
     config: StrategyConfig,
 ) -> tuple[LoadState, list[LoadEvent]]:
-    """Dispatch on ``config.strategy``."""
+    """Run the strategy that ``config.strategy`` names and return its state and trace."""
     return LoadSession(catalog, index, inventory, config).run()
 
 
-def _run(strategy, catalog, index, inventory, config):
-    if config is None:
-        config = StrategyConfig(strategy, workers=2 if strategy in ("stage2", "stage3") else 1)
-    elif config.strategy != strategy:
-        raise ConfigError(f"load_{strategy} was given a {config.strategy!r} config")
-    return LoadSession(catalog, index, inventory, config).run()
+def _exhaust(job: Iterator[int | None]) -> None:
+    for _ in job:
+        pass
 
 
 def format_trace(events) -> str:

@@ -18,8 +18,6 @@ from .loader import (
     LoadEvent,
     StrategyConfig,
     STRATEGIES,
-    load_stage0,
-    load_stage1,
     run_strategy,
 )
 from .registry import (
@@ -231,13 +229,13 @@ def _composite(catalog, policy, inventory, repetitions) -> CompositeResult:
         t0 = time.perf_counter_ns()
         index = register_v0(catalog, policy)
         for _ in range(4):
-            load_stage0(catalog, index, inventory, instant0)
+            run_strategy(catalog, index, inventory, instant0)
         v0_samples.append((time.perf_counter_ns() - t0) / 1000)
 
         t0 = time.perf_counter_ns()
         index = register_v1(catalog, policy, inventory)
         for _ in range(4):
-            load_stage1(catalog, index, inventory, instant1)
+            run_strategy(catalog, index, inventory, instant1)
         v1_samples.append((time.perf_counter_ns() - t0) / 1000)
     return CompositeResult(
         v0_us=statistics.median(v0_samples), v1_us=statistics.median(v1_samples)

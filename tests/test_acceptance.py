@@ -19,7 +19,6 @@ from kmodsim.hardware import HardwareInventory, check_hardware_support, parse_in
 from kmodsim.loader import (
     DUP_ATTEMPT,
     StrategyConfig,
-    load_stage3,
     plan_partitions,
     run_strategy,
 )
@@ -92,7 +91,7 @@ def test_criterion_3_exactly_once_under_race(workers):
     config = StrategyConfig("stage3", workers=workers, load_base_us=100)
     dup_total = 0
     for _ in range(200):
-        state, trace = load_stage3(catalog, index, NO_HW, config)
+        state, trace = run_strategy(catalog, index, NO_HW, config)
         loads = load_events(trace)
         assert sorted(loads) == ["a", "b", "c"], trace
         assert state.loaded() == {"a", "b", "c"}

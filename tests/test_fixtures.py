@@ -8,13 +8,11 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kmodsim import fixtures
 from kmodsim.catalog import parse_catalog, topo_levels
 from kmodsim.errors import ConfigError
-from kmodsim.fixtures import MAX_MODULES, _SkipView, generate_fixture
+from kmodsim.fixtures import MAX_MODULES, generate_fixture
 from kmodsim.hardware import check_hardware_support, parse_inventory
 
 # SHA-256 of catalog_text + inventory_text. The first nine are the benchmark
@@ -41,32 +39,6 @@ def test_output_bytes_are_pinned(args):
     catalog_text, inventory_text = generate_fixture(*args)
     digest = hashlib.sha256((catalog_text + inventory_text).encode()).hexdigest()
     assert digest == GOLDEN[args]
-
-
-@st.composite
-def buckets_and_skip(draw):
-    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
-    if not sum(sizes):
-        sizes[0] = 1
-    names = iter(f"m{i}" for i in range(sum(sizes)))
-    buckets = [[next(names) for _ in range(size)] for size in sizes]
-    return buckets, draw(st.integers(0, sum(sizes) - 1))
-
-
-@settings(max_examples=200, deadline=None)
-@given(buckets_and_skip())
-def test_skip_view_matches_the_materialized_list(case):
-    buckets, skip = case
-    flat = [name for bucket in buckets for name in bucket]
-    expected = flat[:skip] + flat[skip + 1 :]
-    view = _SkipView(buckets, skip)
-    assert len(view) == len(expected)
-    assert list(view) == expected
-    for i in range(-len(expected), len(expected)):
-        assert view[i] == expected[i]
-    for i in (len(expected), len(expected) + 1, -len(expected) - 1):
-        with pytest.raises(IndexError):
-            view[i]
 
 
 def test_generation_time_grows_linearly():

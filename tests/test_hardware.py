@@ -18,7 +18,7 @@ from kmodsim.hardware import (
     check_hardware_support,
     parse_inventory,
 )
-from kmodsim.loader import StrategyConfig, load_stage0, load_stage1
+from kmodsim.loader import StrategyConfig, run_strategy
 from kmodsim.registry import SelectionPolicy, register_v0, register_v1
 
 from conftest import make_catalog, make_inventory
@@ -216,9 +216,8 @@ class TestLazyIndex:
     def test_untagged_sweep_never_builds_the_index(self):
         catalog = make_catalog("a|1||", "b|1|a|", "c|1||")
         inventory = make_inventory("Intel dev-a adapter")
-        _, trace = load_stage0(
-            catalog, register_v0(catalog, SelectionPolicy.all_load()), inventory
-        )
+        index = register_v0(catalog, SelectionPolicy.all_load())
+        _, trace = run_strategy(catalog, index, inventory, StrategyConfig("stage0"))
         assert len(trace) == 3
         assert not index_built(inventory)
 
@@ -230,5 +229,5 @@ class TestLazyIndex:
         assert index_built(registered_with)
 
         inventory = parse_inventory(inventory_text)
-        load_stage1(catalog, index, inventory, StrategyConfig("stage1"))
+        run_strategy(catalog, index, inventory, StrategyConfig("stage1"))
         assert not index_built(inventory)

@@ -5,9 +5,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -25,10 +29,6 @@ from kmodsim.loader import (
     STRATEGIES,
     StrategyConfig,
     format_trace,
-    load_stage0,
-    load_stage1,
-    load_stage2,
-    load_stage3,
     parse_trace,
     plan_partitions,
     run_strategy,
@@ -48,6 +48,8 @@ from conftest import (
 )
 
 NO_HW = HardwareInventory(())
+STAGE0 = StrategyConfig("stage0")
+STAGE1 = StrategyConfig("stage1")
 
 
 def flags_index(catalog, names):
@@ -183,46 +185,47 @@ class TestLoadCosts:
         catalog = make_catalog("a|1||")
         config = StrategyConfig("stage0", **costs)
         with pytest.raises(ConfigError, match="finite"):
-            load_stage0(catalog, flags_index(catalog, ["a"]), NO_HW, config)
+            run_strategy(catalog, flags_index(catalog, ["a"]), NO_HW, config)
 
     def test_base_cost_beyond_the_completion_timeout_is_rejected(self):
         catalog = make_catalog("a|1||")
         config = StrategyConfig("stage0", load_base_us=1e20)
         with pytest.raises(ConfigError, match="longer than"):
-            load_stage0(catalog, flags_index(catalog, ["a"]), NO_HW, config)
+            run_strategy(catalog, flags_index(catalog, ["a"]), NO_HW, config)
 
     def test_the_largest_module_sets_the_limit(self, monkeypatch):
         monkeypatch.setattr(loader, "_COMPLETION_TIMEOUT_S", 0.05)  # 50,000 us
         catalog = make_catalog("a|10||", "b|1000||", "fs|9999||@base")
         index = flags_index(catalog, ["a"])
         # 1,000 kB at 40 us/kB is 40,000 us; the resident module never attaches.
-        load_stage0(catalog, index, NO_HW, StrategyConfig("stage0", load_per_kb_us=40))
+        run_strategy(catalog, index, NO_HW, StrategyConfig("stage0", load_per_kb_us=40))
         with pytest.raises(ConfigError, match="longer than"):
-            load_stage0(catalog, index, NO_HW, StrategyConfig("stage0", load_per_kb_us=60))
+            run_strategy(catalog, index, NO_HW, StrategyConfig("stage0", load_per_kb_us=60))
 
 
 class TestWorkerCount:
     @pytest.mark.parametrize("workers", [loader.MAX_WORKERS + 1, 10**6])
-    @pytest.mark.parametrize("run", [load_stage2, load_stage3])
-    def test_absurd_worker_count_fails_before_any_thread_starts(self, run, workers):
+    @pytest.mark.parametrize("strategy", ["stage2", "stage3"])
+    def test_absurd_worker_count_fails_before_any_thread_starts(self, strategy, workers):
         catalog = make_catalog("a|1||")
-        strategy = run.__name__.removeprefix("load_")
         threads = threading.active_count()
         with pytest.raises(ConfigError, match="workers must be within"):
-            run(catalog, flags_index(catalog, ["a"]), NO_HW, StrategyConfig(strategy, workers))
+            run_strategy(
+                catalog, flags_index(catalog, ["a"]), NO_HW, StrategyConfig(strategy, workers)
+            )
         assert threading.active_count() == threads
 
 
 class TestStage0:
     def test_flag_gating(self):
         catalog = make_catalog("a|1||", "b|1||")
-        _, trace = load_stage0(catalog, flags_index(catalog, ["a"]), NO_HW)
+        _, trace = run_strategy(catalog, flags_index(catalog, ["a"]), NO_HW, STAGE0)
         assert kinds(trace) == [(LOAD, "a"), (SKIP_FLAG, "b")]
 
     def test_chain_loads_dependencies_first(self):
         catalog = make_catalog(*chain_records(["a", "b", "c"]))
         index = flags_index(catalog, ["c"])
-        state, trace = load_stage0(catalog, index, NO_HW)
+        state, trace = run_strategy(catalog, index, NO_HW, STAGE0)
         expected = sequential_load_order(catalog, {"c": 1}, lambda rec: True)
         assert expected == ["a", "b", "c"]  # frozen from the post-order oracle
         assert load_events(trace) == expected
@@ -231,14 +234,14 @@ class TestStage0:
     def test_unmatched_hardware_skips(self):
         catalog = make_catalog("a|1||ath9k")
         inv = make_inventory("Intel e1000 Gigabit")
-        state, trace = load_stage0(catalog, flags_index(catalog, ["a"]), inv)
+        state, trace = run_strategy(catalog, flags_index(catalog, ["a"]), inv, STAGE0)
         assert kinds(trace) == [(SKIP_HW, "a")]
         assert state.loaded() == frozenset()
 
     def test_dependencies_load_even_when_unflagged(self):
         catalog = make_catalog(*chain_records(["a", "b", "c"]))
         # only the root is flagged; a and b are required anyway
-        _, trace = load_stage0(catalog, flags_index(catalog, ["c"]), NO_HW)
+        _, trace = run_strategy(catalog, flags_index(catalog, ["c"]), NO_HW, STAGE0)
         assert load_events(trace) == ["a", "b", "c"]
         assert (SKIP_FLAG, "a") in kinds(trace)
 
@@ -248,21 +251,21 @@ class TestStage0:
         catalog = make_catalog("top|1|lib|", "lib|1||dev-lib")
         inv = make_inventory("nothing relevant")
         index = register_v0(catalog, SelectionPolicy.all_load())
-        state, trace = load_stage0(catalog, index, inv)
+        state, trace = run_strategy(catalog, index, inv, STAGE0)
         assert state.loaded() == {"lib", "top"}
         assert (SKIP_HW, "lib") in kinds(trace)  # as a root it is still skipped
 
     def test_dependency_of_unsupported_root_stays_unloaded(self):
         catalog = make_catalog("top|1|lib|dev-top", "lib|1||")
         inv = make_inventory("nothing relevant")
-        state, trace = load_stage0(catalog, flags_index(catalog, ["top"]), inv)
+        state, trace = run_strategy(catalog, flags_index(catalog, ["top"]), inv, STAGE0)
         assert state.loaded() == frozenset()
         assert (SKIP_HW, "top") in kinds(trace)
 
     def test_base_modules_are_resident_not_loaded(self):
         catalog = make_catalog("fs|4||@base", "app|1|fs|")
         index = register_v0(catalog, SelectionPolicy.all_load())
-        state, trace = load_stage0(catalog, index, NO_HW)
+        state, trace = run_strategy(catalog, index, NO_HW, STAGE0)
         assert load_events(trace) == ["app"]
         assert all(e.module != "fs" for e in trace)
         assert state.is_complete(catalog.index_of["fs"])  # resident from the start
@@ -272,45 +275,38 @@ class TestStage0:
         catalog = make_catalog("a|1||")
         index = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
         with pytest.raises(IndexMismatch):
-            load_stage0(catalog, index, NO_HW)
-
-    def test_config_for_another_strategy_is_rejected(self):
-        catalog = make_catalog("a|1||")
-        with pytest.raises(ConfigError, match="stage3"):
-            load_stage0(
-                catalog, flags_index(catalog, ["a"]), NO_HW, StrategyConfig("stage3", workers=1)
-            )
+            run_strategy(catalog, index, NO_HW, STAGE0)
 
 
 class TestStage1:
     def test_chain_sweeps_one_level_per_pass(self):
         catalog = make_catalog(*chain_records(["a", "b", "c"]))
         index = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
-        _, trace = load_stage1(catalog, index, NO_HW)
+        _, trace = run_strategy(catalog, index, NO_HW, STAGE1)
         assert kinds(trace) == [(LOAD, "a"), (LOAD, "b"), (LOAD, "c")]
 
     def test_diamond_ties_break_in_catalog_order(self):
         catalog = make_catalog("d|1|b,c|", "b|1|a|", "c|1|a|", "a|1||")
         index = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
-        _, trace = load_stage1(catalog, index, NO_HW)
+        _, trace = run_strategy(catalog, index, NO_HW, STAGE1)
         assert load_events(trace) == ["a", "b", "c", "d"]
 
     def test_all_zero_values_produce_an_empty_trace(self):
         catalog = make_catalog("a|1||", "b|1||")
         index = register_v1(catalog, SelectionPolicy.all_skip(), NO_HW)
-        _, trace = load_stage1(catalog, index, NO_HW)
+        _, trace = run_strategy(catalog, index, NO_HW, STAGE1)
         assert trace == []
 
     def test_wrong_index_version(self):
         catalog = make_catalog("a|1||")
         with pytest.raises(IndexMismatch):
-            load_stage1(catalog, register_v0(catalog, SelectionPolicy.all_load()), NO_HW)
+            run_strategy(catalog, register_v0(catalog, SelectionPolicy.all_load()), NO_HW, STAGE1)
 
     def test_leveled_base_dependency_is_not_swept(self):
         catalog = make_catalog("fs|4||@base", "app|1|fs|")
         index = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
         assert dict(index.entries)["fs"] == 1
-        state, trace = load_stage1(catalog, index, NO_HW)
+        state, trace = run_strategy(catalog, index, NO_HW, STAGE1)
         assert load_events(trace) == ["app"]
         assert state.loaded() == {"app"}
 
@@ -319,21 +315,21 @@ class TestStage2:
     def test_loaded_set_matches_stage0(self):
         catalog = make_catalog("d|1|b,c|", "b|1|a|", "c|1|a|", "a|1||", "x|1||")
         index = flags_index(catalog, ["d"])
-        s0, _ = load_stage0(catalog, index, NO_HW)
-        s2, trace = load_stage2(catalog, index, NO_HW, StrategyConfig("stage2", workers=4))
+        s0, _ = run_strategy(catalog, index, NO_HW, STAGE0)
+        s2, trace = run_strategy(catalog, index, NO_HW, StrategyConfig("stage2", workers=4))
         assert s2.loaded() == s0.loaded()
         assert_exactly_once(trace)
 
     def test_dependencies_precede_dependents_in_trace(self):
         catalog = make_catalog(*chain_records(["a", "b", "c"]))
         index = flags_index(catalog, ["c"])
-        _, trace = load_stage2(catalog, index, NO_HW, StrategyConfig("stage2", workers=3))
+        _, trace = run_strategy(catalog, index, NO_HW, StrategyConfig("stage2", workers=3))
         assert_dependency_safe(trace, catalog)
 
     def test_single_worker_rejected(self):
         catalog = make_catalog("a|1||")
         with pytest.raises(ConfigError):
-            load_stage2(
+            run_strategy(
                 catalog,
                 flags_index(catalog, ["a"]),
                 NO_HW,
@@ -348,8 +344,8 @@ class TestStage3:
     def test_loaded_set_matches_stage0(self):
         catalog = make_catalog(*SHARED_DEP)
         index = register_v0(catalog, SelectionPolicy.all_load())
-        s0, _ = load_stage0(catalog, index, NO_HW)
-        s3, trace = load_stage3(catalog, index, NO_HW, StrategyConfig("stage3", workers=4))
+        s0, _ = run_strategy(catalog, index, NO_HW, STAGE0)
+        s3, trace = run_strategy(catalog, index, NO_HW, StrategyConfig("stage3", workers=4))
         assert s3.loaded() == s0.loaded()
         assert_exactly_once(trace)
         assert_dependency_safe(trace, catalog)
@@ -357,7 +353,7 @@ class TestStage3:
     def test_single_worker_rejected(self):
         catalog = make_catalog("a|1||")
         with pytest.raises(ConfigError):
-            load_stage3(
+            run_strategy(
                 catalog,
                 flags_index(catalog, ["a"]),
                 NO_HW,
@@ -370,7 +366,7 @@ class TestStage3:
         index = register_v0(catalog, SelectionPolicy.all_load())
         config = StrategyConfig("stage3", workers=workers)
         for _ in range(120):
-            state, trace = load_stage3(catalog, index, NO_HW, config)
+            state, trace = run_strategy(catalog, index, NO_HW, config)
             assert_exactly_once(trace)
             assert_dependency_safe(trace, catalog)
             assert state.loaded() == {"a", "b", "c"}
@@ -382,7 +378,7 @@ class TestStage3:
         index = register_v0(catalog, SelectionPolicy.all_load())
         config = StrategyConfig("stage3", workers=3, load_base_us=30_000)
         for _ in range(5):
-            state, trace = load_stage3(catalog, index, NO_HW, config)
+            state, trace = run_strategy(catalog, index, NO_HW, config)
             assert_exactly_once(trace)
             assert_dependency_safe(trace, catalog)
             dups = [e for e in trace if e.kind == DUP_ATTEMPT]
@@ -397,26 +393,26 @@ class TestTraces:
         catalog = make_catalog(*(f"m{i:02d}|{i}||" for i in range(20)))
         index = register_v0(catalog, SelectionPolicy.all_load())
         config = StrategyConfig("stage3", workers=4, load_base_us=20, load_per_kb_us=1)
-        _, trace = load_stage3(catalog, index, NO_HW, config)
+        _, trace = run_strategy(catalog, index, NO_HW, config)
         assert_worker_clocks_monotone(trace)
 
     def test_instant_mode_freezes_the_clock(self):
         catalog = make_catalog("a|1||")
-        _, trace = load_stage0(catalog, flags_index(catalog, ["a"]), NO_HW)
+        _, trace = run_strategy(catalog, flags_index(catalog, ["a"]), NO_HW, STAGE0)
         assert [e.timestamp_us for e in trace] == [0]
 
     def test_costed_loads_advance_the_clock(self):
         catalog = make_catalog(*chain_records(["a", "b"]))
         index = flags_index(catalog, ["b"])
         config = StrategyConfig("stage0", load_base_us=500)
-        _, trace = load_stage0(catalog, index, NO_HW, config)
+        _, trace = run_strategy(catalog, index, NO_HW, config)
         first, second = [e.timestamp_us for e in trace if e.kind == LOAD]
         assert 0 < first < second
 
     def test_format_parse_round_trip(self):
         catalog = make_catalog(*SHARED_DEP)
         index = register_v0(catalog, SelectionPolicy.all_load())
-        _, trace = load_stage3(catalog, index, NO_HW, StrategyConfig("stage3", workers=2))
+        _, trace = run_strategy(catalog, index, NO_HW, StrategyConfig("stage3", workers=2))
         assert parse_trace(format_trace(trace)) == trace
 
     def test_parse_rejects_garbage(self):
@@ -433,7 +429,7 @@ def test_many_sessions_run_concurrently_without_interference():
     index = register_v0(catalog, SelectionPolicy.all_load())
 
     def one_session(_):
-        state, trace = load_stage3(
+        state, trace = run_strategy(
             catalog, index, NO_HW, StrategyConfig("stage3", workers=3, load_base_us=200)
         )
         assert_exactly_once(trace)
@@ -444,19 +440,66 @@ def test_many_sessions_run_concurrently_without_interference():
     assert all(r == {"a", "b", "c"} for r in results)
 
 
+# Attaching ``a`` raises; b, c and d depend on it. Prints the exception's type
+# and how long the session took to end.
+FAILING_ATTACH = """
+import sys, time
+from kmodsim import loader
+from kmodsim.catalog import parse_catalog
+from kmodsim.hardware import HardwareInventory
+from kmodsim.registry import SelectionPolicy, register_v0
+
+loader._COMPLETION_TIMEOUT_S = 0.3
+real_load = loader.simulate_load
+
+def failing_load(module, config):
+    if module.name == "a":
+        raise OSError("attach failed")
+    return real_load(module, config)
+
+loader.simulate_load = failing_load
+catalog = parse_catalog("MODCAT v1\\na|1||\\nb|1|a|\\nc|1|a|\\nd|1|a|\\n")
+index = register_v0(catalog, SelectionPolicy.all_load())
+config = loader.StrategyConfig(sys.argv[1], workers=3)
+t0 = time.monotonic()
+try:
+    loader.run_strategy(catalog, index, HardwareInventory(()), config)
+except Exception as exc:
+    print(type(exc).__name__, time.monotonic() - t0)
+"""
+
+
+@pytest.mark.parametrize("strategy", ["stage2", "stage3"])
+def test_a_failing_attach_ends_the_session_with_its_error(strategy):
+    # A child process with a hard timeout, so that a deadlock fails the test
+    # instead of hanging it (the pool's threads are joined at exit). Workers
+    # that lost the claim on ``a`` wait one timeout each at most; stage2's
+    # wait one after another, since the lock is held while waiting.
+    src = str(Path(loader.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FAILING_ATTACH, strategy],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    kind, elapsed_s = proc.stdout.split()
+    assert kind == "OSError"
+    assert float(elapsed_s) < (3 - 1) * 0.3 + 1
+
+
 def test_stage2_and_stage3_overlap_sleeps_stage0_does_not():
     # Coarse sanity check that simulated latency really runs in parallel:
     # eight independent 5 ms modules, four workers.
     catalog = make_catalog(*(f"m{i}|0||" for i in range(8)))
     index = register_v0(catalog, SelectionPolicy.all_load())
 
-    def wall(fn, config):
+    def wall(config):
         t0 = time.perf_counter()
-        fn(catalog, index, NO_HW, config)
+        run_strategy(catalog, index, NO_HW, config)
         return time.perf_counter() - t0
 
-    serial = wall(load_stage0, StrategyConfig("stage0", load_base_us=5000))
-    parallel = wall(load_stage3, StrategyConfig("stage3", workers=5, load_base_us=5000))
+    serial = wall(StrategyConfig("stage0", load_base_us=5000))
+    parallel = wall(StrategyConfig("stage3", workers=5, load_base_us=5000))
     assert parallel < serial
 
 
@@ -478,7 +521,7 @@ def test_stage0_reads_each_dependency_entry_at_most_once(monkeypatch):
         return real_record(self, name)
 
     monkeypatch.setattr(ModuleCatalog, "record", counting_record)
-    state, _ = load_stage0(catalog, index, inventory)
+    state, _ = run_strategy(catalog, index, inventory, STAGE0)
     assert state.loaded()
     assert 0 < targets.reads <= len(targets), (targets.reads, len(targets))
     assert record_calls == 0

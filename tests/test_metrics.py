@@ -15,7 +15,7 @@ from kmodsim.loader import (
     SKIP_HW,
     LoadEvent,
     StrategyConfig,
-    load_stage0,
+    run_strategy,
 )
 from kmodsim.metrics import (
     bench,
@@ -69,10 +69,8 @@ class TestTiming:
     def test_real_stage3_race_rolls_up(self):
         catalog = make_catalog("b|1|a|", "c|1|a|", "a|1||")
         index = register_v0(catalog, SelectionPolicy.all_load())
-        from kmodsim.loader import load_stage3
-
         for _ in range(5):
-            _, trace = load_stage3(
+            _, trace = run_strategy(
                 catalog, index, NO_HW, StrategyConfig("stage3", workers=3, load_base_us=30_000)
             )
             timing = timing_from_trace(trace)
@@ -114,7 +112,7 @@ class TestSpace:
     def test_accepts_a_sessions_loaded_names(self):
         catalog = make_catalog("a|10||", "b|20||")
         index = register_v0(catalog, SelectionPolicy.from_file(["a"]))
-        state, _ = load_stage0(catalog, index, NO_HW)
+        state, _ = run_strategy(catalog, index, NO_HW, StrategyConfig("stage0"))
         report = space_report(catalog, state.loaded())
         assert report.loaded_kb == 10 and report.saved_kb == 20
 

@@ -1,64 +1,44 @@
 """Exhaustive interleaving check of the lock-free claim protocol.
 
-This drives the real ``LoadState`` from step machines that follow the
-partitioned strategy's attach path on a three-module fixture (two roots
-sharing one dependency), with a scheduling point at every shared-state
-interaction: the completeness read, the gap before the test-and-set, the
-in-flight load window, and the wait-for-completion loop. Every reachable
-schedule of the two workers is enumerated by replaying choice prefixes, so
-the exactly-once and dependency-ordering guarantees of ``try_claim``,
-``is_complete`` and ``mark_complete`` are checked against *all*
-interleavings, not just the ones a real scheduler happens to produce.
+This steps the shipped stage3 workers, the generators that
+``LoadSession._jobs`` returns, one yield at a time on a three-module fixture
+(two roots sharing one dependency). A worker yields at each of its three
+shared-state steps: before the claim, while a claimed load is in flight, and
+before waiting on a claim winner. A worker that yielded a position is
+runnable again only once that position is complete. Every reachable schedule
+of the two loading workers is enumerated by replaying choice prefixes, so the
+exactly-once and dependency-ordering guarantees are checked against *all*
+interleavings of the loader's own code, not just the ones a real scheduler
+happens to produce.
 """
 
 from __future__ import annotations
 
-from kmodsim.loader import LoadState, plan_partitions
+import pytest
+
+from kmodsim.hardware import HardwareInventory
+from kmodsim.loader import DUP_ATTEMPT, LOAD, LoadSession, StrategyConfig
+from kmodsim.registry import SelectionPolicy, register_v0
 
 from conftest import make_catalog
 
 CATALOG = make_catalog("a|1||", "b|1|a|", "c|1|a|")
-PLAN = plan_partitions(len(CATALOG), 3)  # [a, b] and [c]: two loading workers
-
-LOAD = "LOAD"
-DUP = "DUP"
+INDEX = register_v0(CATALOG, SelectionPolicy.all_load())
+# Three workers: two loading partitions, [a, b] and [c].
+CONFIG = StrategyConfig("stage3", workers=3)
 
 
 class World:
     def __init__(self):
-        self.state = LoadState(CATALOG)
-        self.trace: list[tuple[str, str, int]] = []
-        self.waiting: dict[int, int | None] = {wid: None for wid in range(PLAN.workers)}
-        self.workers = {
-            wid: self._scan(wid, range(start, end))
-            for wid, (start, end) in enumerate(PLAN.ranges)
-        }
+        self.session = LoadSession(CATALOG, INDEX, HardwareInventory(()), CONFIG)
+        self.state = self.session.state
+        self.workers = dict(enumerate(self.session._jobs()))
+        self.waiting: dict[int, int | None] = {wid: None for wid in self.workers}
         self.finished: set[int] = set()
 
-    def _scan(self, wid, partition):
-        for root in partition:
-            yield from self._attach(wid, root)
-
-    def _attach(self, wid, pos):
-        state, name = self.state, CATALOG.names[pos]
-        yield  # about to read completeness
-        if state.is_complete(pos):
-            return
-        offsets = CATALOG.dep_offsets
-        for dep in CATALOG.dep_targets[offsets[pos] : offsets[pos + 1]]:
-            yield from self._attach(wid, dep)
-        yield  # race window between the read and the test-and-set
-        if not state.try_claim(pos):
-            self.trace.append((DUP, name, wid))
-            while not state.is_complete(pos):
-                self.waiting[wid] = pos
-                yield  # blocked until the claimer completes
-            self.waiting[wid] = None
-            state.wait_complete(pos)  # already complete: returns at once
-            return
-        yield  # load in flight: claimed but not yet complete
-        self.trace.append((LOAD, name, wid))
-        state.mark_complete(pos)
+    @property
+    def trace(self) -> list[tuple[str, str, int]]:
+        return [(e.kind, e.module, e.worker_id) for e in self.session._events]
 
     def runnable(self) -> list[int]:
         ready = []
@@ -72,7 +52,7 @@ class World:
 
     def step(self, wid) -> None:
         try:
-            next(self.workers[wid])
+            self.waiting[wid] = next(self.workers[wid])
         except StopIteration:
             self.finished.add(wid)
 
@@ -102,25 +82,50 @@ def _explore() -> list[World]:
     return terminals
 
 
-def test_all_interleavings_load_each_module_exactly_once():
+def _check_every_schedule() -> None:
     terminals = _explore()
     assert len(terminals) > 100  # the enumeration really branched
 
     dup_counts = set()
     for world in terminals:
-        loads = [name for kind, name, _ in world.trace if kind == LOAD]
-        assert sorted(loads) == ["a", "b", "c"], world.trace
+        trace = world.trace
+        loads = [name for kind, name, _ in trace if kind == LOAD]
+        assert sorted(loads) == ["a", "b", "c"], trace
         assert all(world.state.is_complete(pos) for pos in range(len(CATALOG)))
         assert world.state.loaded() == {"a", "b", "c"}
 
-        order = {name: i for i, (kind, name, _) in enumerate(world.trace) if kind == LOAD}
-        assert order["a"] < order["b"] and order["a"] < order["c"], world.trace
+        order = {name: i for i, (kind, name, _) in enumerate(trace) if kind == LOAD}
+        assert order["a"] < order["b"] and order["a"] < order["c"], trace
 
-        dups = [name for kind, name, _ in world.trace if kind == DUP]
-        assert all(name == "a" for name in dups), world.trace
+        dups = [name for kind, name, _ in trace if kind == DUP_ATTEMPT]
+        assert all(name == "a" for name in dups), trace
         dup_counts.add(len(dups))
 
     # The near-miss is schedule-dependent: some interleavings race on the
     # shared dependency, others never do.
     assert 0 in dup_counts
     assert dup_counts - {0}
+
+
+def test_all_interleavings_load_each_module_exactly_once():
+    _check_every_schedule()
+
+
+def test_explorer_catches_completion_before_the_load_event(monkeypatch):
+    # The shipped attach with one fault: a won claim is marked complete while
+    # its load is still in flight, before its LOAD is in the trace. Some
+    # schedule then lets a dependent load first, and the explorer must see it.
+    shipped = LoadSession._load_one
+
+    def completes_early(self, pos, worker):
+        steps = shipped(self, pos, worker)
+        yield next(steps)  # about to claim
+        waits_on = next(steps)
+        if waits_on is None:  # the claim was won
+            self.state.mark_complete(pos)
+        yield waits_on
+        yield from steps
+
+    monkeypatch.setattr(LoadSession, "_load_one", completes_early)
+    with pytest.raises(AssertionError):
+        _check_every_schedule()
