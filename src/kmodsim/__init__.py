@@ -15,6 +15,7 @@ from .catalog import (
     topo_levels,
 )
 from .errors import (
+    AttachFailed,
     CircularDependency,
     ConfigError,
     DepthOverflow,

@@ -22,11 +22,11 @@ through ``_parse_record`` line by line, with the same result.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import sub
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     CircularDependency,
@@ -68,28 +68,70 @@ class ModuleRecord:
     base_kernel_only: bool = False
 
 
-@dataclass(frozen=True)
 class ModuleCatalog:
     """Immutable, alphabetically ordered module set with a validated DAG.
 
-    Safe for concurrent reads. The graph facts are cached properties over
-    catalog positions: ``parse_catalog`` stores the ones its own pass
-    produced, and a catalog built directly from records computes each on
-    first use. Dependency positions are kept flat, in two tuples of ints, so
-    a catalog holds no container per record beyond the records themselves.
+    Safe for concurrent reads. Every fact is a column indexed by catalog
+    position: ``names``, ``sizes``, ``hw_tags``, ``base``, the flat
+    dependency positions ``dep_offsets``/``dep_targets``, and ``levels``.
+    ``parse_catalog`` stores the columns its own pass produced and builds no
+    ``ModuleRecord``; ``records`` builds them from the columns on first
+    access. A catalog built directly from records derives each column from
+    them on first use. Dependency positions are kept flat, in two tuples of
+    ints, so a catalog holds no container per module beyond its tag tuples.
     """
 
-    records: tuple[ModuleRecord, ...]
+    def __init__(self, records: Iterable[ModuleRecord]):
+        vars(self)["records"] = tuple(records)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ModuleCatalog):
+            return NotImplemented
+        return self.records == other.records
+
+    def __hash__(self) -> int:
+        return hash(self.records)
+
+    def __repr__(self) -> str:
+        return f"ModuleCatalog(records={self.records!r})"
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.names)
 
     def __contains__(self, name: str) -> bool:
         return name in self.index_of
 
     @cached_property
+    def records(self) -> tuple[ModuleRecord, ...]:
+        """One record per position, built from the columns."""
+        names, offsets, targets = self.names, self.dep_offsets, self.dep_targets
+        deps = (
+            tuple(names[dep] for dep in targets[start:end])
+            for start, end in zip(offsets, offsets[1:])
+        )
+        return tuple(map(ModuleRecord, names, self.sizes, deps, self.hw_tags, self.base))
+
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.records)
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        """Size in kB of each module."""
+        return tuple(r.size_kb for r in self.records)
+
+    @cached_property
+    def hw_tags(self) -> tuple[tuple[str, ...], ...]:
+        """Device-match tags of each module, ``@base`` excluded."""
+        return tuple(r.hw_tags for r in self.records)
+
+    @cached_property
+    def base(self) -> tuple[bool, ...]:
+        """Whether each module is part of the base kernel (resident, never attached)."""
+        return tuple(r.base_kernel_only for r in self.records)
 
     @cached_property
     def index_of(self) -> dict[str, int]:
@@ -97,20 +139,20 @@ class ModuleCatalog:
 
     @cached_property
     def dep_targets(self) -> tuple[int, ...]:
-        """Catalog positions of every record's dependencies, record after
-        record, each record's in ``deps`` order."""
+        """Catalog positions of every module's dependencies, module after
+        module, each module's in ``deps`` order."""
         return _resolve(self.names, [r.deps for r in self.records], self.index_of)
 
     @cached_property
     def dep_offsets(self) -> tuple[int, ...]:
-        """Where each record's run in ``dep_targets`` starts, plus one closing
-        entry: record ``i`` depends on
+        """Where each module's run in ``dep_targets`` starts, plus one closing
+        entry: module ``i`` depends on
         ``dep_targets[dep_offsets[i]:dep_offsets[i + 1]]``."""
         return tuple(accumulate((len(r.deps) for r in self.records), initial=0))
 
     @cached_property
     def levels(self) -> tuple[int, ...]:
-        """Dependency depth of each record: 1 without dependencies, else one
+        """Dependency depth of each module: 1 without dependencies, else one
         more than its deepest dependency."""
         return _levels(self.names, self.dep_offsets, self.dep_targets)
 
@@ -268,10 +310,14 @@ def _assemble(names, sizes, deps, hw_tags, base) -> ModuleCatalog:
                 base[dep] = True
                 stack.append(dep)
 
-    catalog = ModuleCatalog(tuple(map(ModuleRecord, names, sizes, deps, hw_tags, base)))
-    # Store the facts this pass computed in place of their cached properties.
+    # The columns this pass computed, stored in place of their cached
+    # properties; the records are left to be built if ever read.
+    catalog = ModuleCatalog.__new__(ModuleCatalog)
     vars(catalog).update(
         names=tuple(names),
+        sizes=tuple(sizes),
+        hw_tags=tuple(hw_tags),
+        base=tuple(base),
         index_of=index_of,
         dep_targets=targets,
         dep_offsets=offsets,

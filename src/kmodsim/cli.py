@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import compress
 from pathlib import Path
 
 from .catalog import parse_catalog
@@ -123,12 +124,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_register(args) -> int:
-    catalog = parse_catalog(Path(args.catalog).read_text())
+    catalog = parse_catalog(_read(args.catalog))
     policy = _resolve_policy_flags(args)
     if args.version == "v1":
         if not args.inventory:
             raise ConfigError("--version v1 requires --inventory")
-        inventory = parse_inventory(Path(args.inventory).read_text())
+        inventory = parse_inventory(_read(args.inventory))
         index = register_v1(catalog, policy, inventory)
     else:
         index = register_v0(catalog, policy)
@@ -137,10 +138,10 @@ def _cmd_register(args) -> int:
 
 
 def _cmd_load(args) -> int:
-    catalog = parse_catalog(Path(args.catalog).read_text())
-    index = read_index(Path(args.index).read_text(), catalog)
+    catalog = parse_catalog(_read(args.catalog))
+    index = read_index(_read(args.index), catalog)
     if args.inventory:
-        inventory = parse_inventory(Path(args.inventory).read_text())
+        inventory = parse_inventory(_read(args.inventory))
     elif args.strategy == "stage1":
         inventory = HardwareInventory(())  # unused: v1 baked the check in
     else:
@@ -166,8 +167,8 @@ def _cmd_load(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    catalog = parse_catalog(Path(args.catalog).read_text())
-    inventory = parse_inventory(Path(args.inventory).read_text())
+    catalog = parse_catalog(_read(args.catalog))
+    inventory = parse_inventory(_read(args.inventory))
     strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
     if not strategies:
         raise ConfigError("no strategies given")
@@ -187,28 +188,40 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    catalog = parse_catalog(Path(args.catalog).read_text())
-    trace = parse_trace(Path(args.trace).read_text())
-    loaded: set[str] = set()
+    catalog = parse_catalog(_read(args.catalog))
+    trace = parse_trace(_read(args.trace))
+    names, base = catalog.names, catalog.base
+    offsets, targets = catalog.dep_offsets, catalog.dep_targets
+    loaded = bytearray(len(catalog))
     for event in trace:
         if event.kind != LOAD:
             continue
-        if event.module not in catalog:
+        pos = catalog.index_of.get(event.module)
+        if pos is None:
             raise MalformedTrace(f"LOAD of {event.module!r}, which is not in the catalog")
-        if event.module in loaded:
+        if loaded[pos]:
             raise MalformedTrace(f"second LOAD of {event.module!r}")
-        rec = catalog.record(event.module)
-        if rec.base_kernel_only:
+        if base[pos]:
             raise MalformedTrace(f"LOAD of {event.module!r}, which is a resident @base module")
-        for dep in rec.deps:
-            if dep not in loaded and not catalog.record(dep).base_kernel_only:
-                raise MalformedTrace(f"LOAD of {event.module!r} before its dependency {dep!r}")
-        loaded.add(event.module)
+        for dep in targets[offsets[pos] : offsets[pos + 1]]:
+            if not (loaded[dep] or base[dep]):
+                raise MalformedTrace(
+                    f"LOAD of {event.module!r} before its dependency {names[dep]!r}"
+                )
+        loaded[pos] = 1
     timing = timing_from_trace(trace)
-    space = space_report(catalog, loaded)
+    space = space_report(catalog, compress(names, loaded))
     render = render_session_csv if args.format == "csv" else render_session_text
     sys.stdout.write(render(timing, space))
     return 0
+
+
+def _read(path: str) -> str:
+    """An input file's text, decoded as UTF-8; undecodable bytes are an io error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from None
 
 
 def _resolve_policy_flags(args) -> SelectionPolicy:
@@ -225,7 +238,7 @@ def _resolve_policy_flags(args) -> SelectionPolicy:
     if args.policy.startswith("file:"):
         path = args.policy[len("file:"):]
         names = []
-        for line in Path(path).read_text().splitlines():
+        for line in _read(path).splitlines():
             stripped = line.strip()
             if stripped and not stripped.startswith("#"):
                 names.append(stripped)

@@ -73,6 +73,12 @@ class LoadSetMismatch(KmodsimError):
     code = "load-set-mismatch"
 
 
+class AttachFailed(KmodsimError):
+    """A worker waited for a module whose attach failed in another worker."""
+
+    code = "attach-failed"
+
+
 class LoadTimeout(KmodsimError):
     """A worker waited too long for another worker to finish a module."""
 

@@ -55,6 +55,14 @@ class HardwareInventory:
                 postings.setdefault(run, []).append(pos)
         return postings
 
+    def supports(self, tags: tuple[str, ...]) -> bool:
+        """True when the inventory satisfies a module's device ``tags``.
+
+        An untagged module matches unconditionally; adding devices can
+        therefore never turn a supported module into an unsupported one.
+        """
+        return not tags or any(self._matches(tag.casefold()) for tag in tags)
+
     def _matches(self, tag: str) -> bool:
         """True when ``_contains_word`` holds for some device and casefolded ``tag``."""
         if not (tag and _is_word_char(tag[0]) and _is_word_char(tag[-1])):
@@ -87,14 +95,8 @@ def parse_inventory(text: str) -> HardwareInventory:
 
 
 def check_hardware_support(module: ModuleRecord, inventory: HardwareInventory) -> bool:
-    """True when the inventory satisfies the module's device tags.
-
-    An untagged module matches unconditionally; adding devices can therefore
-    never turn a supported module into an unsupported one.
-    """
-    if not module.hw_tags:
-        return True
-    return any(inventory._matches(tag.casefold()) for tag in module.hw_tags)
+    """True when the inventory satisfies the module's device tags (``supports``)."""
+    return inventory.supports(module.hw_tags)
 
 
 def _contains_word(haystack: str, needle: str) -> bool:

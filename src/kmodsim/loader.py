@@ -12,14 +12,16 @@ thread, one full scan per worker under one shared lock, or one partition per
 loading worker.
 
 All strategies share a per-session ``LoadState``: one state byte per position
-(free, claimed, done, resident) under one ``threading.Condition`` for the
-whole session, however large the catalog. The free->claimed step is a
+(free, claimed, failed, done, resident) under one ``threading.Condition`` for
+the whole session, however large the catalog. The free->claimed step is a
 test-and-set under that condition; the pre-claim check is a plain read of the
 byte. A worker that passes the read check but loses the claim records a
 ``DUP_ATTEMPT`` event and then waits on the condition until the winner
 finishes, so a dependent module can never start attaching before its
 dependencies have completed. Duplicates therefore surface only as DUP_ATTEMPT
-events, never as a second LOAD.
+events, never as a second LOAD. A winner whose attach raises marks the
+position failed, which wakes its waiters at once with ``AttachFailed``; the
+session then raises the attach's own error.
 
 Each worker is a generator. Its only scheduling points are the three
 shared-state steps in ``_load_one``: it yields before the claim, while a
@@ -51,12 +53,12 @@ import math
 import threading
 import time
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .catalog import ModuleCatalog, ModuleRecord
-from .errors import ConfigError, IndexMismatch, LoadTimeout, MalformedTrace
-from .hardware import HardwareInventory, check_hardware_support
+from .catalog import ModuleCatalog
+from .errors import AttachFailed, ConfigError, IndexMismatch, LoadTimeout, MalformedTrace
+from .hardware import HardwareInventory
 from .registry import IndexFile
 
 LOAD = "LOAD"
@@ -127,16 +129,17 @@ def plan_partitions(n_modules: int, workers: int) -> PartitionPlan:
     return PartitionPlan(step=step, ranges=ranges)
 
 
-def simulate_load(module: ModuleRecord, config: StrategyConfig) -> float:
-    """Sleep for the module's nominal attach latency and return it (µs)."""
-    cost_us = config.load_base_us + module.size_kb * config.load_per_kb_us
+def simulate_load(size_kb: int, config: StrategyConfig) -> float:
+    """Sleep for the nominal attach latency of a ``size_kb`` module and return it (µs)."""
+    cost_us = config.load_base_us + size_kb * config.load_per_kb_us
     if cost_us > 0:
         time.sleep(cost_us / 1_000_000)
     return cost_us
 
 
 # Complete is _DONE or above: attached this session, or resident from the start.
-_FREE, _CLAIMED, _DONE, _RESIDENT = 0, 1, 2, 3
+# Settled, which ends a wait, is _FAILED or above.
+_FREE, _CLAIMED, _FAILED, _DONE, _RESIDENT = 0, 1, 2, 3, 4
 
 
 class LoadState:
@@ -145,14 +148,14 @@ class LoadState:
 
     Methods take positions; ``loaded`` returns names. ``is_complete`` is a
     plain read; ``try_claim`` is the only transition that can fail.
-    Base-kernel modules start resident, so they can never be claimed.
+    Base-kernel modules start resident, so they can never be claimed. A
+    claimed position ends done (``mark_complete``) or failed
+    (``mark_failed``); either wakes its waiters.
     """
 
     def __init__(self, catalog: ModuleCatalog):
         self._names = catalog.names
-        self._states = bytearray(
-            _RESIDENT if rec.base_kernel_only else _FREE for rec in catalog.records
-        )
+        self._states = bytearray(_RESIDENT if base else _FREE for base in catalog.base)
         self._cond = threading.Condition()
 
     def is_complete(self, position: int) -> bool:
@@ -170,14 +173,23 @@ class LoadState:
             self._states[position] = _DONE
             self._cond.notify_all()
 
+    def mark_failed(self, position: int) -> None:
+        with self._cond:
+            self._states[position] = _FAILED
+            self._cond.notify_all()
+
     def wait_complete(self, position: int) -> None:
+        """Return once ``position`` is complete; raise ``AttachFailed`` if its
+        attach failed, ``LoadTimeout`` if it is still claimed after the timeout."""
         with self._cond:
             if not self._cond.wait_for(
-                lambda: self._states[position] >= _DONE, _COMPLETION_TIMEOUT_S
+                lambda: self._states[position] >= _FAILED, _COMPLETION_TIMEOUT_S
             ):
                 raise LoadTimeout(
                     f"timed out waiting for module {self._names[position]!r} to finish loading"
                 )
+            if self._states[position] == _FAILED:
+                raise AttachFailed(f"module {self._names[position]!r} failed to attach")
 
     def loaded(self) -> frozenset[str]:
         """Names attached dynamically this session (resident modules excluded)."""
@@ -207,7 +219,7 @@ class LoadSession:
         if not all(0 <= cost < math.inf for cost in (config.load_base_us, config.load_per_kb_us)):
             raise ConfigError("load costs must be finite and non-negative")
         largest_kb = max(
-            (rec.size_kb for rec in catalog.records if not rec.base_kernel_only), default=0
+            (size for size, base in zip(catalog.sizes, catalog.base) if not base), default=0
         )
         worst_us = config.load_base_us + largest_kb * config.load_per_kb_us
         if worst_us > _COMPLETION_TIMEOUT_S * 1_000_000:
@@ -240,10 +252,12 @@ class LoadSession:
                 _exhaust(job)
         else:
             with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-                # In completion order, so a failing attach is reported before
-                # the timeouts of the workers that were waiting on it.
-                for future in as_completed([pool.submit(_exhaust, job) for job in jobs]):
-                    future.result()
+                futures = [pool.submit(_exhaust, job) for job in jobs]
+            # Every worker has ended. A worker that waited on a failed attach
+            # raised AttachFailed; report the attach's own error instead.
+            errors = [e for e in (f.exception() for f in futures) if e is not None]
+            if errors:
+                raise next((e for e in errors if not isinstance(e, AttachFailed)), errors[0])
         return self.state, list(self._events)
 
     def _jobs(self) -> list[Iterator[int | None]]:
@@ -261,10 +275,10 @@ class LoadSession:
 
     def _sweep(self) -> Iterator[int | None]:
         """stage1: depth-major, then catalog position; depth 0 (not selected) is empty."""
-        records = self._catalog.records
+        base = self._catalog.base
         buckets: list[list[int]] = [[] for _ in range(max(self._values, default=0) + 1)]
         for pos, value in enumerate(self._values):
-            if value and not records[pos].base_kernel_only:
+            if value and not base[pos]:
                 buckets[value].append(pos)
         for bucket in buckets:
             for pos in bucket:
@@ -273,15 +287,14 @@ class LoadSession:
     def _scan(
         self, worker: int, start: int, end: int, lock: threading.Lock | None = None
     ) -> Iterator[int | None]:
-        records = self._catalog.records
+        base, hw_tags = self._catalog.base, self._catalog.hw_tags
         for pos in range(start, end):
-            rec = records[pos]
-            if rec.base_kernel_only:
+            if base[pos]:
                 continue  # resident; not a dynamic-load candidate
             if not self._values[pos]:
                 self._emit(worker, SKIP_FLAG, pos)
                 continue
-            if not check_hardware_support(rec, self._inventory):
+            if not self._inventory.supports(hw_tags[pos]):
                 self._emit(worker, SKIP_HW, pos)
                 continue
             if self.state.is_complete(pos):
@@ -311,9 +324,13 @@ class LoadSession:
     def _load_one(self, pos: int, worker: int) -> Iterator[int | None]:
         yield  # about to claim
         if self.state.try_claim(pos):
-            yield  # claimed: the load is in flight, its LOAD not yet emitted
-            simulate_load(self._catalog.records[pos], self._config)
-            self._emit(worker, LOAD, pos)
+            try:
+                yield  # claimed: the load is in flight, its LOAD not yet emitted
+                simulate_load(self._catalog.sizes[pos], self._config)
+                self._emit(worker, LOAD, pos)
+            except BaseException:
+                self.state.mark_failed(pos)  # wakes the workers waiting on it
+                raise
             self.state.mark_complete(pos)
         else:
             self._emit(worker, DUP_ATTEMPT, pos)

@@ -126,12 +126,12 @@ def space_report(catalog: ModuleCatalog, loaded_names: Iterable[str]) -> SpaceRe
     """
     loaded_names = frozenset(loaded_names)
     total = loaded = base_only = 0
-    for rec in catalog.records:
-        total += rec.size_kb
-        if rec.base_kernel_only:
-            base_only += rec.size_kb
-        elif rec.name in loaded_names:
-            loaded += rec.size_kb
+    for name, size, base in zip(catalog.names, catalog.sizes, catalog.base):
+        total += size
+        if base:
+            base_only += size
+        elif name in loaded_names:
+            loaded += size
     return SpaceReport(
         total_kb=total,
         loaded_kb=loaded,

@@ -33,7 +33,7 @@ from .errors import (
     ValueOutOfRange,
     VersionMismatch,
 )
-from .hardware import HardwareInventory, check_hardware_support
+from .hardware import HardwareInventory
 
 INDEX_HEADERS = {"v0": "MODINDEX v0", "v1": "MODINDEX v1"}
 MAX_DEPTH_VALUE = 255
@@ -94,16 +94,14 @@ def resolve_selection(catalog: ModuleCatalog, policy: SelectionPolicy) -> frozen
     if policy.kind == INTERACTIVE:
         if policy.ask is None:
             raise ConfigError("interactive policy needs an ask callback")
-        return frozenset(r.name for r in catalog.records if policy.ask(r.name))
+        return frozenset(name for name in catalog.names if policy.ask(name))
     raise ConfigError(f"unknown selection policy {policy.kind!r}")
 
 
 def register_v0(catalog: ModuleCatalog, policy: SelectionPolicy) -> IndexFile:
     """Record the raw selection as one flag bit per catalog position."""
     selected = resolve_selection(catalog, policy)
-    entries = tuple(
-        (rec.name, 1 if rec.name in selected else 0) for rec in catalog.records
-    )
+    entries = tuple((name, 1 if name in selected else 0) for name in catalog.names)
     return IndexFile("v0", entries)
 
 
@@ -123,12 +121,9 @@ def register_v1(
     offsets, targets = catalog.dep_offsets, catalog.dep_targets
     reached = bytearray(len(catalog))
     queue = []
-    for position, rec in enumerate(catalog.records):
-        if (
-            rec.name in selected
-            and not rec.base_kernel_only
-            and check_hardware_support(rec, inventory)
-        ):
+    roots = zip(catalog.names, catalog.base, catalog.hw_tags)
+    for position, (name, base, tags) in enumerate(roots):
+        if name in selected and not base and inventory.supports(tags):
             reached[position] = 1
             queue.append(position)
     while queue:
@@ -173,14 +168,14 @@ def read_index(text: str, catalog: ModuleCatalog) -> IndexFile:
 
     limit = 1 if version == "v0" else MAX_DEPTH_VALUE
     entries = []
-    for pos, line in enumerate(body):
+    for pos, (line, expected) in enumerate(zip(body, catalog.names)):
         parts = line.split()
         if len(parts) != 2:
             raise PositionMismatch(f"entry {pos}: expected 'name value', got {line!r}")
         name, raw = parts
-        if name != catalog.records[pos].name:
+        if name != expected:
             raise PositionMismatch(
-                f"entry {pos}: expected module {catalog.records[pos].name!r}, got {name!r}"
+                f"entry {pos}: expected module {expected!r}, got {name!r}"
             )
         try:
             value = int(raw)

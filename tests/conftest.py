@@ -15,7 +15,7 @@ import pytest
 from hypothesis import strategies as st
 
 from kmodsim import metrics
-from kmodsim.catalog import ModuleCatalog, parse_catalog
+from kmodsim.catalog import ModuleCatalog, ModuleRecord, parse_catalog
 from kmodsim.hardware import parse_inventory
 from kmodsim.loader import LOAD
 
@@ -145,6 +145,20 @@ class CountingRuns(tuple):
     def __getitem__(self, key):
         self.reads += 1
         return tuple.__getitem__(self, key)
+
+
+@pytest.fixture
+def record_count(monkeypatch):
+    """Counts ``ModuleRecord`` constructions (``.n``) while the test runs."""
+    counter = SimpleNamespace(n=0)
+    real_init = ModuleRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counter.n += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModuleRecord, "__init__", counting_init)
+    return counter
 
 
 # -- random catalog generation (test-side, seeded) ----------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kmodsim import catalog as catalog_module
@@ -267,6 +267,12 @@ def catalog_variants(draw) -> tuple[str, bool]:
     return text, canonical
 
 
+# The position-indexed columns every catalog exposes.
+COLUMNS = (
+    "names", "sizes", "hw_tags", "base", "index_of", "dep_offsets", "dep_targets", "levels",
+)
+
+
 def outcome(parse, text):
     try:
         catalog = parse(text)
@@ -294,6 +300,32 @@ class TestOnePassParse:
         assert outcome(parse_catalog, text) == outcome(lambda t: _assemble(*_scan_lines(t)), text)
         if canonical:
             assert _scan_canonical(text) is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=catalog_variants())
+    def test_columns_equal_those_of_a_catalog_built_from_the_records(self, case):
+        text, _ = case
+        try:
+            parsed = parse_catalog(text)
+        except KmodsimError:
+            assume(False)
+        assert parsed.records == _assemble(*_scan_lines(text)).records
+        direct = ModuleCatalog(parsed.records)
+        for column in COLUMNS:
+            assert getattr(direct, column) == getattr(parsed, column), column
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["canonical", "per-line"])
+    def test_parsing_builds_no_module_record(self, line_end, record_count):
+        catalog_text, _ = generate_fixture(5000, 16, 1, 1.0)
+        text = catalog_text.replace("\n", line_end)
+        assert (_scan_canonical(text) is None) == (line_end != "\n")
+        catalog = parse_catalog(text)
+        assert len(catalog) == 5000 and catalog.levels
+        assert record_count.n == 0
+        # Built from the columns on first access, and only then.
+        assert catalog.record(catalog.names[-1]) is catalog.records[-1]
+        assert record_count.n == 5000
+        assert len(catalog.records) == 5000 and record_count.n == 5000
 
     @pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
     @pytest.mark.parametrize("line", ["# note", "a|1||dev", "a|1|b|"])

@@ -6,10 +6,12 @@ import io
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from kmodsim.cli import main
+from kmodsim.fixtures import generate_fixture
 
 
 @pytest.fixture
@@ -237,6 +239,16 @@ class TestLoad:
         assert capsys.readouterr().err.startswith("error: config: ")
 
 
+# Trace -> the message ``report`` rejects it with, on the catalog
+# fs, app -> fs + core, core @base.
+IMPOSSIBLE_TRACES = {
+    "0 0 LOAD ghost\n0 0 LOAD ghost\n": "LOAD of 'ghost', which is not in the catalog",
+    "0 0 LOAD fs\n0 1 LOAD fs\n": "second LOAD of 'fs'",
+    "0 0 LOAD core\n": "LOAD of 'core', which is a resident @base module",
+    "0 0 LOAD app\n0 0 LOAD fs\n": "LOAD of 'app' before its dependency 'fs'",
+}
+
+
 class TestBenchAndReport:
     def test_bench_csv_has_one_row_per_strategy(self, workdir, capsys):
         run_gen(workdir, modules=200, depth=4, seed=3, coverage=0.8)
@@ -293,15 +305,7 @@ class TestBenchAndReport:
         assert data["loads"] == "0"
         assert data["saved_kb"] == data["total_kb"]  # gen makes no @base modules
 
-    @pytest.mark.parametrize(
-        "trace",
-        [
-            "0 0 LOAD ghost\n0 0 LOAD ghost\n",  # not in the catalog
-            "0 0 LOAD fs\n0 1 LOAD fs\n",  # loaded twice
-            "0 0 LOAD core\n",  # resident @base module
-            "0 0 LOAD app\n0 0 LOAD fs\n",  # before its dependency
-        ],
-    )
+    @pytest.mark.parametrize("trace", list(IMPOSSIBLE_TRACES))
     def test_report_rejects_an_impossible_trace(self, workdir, capsys, trace):
         (workdir / "catalog.txt").write_text("MODCAT v1\nfs|4||\napp|1|fs,core|\ncore|2||@base\n")
         (workdir / "trace.txt").write_text(trace)
@@ -312,7 +316,84 @@ class TestBenchAndReport:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: malformed-trace: ")
+        assert captured.err == f"error: malformed-trace: {IMPOSSIBLE_TRACES[trace]}\n"
         assert captured.out == ""
+
+
+def test_commands_build_no_module_record(tmp_path, record_count):
+    catalog_text, inventory_text = generate_fixture(5000, 16, 1, 1.0)
+    cat, inv = tmp_path / "catalog.txt", tmp_path / "inventory.txt"
+    cat.write_text(catalog_text)
+    inv.write_text(inventory_text)
+    commands = [
+        ["register", "--catalog", str(cat), "--version", version, "--inventory", str(inv),
+         "--index", str(tmp_path / f"index_{version}.txt"), "--policy", "all-load"]
+        for version in ("v0", "v1")
+    ]
+    for strategy, workers in (("stage0", 1), ("stage1", 1), ("stage2", 2), ("stage3", 3)):
+        index = tmp_path / ("index_v1.txt" if strategy == "stage1" else "index_v0.txt")
+        trace = tmp_path / f"trace_{strategy}.txt"
+        commands.append([
+            "load", "--catalog", str(cat), "--index", str(index), "--inventory", str(inv),
+            "--strategy", strategy, "--workers", str(workers), "--trace", str(trace),
+        ])
+        commands.append(["report", "--trace", str(trace), "--catalog", str(cat)])
+    commands.append([
+        "bench", "--catalog", str(cat), "--inventory", str(inv), "--policy", "all-load",
+        "--reps", "1",
+    ])
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert record_count.n == 0, argv[:1] + argv[-6:]
+
+
+@pytest.mark.parametrize("kind", ["catalog", "inventory", "index", "trace", "policy"])
+def test_non_utf8_input_is_one_io_error_line(workdir, capsys, kind):
+    run_gen(workdir)
+    assert run_register(workdir, "v0") == 0
+    cat, inv, index, trace = (
+        str(workdir / name) for name in ("catalog.txt", "inventory.txt", "index.txt", "trace.txt")
+    )
+    assert main([
+        "load", "--catalog", cat, "--index", index, "--inventory", inv,
+        "--strategy", "stage0", "--trace", trace,
+    ]) == 0
+    good = {"catalog": cat, "inventory": inv, "index": index, "trace": trace}
+    bad = workdir / "bad.txt"
+    if kind == "policy":
+        bad.write_bytes(b"# picks\n\xff\n")
+    else:
+        bad.write_bytes(Path(good[kind]).read_bytes() + b"\xff\n")
+    paths = dict(good, **{kind: str(bad)})
+    argv = {
+        "catalog": ["register", "--catalog", paths["catalog"], "--version", "v0",
+                    "--index", str(workdir / "out.txt"), "--policy", "all-load"],
+        "inventory": ["register", "--catalog", cat, "--version", "v1",
+                      "--inventory", paths["inventory"], "--index", str(workdir / "out.txt"),
+                      "--policy", "all-load"],
+        "index": ["load", "--catalog", cat, "--index", paths["index"], "--inventory", inv,
+                  "--strategy", "stage0"],
+        "trace": ["report", "--trace", paths["trace"], "--catalog", cat],
+        "policy": ["register", "--catalog", cat, "--version", "v0",
+                   "--index", str(workdir / "out.txt"), "--policy", f"file:{bad}"],
+    }[kind]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: io: {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_non_utf8_catalog_prints_no_traceback(tmp_path):
+    catalog = tmp_path / "c.txt"
+    catalog.write_bytes(b"MODCAT v1\na|1||\xff\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kmodsim", "register", "--catalog", str(catalog),
+         "--version", "v0", "--index", str(tmp_path / "i.txt"), "--policy", "all-load"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: io: {catalog}: ") and "Traceback" not in proc.stderr
 
 
 def test_module_entry_point_runs():

@@ -17,7 +17,7 @@ import pytest
 
 from kmodsim.catalog import ModuleCatalog, ModuleRecord, parse_catalog
 from kmodsim import loader
-from kmodsim.errors import ConfigError, IndexMismatch, LoadTimeout
+from kmodsim.errors import AttachFailed, ConfigError, IndexMismatch, LoadTimeout
 from kmodsim.fixtures import generate_fixture
 from kmodsim.hardware import HardwareInventory, parse_inventory
 from kmodsim.loader import (
@@ -114,7 +114,7 @@ def simulate(rec, base, per_kb):
     from kmodsim.loader import simulate_load
 
     return simulate_load(
-        rec, StrategyConfig("stage0", load_base_us=base, load_per_kb_us=per_kb)
+        rec.size_kb, StrategyConfig("stage0", load_base_us=base, load_per_kb_us=per_kb)
     )
 
 
@@ -137,6 +137,35 @@ class TestLoadState:
         for waiter in waiters:
             waiter.join(timeout=max(0.0, deadline - time.monotonic()))
         assert not any(waiter.is_alive() for waiter in waiters)
+
+    def test_a_failed_claim_wakes_every_waiter_with_its_own_code(self):
+        catalog = make_catalog("a|1||")
+        a = catalog.index_of["a"]
+        state = LoadState(catalog)
+        assert state.try_claim(a)
+        errors = []
+
+        def wait():
+            try:
+                state.wait_complete(a)
+            except AttachFailed as exc:
+                errors.append(exc)
+
+        waiters = [threading.Thread(target=wait, daemon=True) for _ in range(4)]
+        for waiter in waiters:
+            waiter.start()
+        time.sleep(0.05)  # let the waiters block on the condition
+        assert all(waiter.is_alive() for waiter in waiters)
+        state.mark_failed(a)
+        deadline = time.monotonic() + 1.0
+        for waiter in waiters:
+            waiter.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not any(waiter.is_alive() for waiter in waiters)
+        assert len(errors) == 4
+        assert all(e.code == "attach-failed" and "module 'a'" in str(e) for e in errors)
+        # Failed is neither complete nor claimable again, and nothing loaded.
+        assert not state.is_complete(a) and not state.try_claim(a)
+        assert state.loaded() == frozenset()
 
     def test_waiting_on_an_unfinished_claim_times_out_with_a_code(self, monkeypatch):
         monkeypatch.setattr(loader, "_COMPLETION_TIMEOUT_S", 0.05)
@@ -440,8 +469,9 @@ def test_many_sessions_run_concurrently_without_interference():
     assert all(r == {"a", "b", "c"} for r in results)
 
 
-# Attaching ``a`` raises; b, c and d depend on it. Prints the exception's type
-# and how long the session took to end.
+# Attaching ``a``, the only 7 kB module, raises; b, c and d depend on it.
+# Runs at the shipped completion timeout and prints the exception's type, how
+# long the session took to end, and that timeout.
 FAILING_ATTACH = """
 import sys, time
 from kmodsim import loader
@@ -449,42 +479,44 @@ from kmodsim.catalog import parse_catalog
 from kmodsim.hardware import HardwareInventory
 from kmodsim.registry import SelectionPolicy, register_v0
 
-loader._COMPLETION_TIMEOUT_S = 0.3
 real_load = loader.simulate_load
 
-def failing_load(module, config):
-    if module.name == "a":
+def failing_load(size_kb, config):
+    if size_kb == 7:
         raise OSError("attach failed")
-    return real_load(module, config)
+    return real_load(size_kb, config)
 
 loader.simulate_load = failing_load
-catalog = parse_catalog("MODCAT v1\\na|1||\\nb|1|a|\\nc|1|a|\\nd|1|a|\\n")
+catalog = parse_catalog("MODCAT v1\\na|7||\\nb|1|a|\\nc|1|a|\\nd|1|a|\\n")
 index = register_v0(catalog, SelectionPolicy.all_load())
-config = loader.StrategyConfig(sys.argv[1], workers=3)
+config = loader.StrategyConfig(sys.argv[1], workers=int(sys.argv[2]))
 t0 = time.monotonic()
 try:
     loader.run_strategy(catalog, index, HardwareInventory(()), config)
 except Exception as exc:
-    print(type(exc).__name__, time.monotonic() - t0)
+    print(type(exc).__name__, time.monotonic() - t0, loader._COMPLETION_TIMEOUT_S)
 """
 
 
 @pytest.mark.parametrize("strategy", ["stage2", "stage3"])
 def test_a_failing_attach_ends_the_session_with_its_error(strategy):
     # A child process with a hard timeout, so that a deadlock fails the test
-    # instead of hanging it (the pool's threads are joined at exit). Workers
-    # that lost the claim on ``a`` wait one timeout each at most; stage2's
-    # wait one after another, since the lock is held while waiting.
+    # instead of hanging it (the pool's threads are joined at exit). The
+    # failed attach wakes the workers that lost the claim on ``a`` at once,
+    # so no worker waits out the 120 s completion timeout, stage2's included,
+    # which wait while holding the lock.
     src = str(Path(loader.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", FAILING_ATTACH, strategy],
-        capture_output=True, text=True, timeout=30, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    kind, elapsed_s = proc.stdout.split()
-    assert kind == "OSError"
-    assert float(elapsed_s) < (3 - 1) * 0.3 + 1
+    for workers in (3, 8):
+        proc = subprocess.run(
+            [sys.executable, "-c", FAILING_ATTACH, strategy, str(workers)],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        kind, elapsed_s, timeout_s = proc.stdout.split()
+        assert kind == "OSError"
+        assert float(timeout_s) == 120
+        assert float(elapsed_s) < 1, (workers, elapsed_s)
 
 
 def test_stage2_and_stage3_overlap_sleeps_stage0_does_not():
