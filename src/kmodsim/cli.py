@@ -152,9 +152,9 @@ def _cmd_load(args) -> int:
         load_base_us=args.load_base_us,
         load_per_kb_us=args.load_per_kb_us,
     )
-    events = []
+    events = []  # filled as the session runs, so a failed one keeps its trace
     try:
-        state, events = run_strategy(catalog, index, inventory, config)
+        state, events = run_strategy(catalog, index, inventory, config, events)
     finally:
         if args.trace:
             Path(args.trace).write_text(format_trace(events))

@@ -37,8 +37,19 @@ every interleaving.
 Base-kernel modules are resident: complete from the start, so they are never
 attached, produce no events, and satisfy any dependency on them immediately.
 
+Attaches run on a paced clock. ``simulate_load`` only prices an attach (its
+nominal cost in µs); the worker then sleeps it out in ``_pace``. A sleep
+always wakes late, so each worker keeps a lag slot on the session: how far
+its sleeps have overrun their nominal costs so far. An attach that starts at
+``now`` sleeps until ``due = now - lag + cost``, or not at all if ``due`` has
+passed, and stores ``lag = wake - due``. A worker's attaches therefore take
+their nominal total plus at most one overshoot, and never less: each deadline
+is at least the previous one plus its own cost. No attach sleeps longer than
+its own cost. Every session starts at lag 0, and instant mode (both costs
+zero) never reads the clock.
+
 Event timestamps are monotonic microseconds since session start. In instant
-mode (both costs zero) every timestamp is 0, so that single-threaded runs are
+mode every timestamp is 0, so that single-threaded runs are
 byte-reproducible. LOAD events are stamped and appended at *completion*, and
 a module's completion flag is raised only after its event is in the trace, so
 trace order respects dependency completion under every schedule.
@@ -130,11 +141,18 @@ def plan_partitions(n_modules: int, workers: int) -> PartitionPlan:
 
 
 def simulate_load(size_kb: int, config: StrategyConfig) -> float:
-    """Sleep for the nominal attach latency of a ``size_kb`` module and return it (µs)."""
-    cost_us = config.load_base_us + size_kb * config.load_per_kb_us
-    if cost_us > 0:
-        time.sleep(cost_us / 1_000_000)
-    return cost_us
+    """Return the nominal attach latency (µs) of a ``size_kb`` module.
+
+    It does not sleep: the attaching worker sleeps the cost out on its paced
+    clock (``LoadSession._pace``).
+    """
+    return config.load_base_us + size_kb * config.load_per_kb_us
+
+
+# The session clock and the attach sleep, read at call time so that a virtual
+# clock can stand in for both.
+_clock_ns = time.monotonic_ns
+_sleep = time.sleep
 
 
 # Complete is _DONE or above: attached this session, or resident from the start.
@@ -208,6 +226,7 @@ class LoadSession:
         index: IndexFile,
         inventory: HardwareInventory,
         config: StrategyConfig,
+        events: list[LoadEvent] | None = None,
     ):
         strategy = config.strategy
         if strategy not in STRATEGIES:
@@ -240,9 +259,11 @@ class LoadSession:
         self._values = [value for _, value in index.entries]
         self._inventory = inventory
         self._config = config
-        self._t0 = None if config.instant else time.monotonic_ns()
+        self._t0 = None if config.instant else _clock_ns()
+        # Per worker: how far its attach sleeps have overrun their costs (ns).
+        self._lag_ns = [0] * config.workers
         self.state = LoadState(catalog)
-        self._events: list[LoadEvent] = []
+        self._events = [] if events is None else events
         self._events_lock = threading.Lock()
 
     def run(self) -> tuple[LoadState, list[LoadEvent]]:
@@ -326,7 +347,9 @@ class LoadSession:
         if self.state.try_claim(pos):
             try:
                 yield  # claimed: the load is in flight, its LOAD not yet emitted
-                simulate_load(self._catalog.sizes[pos], self._config)
+                cost_us = simulate_load(self._catalog.sizes[pos], self._config)
+                if cost_us:
+                    self._pace(worker, cost_us)
                 self._emit(worker, LOAD, pos)
             except BaseException:
                 self.state.mark_failed(pos)  # wakes the workers waiting on it
@@ -337,8 +360,18 @@ class LoadSession:
             yield pos  # about to wait for the claim winner
             self.state.wait_complete(pos)
 
+    def _pace(self, worker: int, cost_us: float) -> None:
+        """Sleep out one attach of ``cost_us``, less ``worker``'s carried lag."""
+        now = _clock_ns()
+        due = now - self._lag_ns[worker] + round(cost_us * 1000)
+        if due > now:
+            _sleep((due - now) / 1e9)
+            now = _clock_ns()
+        # Never negative, so no later attach sleeps longer than its own cost.
+        self._lag_ns[worker] = max(now - due, 0)
+
     def _emit(self, worker: int, kind: str, pos: int) -> None:
-        stamp = 0 if self._t0 is None else (time.monotonic_ns() - self._t0) // 1000
+        stamp = 0 if self._t0 is None else (_clock_ns() - self._t0) // 1000
         event = LoadEvent(stamp, worker, kind, self._catalog.names[pos])
         with self._events_lock:
             self._events.append(event)
@@ -349,9 +382,14 @@ def run_strategy(
     index: IndexFile,
     inventory: HardwareInventory,
     config: StrategyConfig,
+    events: list[LoadEvent] | None = None,
 ) -> tuple[LoadState, list[LoadEvent]]:
-    """Run the strategy that ``config.strategy`` names and return its state and trace."""
-    return LoadSession(catalog, index, inventory, config).run()
+    """Run the strategy that ``config.strategy`` names and return its state and trace.
+
+    The session appends each event to ``events``, when given, as it records
+    it; so the caller keeps what a session recorded before it raised.
+    """
+    return LoadSession(catalog, index, inventory, config, events).run()
 
 
 def _exhaust(job: Iterator[int | None]) -> None:

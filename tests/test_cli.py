@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from kmodsim import loader
 from kmodsim.cli import main
 from kmodsim.fixtures import generate_fixture
+from kmodsim.loader import parse_trace
 
 
 @pytest.fixture
@@ -203,6 +205,32 @@ class TestLoad:
         assert rc == 1
         assert "error: index-mismatch: " in capsys.readouterr().err
         assert (workdir / "trace.txt").read_text() == ""
+
+    def test_a_failed_load_keeps_the_events_recorded_before_it(self, workdir, capsys,
+                                                                monkeypatch):
+        # stage0 attaches a and b; then z, the only 7 kB module, fails.
+        (workdir / "catalog.txt").write_text("MODCAT v1\na|1||\nb|1||\nz|7||\n")
+        (workdir / "inventory.txt").write_text("HWINV v1\n")
+        assert run_register(workdir) == 0
+        real_load = loader.simulate_load
+
+        def failing_load(size_kb, config):
+            if size_kb == 7:
+                raise OSError("attach failed")
+            return real_load(size_kb, config)
+
+        monkeypatch.setattr(loader, "simulate_load", failing_load)
+        rc = main([
+            "load", "--catalog", str(workdir / "catalog.txt"),
+            "--index", str(workdir / "index.txt"),
+            "--inventory", str(workdir / "inventory.txt"),
+            "--strategy", "stage0", "--trace", str(workdir / "trace.txt"),
+        ])
+        assert rc == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: "), err_lines
+        trace = parse_trace((workdir / "trace.txt").read_text())
+        assert [(e.kind, e.module) for e in trace] == [("LOAD", "a"), ("LOAD", "b")]
 
     def test_stage1_needs_no_inventory(self, workdir):
         run_gen(workdir)

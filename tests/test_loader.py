@@ -535,6 +535,153 @@ def test_stage2_and_stage3_overlap_sleeps_stage0_does_not():
     assert parallel < serial
 
 
+class OverrunClock:
+    """A virtual clock for the loader whose every sleep wakes 100 µs late.
+
+    Reading it does not advance it. Each sleep asked for is recorded in ns,
+    against ``worker``, which a test that steps the jobs itself sets first.
+    """
+
+    OVERRUN_NS = 100_000
+
+    def __init__(self):
+        self.now_ns = 0
+        self.reads = 0
+        self.worker = 0
+        self.sleeps: list[tuple[int, int]] = []
+        self._lock = threading.Lock()
+
+    def clock_ns(self) -> int:
+        with self._lock:
+            self.reads += 1
+            return self.now_ns
+
+    def sleep(self, seconds: float) -> None:
+        with self._lock:
+            self.sleeps.append((self.worker, round(seconds * 1e9)))
+            self.now_ns += round(seconds * 1e9) + self.OVERRUN_NS
+
+    def requested_ns(self, worker: int | None = None) -> list[int]:
+        return [ns for w, ns in self.sleeps if worker is None or w == worker]
+
+
+@pytest.fixture
+def overrun_clock(monkeypatch):
+    clock = OverrunClock()
+    monkeypatch.setattr(loader, "_clock_ns", clock.clock_ns)
+    monkeypatch.setattr(loader, "_sleep", clock.sleep)
+    return clock
+
+
+def costs_ns(catalog, trace, config):
+    """Nominal cost of each LOAD in ``trace``, in trace order."""
+    return [
+        round((config.load_base_us + catalog.sizes[catalog.index_of[e.module]]
+               * config.load_per_kb_us) * 1000)
+        for e in trace
+        if e.kind == LOAD
+    ]
+
+
+class TestPacedAttachClock:
+    OVERRUN = OverrunClock.OVERRUN_NS
+
+    def test_stage0_carries_each_overshoot_into_the_next_attach(self, overrun_clock):
+        catalog = make_catalog(*(f"m{i}|{kb}||" for i, kb in enumerate([3, 1, 4, 1, 5, 9, 2, 6])))
+        index = register_v0(catalog, SelectionPolicy.all_load())
+        config = StrategyConfig("stage0", load_base_us=200, load_per_kb_us=10)
+        _, trace = run_strategy(catalog, index, NO_HW, config)
+        costs = costs_ns(catalog, trace, config)
+        assert len(costs) == 8
+        # The first attach sleeps its full cost; each later one is short by
+        # the overshoot of the sleep before it.
+        assert overrun_clock.requested_ns() == [costs[0]] + [c - self.OVERRUN for c in costs[1:]]
+        assert sum(overrun_clock.requested_ns()) == sum(costs) - 7 * self.OVERRUN
+        # So the boot ends one overshoot after its nominal total.
+        assert trace[-1].timestamp_us * 1000 == sum(costs) + self.OVERRUN
+
+    def test_an_attach_past_its_deadline_does_not_sleep(self, overrun_clock):
+        # 300, 50 and 300 µs: the 50 µs attach is due before the 100 µs lag
+        # it inherits has run out, so it sleeps not at all and passes on 50 µs.
+        catalog = make_catalog("a|6||", "b|1||", "c|6||")
+        index = register_v0(catalog, SelectionPolicy.all_load())
+        config = StrategyConfig("stage0", load_per_kb_us=50)
+        _, trace = run_strategy(catalog, index, NO_HW, config)
+        assert overrun_clock.requested_ns() == [300_000, 250_000]
+        assert [e.timestamp_us for e in trace] == [400, 400, 750]
+
+    def test_every_session_starts_at_lag_zero(self, overrun_clock):
+        catalog = make_catalog("a|1||", "b|1||")
+        index = register_v0(catalog, SelectionPolicy.all_load())
+        config = StrategyConfig("stage0", load_base_us=300)
+        run_strategy(catalog, index, NO_HW, config)
+        run_strategy(catalog, index, NO_HW, config)  # same thread, new session
+        assert overrun_clock.requested_ns() == [300_000, 200_000, 300_000, 200_000]
+
+    def test_stage3_workers_never_credit_each_other_with_overshoot(self, overrun_clock):
+        # Twelve independent modules, three loading workers of four each,
+        # stepped in turn one yield at a time on the one virtual clock: every
+        # worker attaches while the others carry a lag.
+        catalog = make_catalog(*(f"m{i:02d}|1||" for i in range(12)))
+        index = register_v0(catalog, SelectionPolicy.all_load())
+        config = StrategyConfig("stage3", workers=4, load_base_us=300)
+        session = loader.LoadSession(catalog, index, NO_HW, config)
+        jobs = dict(enumerate(session._jobs()))
+        while jobs:
+            for worker, job in list(jobs.items()):
+                overrun_clock.worker = worker
+                try:
+                    next(job)
+                except StopIteration:
+                    del jobs[worker]
+        assert len(session.state.loaded()) == 12
+        for worker in range(3):
+            assert overrun_clock.requested_ns(worker) == [300_000] + [200_000] * 3, worker
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_instant_mode_never_reads_the_clock_or_sleeps(self, overrun_clock, strategy):
+        catalog = make_catalog(*SHARED_DEP)
+        if strategy == "stage1":
+            index = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
+        else:
+            index = register_v0(catalog, SelectionPolicy.all_load())
+        config = StrategyConfig(strategy, workers=1 if strategy in ("stage0", "stage1") else 3)
+        state, _ = run_strategy(catalog, index, NO_HW, config)
+        assert state.loaded() == {"a", "b", "c"}
+        assert (overrun_clock.reads, overrun_clock.sleeps) == (0, [])
+
+
+@pytest.mark.parametrize("strategy, workers", [("stage0", 1), ("stage3", 4)])
+def test_no_worker_attaches_faster_than_its_nominal_costs(monkeypatch, strategy, workers):
+    # On the real clock: from its first attach's start to its last LOAD, a
+    # worker takes at least the nominal costs of the modules it attached.
+    # Every module has its own size, so the start stamps taken by the wrapped
+    # simulate_load are told apart by module.
+    catalog = make_catalog(*(f"m{i:02d}|{i}||" for i in range(40)))
+    index = register_v0(catalog, SelectionPolicy.all_load())
+    config = StrategyConfig(strategy, workers=workers, load_base_us=200)
+    started_ns = {}
+    real_load = loader.simulate_load
+
+    def stamped_load(size_kb, config):
+        started_ns[catalog.names[size_kb]] = time.monotonic_ns()
+        return real_load(size_kb, config)
+
+    monkeypatch.setattr(loader, "simulate_load", stamped_load)
+    session = loader.LoadSession(catalog, index, NO_HW, config)
+    _, trace = session.run()
+    loads = [e for e in trace if e.kind == LOAD]
+    assert len(loads) == 40
+    for worker in {e.worker_id for e in loads}:
+        own = [e for e in loads if e.worker_id == worker]
+        first_start_ns = min(started_ns[e.module] for e in own)
+        # A stamp is floored to whole µs, so this is the earliest the last
+        # LOAD can have happened.
+        last_load_ns = session._t0 + own[-1].timestamp_us * 1000
+        nominal_ns = sum(costs_ns(catalog, own, config))
+        assert last_load_ns - first_start_ns >= nominal_ns, worker
+
+
 def test_stage0_reads_each_dependency_entry_at_most_once(monkeypatch):
     # The attach walk stops at complete positions, so each module's run of
     # dependencies is read while it is being loaded and never again.
