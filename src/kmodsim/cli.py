@@ -154,13 +154,14 @@ def _cmd_load(args) -> int:
     )
     events = []  # filled as the session runs, so a failed one keeps its trace
     try:
-        state, events = run_strategy(catalog, index, inventory, config, events)
+        _, events = run_strategy(catalog, index, inventory, config, events)
     finally:
         if args.trace:
             Path(args.trace).write_text(format_trace(events))
     timing = timing_from_trace(events)
+    # Each attached module has exactly one LOAD event.
     print(
-        f"{args.strategy}: loaded={len(state.loaded())} events={len(events)} "
+        f"{args.strategy}: loaded={timing.loads} events={len(events)} "
         f"wall_us={timing.wall_us}"
     )
     return 0

@@ -50,9 +50,16 @@ zero) never reads the clock.
 
 Event timestamps are monotonic microseconds since session start. In instant
 mode every timestamp is 0, so that single-threaded runs are
-byte-reproducible. LOAD events are stamped and appended at *completion*, and
-a module's completion flag is raised only after its event is in the trace, so
-trace order respects dependency completion under every schedule.
+byte-reproducible. Each event is one ``LoadEvent`` named tuple, appended to
+the session's list without a lock: ``list.append`` is atomic, so concurrent
+workers lose no event. LOAD events are stamped and appended at *completion*,
+and a module's completion flag is raised only after its event is in the
+trace, so trace order respects dependency completion under every schedule.
+
+``parse_trace`` scans a trace in canonical shape (what ``format_trace``
+writes) with one regular expression and turns it into events in bulk; any
+other text goes line by line through ``_parse_lines``, which accepts the same
+traces and is the only source of ``MalformedTrace`` messages.
 
 Nothing in this module touches process-global state; any number of sessions
 may run concurrently in one process.
@@ -61,11 +68,14 @@ may run concurrently in one process.
 from __future__ import annotations
 
 import math
+import re
 import threading
 import time
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 from .catalog import ModuleCatalog
 from .errors import AttachFailed, ConfigError, IndexMismatch, LoadTimeout, MalformedTrace
@@ -85,14 +95,19 @@ _COMPLETION_TIMEOUT_S = 120.0
 MAX_WORKERS = 256
 
 
-@dataclass(frozen=True)
-class LoadEvent:
+class LoadEvent(NamedTuple):
     """One observation by one worker; traces are append-only event logs."""
 
     timestamp_us: int
     worker_id: int
     kind: str
     module: str
+
+
+# LoadEvent((stamp, worker, kind, module)) in C: the same tuple that
+# LoadEvent(stamp, worker, kind, module) builds, without its Python-level
+# __new__. Sessions and the trace parser build one per event.
+_new_event = partial(tuple.__new__, LoadEvent)
 
 
 @dataclass(frozen=True)
@@ -264,7 +279,6 @@ class LoadSession:
         self._lag_ns = [0] * config.workers
         self.state = LoadState(catalog)
         self._events = [] if events is None else events
-        self._events_lock = threading.Lock()
 
     def run(self) -> tuple[LoadState, list[LoadEvent]]:
         jobs = self._jobs()
@@ -372,9 +386,7 @@ class LoadSession:
 
     def _emit(self, worker: int, kind: str, pos: int) -> None:
         stamp = 0 if self._t0 is None else (_clock_ns() - self._t0) // 1000
-        event = LoadEvent(stamp, worker, kind, self._catalog.names[pos])
-        with self._events_lock:
-            self._events.append(event)
+        self._events.append(_new_event((stamp, worker, kind, self._catalog.names[pos])))
 
 
 def run_strategy(
@@ -405,6 +417,35 @@ def format_trace(events) -> str:
 
 
 def parse_trace(text: str) -> list[LoadEvent]:
+    """The events of a trace; blank lines are skipped."""
+    events = _parse_canonical(text)
+    return _parse_lines(text) if events is None else events
+
+
+# A trace line in canonical form: a timestamp and a worker id of at most 640
+# ASCII digits each (int() converts that many under any int_max_str_digits
+# setting), a known kind and a module with no whitespace, separated by single
+# spaces; or an empty line. ``\S`` excludes every character str.isspace
+# accepts, which covers every line break str.splitlines honours, so a text of
+# such lines splits the same way on "\n" alone, and _parse_lines would return
+# the same event for each line.
+_CANONICAL_LINE_RE = re.compile(
+    rf"^(?:[0-9]{{1,640}} [0-9]{{1,640}} (?:{'|'.join(sorted(EVENT_KINDS))}) \S+|)$",
+    re.MULTILINE,
+)
+
+
+def _parse_canonical(text: str) -> list[LoadEvent] | None:
+    """The events of a trace in canonical shape, or None to parse it line by line."""
+    if len(_CANONICAL_LINE_RE.findall(text)) != text.count("\n") + 1:
+        return None
+    # Every line matched, so the text splits into four fields per event.
+    fields = text.split()
+    stamps, workers, kinds, modules = (fields[i::4] for i in range(4))
+    return list(map(_new_event, zip(map(int, stamps), map(int, workers), kinds, modules)))
+
+
+def _parse_lines(text: str) -> list[LoadEvent]:
     events = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -413,10 +454,14 @@ def parse_trace(text: str) -> list[LoadEvent]:
         if len(parts) != 4:
             raise MalformedTrace(f"line {lineno}: expected 4 fields, got {len(parts)}")
         ts_raw, worker_raw, kind, module = parts
+        if not all(raw.isascii() and raw.isdigit() for raw in (ts_raw, worker_raw)):
+            raise MalformedTrace(
+                f"line {lineno}: timestamp and worker must be unsigned ASCII integers"
+            )
         try:
             ts, worker = int(ts_raw), int(worker_raw)
-        except ValueError:
-            raise MalformedTrace(f"line {lineno}: non-integer timestamp or worker") from None
+        except ValueError:  # more digits than int_max_str_digits allows
+            raise MalformedTrace(f"line {lineno}: timestamp or worker too long") from None
         if kind not in EVENT_KINDS:
             raise MalformedTrace(f"line {lineno}: unknown event kind {kind!r}")
         events.append(LoadEvent(ts, worker, kind, module))

@@ -5,13 +5,16 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .catalog import ModuleCatalog
-from .errors import ConfigError, LoadSetMismatch
+from .errors import ConfigError, LoadSetMismatch, MalformedTrace
 from .hardware import HardwareInventory
 from .loader import (
     DUP_ATTEMPT,
+    EVENT_KINDS,
     LOAD,
     SKIP_FLAG,
     SKIP_HW,
@@ -94,27 +97,27 @@ def timing_from_trace(trace: Sequence[LoadEvent]) -> SessionTiming:
     """Fold a trace into counts and first/last-LOAD wall time.
 
     Only LOAD events carry timing; reordering or removing other events never
-    changes the result beyond their own counters.
+    changes the result beyond their own counters. An event of any other kind
+    is a ``MalformedTrace``. The fold runs in C-level helpers, with no Python
+    step per event.
     """
-    counts = {LOAD: 0, SKIP_HW: 0, SKIP_FLAG: 0, DUP_ATTEMPT: 0}
-    first = last = 0
-    for event in trace:
-        counts[event.kind] += 1
-        if event.kind == LOAD:
-            ts = event.timestamp_us
-            if counts[LOAD] == 1:
-                first = last = ts
-            else:
-                first = min(first, ts)
-                last = max(last, ts)
+    kinds = list(map(attrgetter("kind"), trace))
+    loads, skips_hw, skips_flag, dup_attempts = map(
+        kinds.count, (LOAD, SKIP_HW, SKIP_FLAG, DUP_ATTEMPT)
+    )
+    if loads + skips_hw + skips_flag + dup_attempts != len(kinds):
+        unknown = next(kind for kind in kinds if kind not in EVENT_KINDS)
+        raise MalformedTrace(f"unknown event kind {unknown!r}")
+    stamps = list(compress(map(attrgetter("timestamp_us"), trace), map(LOAD.__eq__, kinds)))
+    first, last = (min(stamps), max(stamps)) if stamps else (0, 0)
     return SessionTiming(
         first_load_us=first,
         last_load_us=last,
         wall_us=last - first,
-        loads=counts[LOAD],
-        skips_hw=counts[SKIP_HW],
-        skips_flag=counts[SKIP_FLAG],
-        dup_attempts=counts[DUP_ATTEMPT],
+        loads=loads,
+        skips_hw=skips_hw,
+        skips_flag=skips_flag,
+        dup_attempts=dup_attempts,
     )
 
 

@@ -19,6 +19,11 @@ from kmodsim.catalog import ModuleCatalog, ModuleRecord, parse_catalog
 from kmodsim.hardware import parse_inventory
 from kmodsim.loader import LOAD
 
+# Every line break str.splitlines honours.
+LINE_BREAKS = (
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+)
+
 
 def make_catalog(*records: str) -> ModuleCatalog:
     return parse_catalog("MODCAT v1\n" + "\n".join(records) + "\n")

@@ -28,7 +28,7 @@ from kmodsim.errors import (
 )
 from kmodsim.fixtures import generate_fixture
 
-from conftest import brute_force_levels, catalog_texts, make_catalog
+from conftest import LINE_BREAKS, brute_force_levels, catalog_texts, make_catalog
 
 
 class TestParse:
@@ -205,10 +205,6 @@ def test_record_defaults():
 
 # -- one-pass parsing ----------------------------------------------------
 
-# Every line break str.splitlines honours.
-LINE_BREAKS = (
-    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
-)
 PADDING = ("", " ", "\t", "\xa0", "\u3000")
 
 

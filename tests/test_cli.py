@@ -348,6 +348,22 @@ class TestBenchAndReport:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("trace", ["-50 -1 LOAD a\n+7 0 LOAD b\n", "1_0 0 LOAD a\n"])
+def test_report_accepts_only_unsigned_ascii_numbers(workdir, capsys, trace):
+    (workdir / "catalog.txt").write_text("MODCAT v1\na|1||\nb|2||\n")
+    (workdir / "trace.txt").write_text(trace)
+    rc = main([
+        "report", "--trace", str(workdir / "trace.txt"),
+        "--catalog", str(workdir / "catalog.txt"),
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: malformed-trace: line 1: timestamp and worker must be unsigned ASCII integers\n"
+    )
+    assert captured.out == ""
+
+
 def test_commands_build_no_module_record(tmp_path, record_count):
     catalog_text, inventory_text = generate_fixture(5000, 16, 1, 1.0)
     cat, inv = tmp_path / "catalog.txt", tmp_path / "inventory.txt"

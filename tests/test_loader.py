@@ -6,6 +6,7 @@ import functools
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -14,15 +15,19 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kmodsim.catalog import ModuleCatalog, ModuleRecord, parse_catalog
 from kmodsim import loader
-from kmodsim.errors import AttachFailed, ConfigError, IndexMismatch, LoadTimeout
+from kmodsim.errors import AttachFailed, ConfigError, IndexMismatch, KmodsimError, LoadTimeout
 from kmodsim.fixtures import generate_fixture
 from kmodsim.hardware import HardwareInventory, parse_inventory
 from kmodsim.loader import (
     DUP_ATTEMPT,
+    EVENT_KINDS,
     LOAD,
+    LoadEvent,
     LoadState,
     SKIP_FLAG,
     SKIP_HW,
@@ -36,6 +41,7 @@ from kmodsim.loader import (
 from kmodsim.registry import SelectionPolicy, register_v0, register_v1
 
 from conftest import (
+    LINE_BREAKS,
     CountingRuns,
     assert_dependency_safe,
     assert_exactly_once,
@@ -451,6 +457,160 @@ class TestTraces:
             parse_trace("1 0 NOT_A_KIND a\n")
         with pytest.raises(MalformedTrace):
             parse_trace("1 0 LOAD\n")
+
+
+# Whitespace that str.split splits at and that breaks no line.
+BLANKS = (" ", "\t", "  ", " \t", "\xa0", "\u3000")
+
+
+@st.composite
+def trace_variants(draw) -> tuple[str, bool]:
+    """Trace text and whether it is in canonical shape.
+
+    Canonical text is what ``format_trace`` writes, plus empty lines, with or
+    without a final line end. Other text also separates or pads fields with
+    tabs and runs of spaces, ends lines with CRLF or any other break
+    str.splitlines honours, adds whitespace-only lines, writes numbers as
+    ``007``, ``+5``, ``-1``, ``1_0`` or non-ASCII digits, and has lines of 3
+    or 5 fields or of an unknown kind.
+    """
+    canonical = draw(st.booleans())
+
+    def deviate():
+        # Rare, so that some texts hold a single non-canonical detail.
+        return not canonical and draw(st.integers(0, 19)) == 7
+
+    def number(limit):
+        value = draw(st.integers(0, limit))
+        if deviate():
+            return draw(st.sampled_from(
+                [f"00{value}", f"+{value}", f"-{value}", f"{value}_0", "\u0663", "\u00b2"]
+            ))
+        return str(value)
+
+    def sep():
+        return draw(st.sampled_from(BLANKS)) if deviate() else " "
+
+    def pad():
+        return draw(st.sampled_from(BLANKS)) if deviate() else ""
+
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(sorted(EVENT_KINDS)))
+        if deviate():
+            kind = draw(st.sampled_from(["load", "LOADED", "SKIP"]))
+        module = draw(st.sampled_from(["a", "net.ko", "m-1_2", "\u00e9"]))
+        if deviate():
+            module = "a\x1fb"  # str.split splits at \x1f, which breaks no line
+        fields = [number(10**12), number(300), kind, module]
+        if deviate():
+            fields = fields[:3] if draw(st.booleans()) else fields + ["extra"]
+        lines.append(pad() + sep().join(fields) + pad())
+    extras = [""] if canonical else ["", " ", "\t", "  \t "]
+    for extra in draw(st.lists(st.sampled_from(extras), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+
+    breaks = [draw(st.sampled_from(LINE_BREAKS)) if deviate() else "\n" for _ in lines]
+    if breaks and draw(st.booleans()):
+        breaks[-1] = ""  # no final line end
+    return "".join(line + brk for line, brk in zip(lines, breaks)), canonical
+
+
+def trace_outcome(parse, text):
+    try:
+        return parse(text)
+    except KmodsimError as err:
+        return type(err), str(err)
+
+
+class TestTraceParsing:
+    @settings(max_examples=400, deadline=None)
+    @given(case=trace_variants())
+    @example(("1\t0 LOAD a\n", False))
+    @example(("1  0 LOAD a\n", False))
+    @example((" 1 0 LOAD a \n", False))
+    @example(("1 0 LOAD a\r\n2 0 LOAD b\r\n", False))
+    @example(("1 0 LOAD a\x852 0 LOAD b\n", False))
+    @example(("1 0 LOAD a\u20282 0 LOAD b\n", False))
+    @example(("1 0 LOAD a\x1c2 0 LOAD b", False))
+    @example(("   \n1 0 LOAD a\n\t\n", False))
+    @example(("007 0 LOAD a\n", False))
+    @example(("+5 0 LOAD a\n", False))
+    @example(("0 +5 LOAD a\n", False))
+    @example(("-50 -1 LOAD a\n", False))
+    @example(("1_0 0 LOAD a\n", False))
+    @example(("\u0663 0 LOAD a\n", False))
+    @example(("0 \u0663 LOAD a\n", False))
+    @example(("1 0 LOAD\n", False))
+    @example(("1 0 LOAD a b\n", False))
+    @example(("1 0 FOO a\n", False))
+    @example(("1 0 LOAD a\nbad\n2 0 LOAD b\n", False))
+    def test_matches_the_per_line_path(self, case):
+        text, canonical = case
+        assert trace_outcome(parse_trace, text) == trace_outcome(loader._parse_lines, text)
+        if canonical:
+            assert loader._parse_canonical(text) is not None
+
+    def test_a_long_canonical_trace_never_reaches_the_line_parser(self, monkeypatch):
+        rng = random.Random(11)
+        kinds = sorted(EVENT_KINDS)
+        events = [
+            LoadEvent(rng.randrange(10**12), rng.randrange(256), rng.choice(kinds), f"m{i}.ko")
+            for i in range(20_000)
+        ]
+
+        def per_line(text):
+            raise AssertionError("a canonical trace reached the line-by-line parser")
+
+        monkeypatch.setattr(loader, "_parse_lines", per_line)
+        parsed = parse_trace(format_trace(events))
+        assert parsed == events
+        assert all(type(event) is LoadEvent for event in parsed)
+
+    def test_events_are_plain_tuples(self):
+        event = LoadEvent(5, 1, LOAD, "a")
+        assert event == (5, 1, LOAD, "a") and hash(event) == hash((5, 1, LOAD, "a"))
+        stamp, worker, kind, module = event
+        assert (stamp, worker, kind, module) == (event.timestamp_us, event.worker_id,
+                                                 event.kind, event.module)
+        with pytest.raises(AttributeError):
+            event.kind = SKIP_HW
+
+
+def test_concurrent_appends_lose_no_event():
+    # The session appends events without a lock; a lost append would show as
+    # a missing SKIP_FLAG or LOAD. A short switch interval makes the workers
+    # hand the interpreter lock over often, in the middle of their steps.
+    catalog, inventory, index, unselected, expected = append_fixture()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            for strategy in ("stage2", "stage3"):
+                config = StrategyConfig(strategy, workers=8)
+                _, trace = run_strategy(catalog, index, inventory, config)
+                if strategy == "stage2":  # every worker scans every position
+                    assert sum(1 for e in trace if e.kind == SKIP_FLAG) == 8 * unselected
+                assert sorted(load_events(trace)) == expected, strategy
+                assert_exactly_once(trace)
+                assert_dependency_safe(trace, catalog)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@functools.cache
+def append_fixture():
+    """A 2,000-module catalog with every seventh module unselected, its
+    inventory and v0 index, the number K of unselected non-base modules, and
+    the sorted names that every strategy must load."""
+    catalog_text, inventory_text = generate_fixture(2000, 8, 5, 1.0)
+    catalog, inventory = parse_catalog(catalog_text), parse_inventory(inventory_text)
+    index = flags_index(catalog, [n for i, n in enumerate(catalog.names) if i % 7])
+    unselected = sum(1 for (_, flag), base in zip(index.entries, catalog.base) if not (flag or base))
+    expected = sequential_load_order(
+        catalog, dict(index.entries), lambda rec: inventory.supports(rec.hw_tags)
+    )
+    return catalog, inventory, index, unselected, sorted(expected)
 
 
 def test_many_sessions_run_concurrently_without_interference():

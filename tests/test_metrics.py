@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from kmodsim.errors import ConfigError, LoadSetMismatch
+from kmodsim.errors import ConfigError, LoadSetMismatch, MalformedTrace
 from kmodsim.hardware import HardwareInventory
 from kmodsim.loader import (
     DUP_ATTEMPT,
@@ -65,6 +65,10 @@ class TestTiming:
             mixed = loads + others
             rng.shuffle(mixed)
             assert timing_from_trace(mixed) == timing_from_trace(loads + others)
+
+    def test_an_unknown_kind_is_a_malformed_trace(self):
+        with pytest.raises(MalformedTrace, match="^unknown event kind 'FOO'$"):
+            timing_from_trace([ev(LOAD, "a"), ev("FOO", "a")])
 
     def test_real_stage3_race_rolls_up(self):
         catalog = make_catalog("b|1|a|", "c|1|a|", "a|1||")
