@@ -72,28 +72,54 @@ class ModuleCatalog:
     """Immutable, alphabetically ordered module set with a validated DAG.
 
     Safe for concurrent reads. Every fact is a column indexed by catalog
-    position: ``names``, ``sizes``, ``hw_tags``, ``base``, the flat
-    dependency positions ``dep_offsets``/``dep_targets``, and ``levels``.
-    ``parse_catalog`` stores the columns its own pass produced and builds no
-    ``ModuleRecord``; ``records`` builds them from the columns on first
-    access. A catalog built directly from records derives each column from
-    them on first use. Dependency positions are kept flat, in two tuples of
-    ints, so a catalog holds no container per module beyond its tag tuples.
+    position: ``names``, ``sizes``, ``hw_tags`` (``@base`` excluded), ``base``
+    (resident, never attached), the flat dependency positions
+    ``dep_offsets``/``dep_targets`` (module ``i`` depends on
+    ``dep_targets[dep_offsets[i]:dep_offsets[i + 1]]``, in ``deps`` order),
+    ``levels`` (1 without dependencies, else one more than the deepest
+    dependency) and ``index_of``. Dependency positions are kept flat, in two
+    tuples of ints, so a catalog holds no container per module beyond its tag
+    tuples.
+
+    ``parse_catalog`` and the constructor build the columns in one place,
+    ``_assemble``: records are sorted by name, ``*.symbols`` entries are
+    dropped, repeated dependencies are kept once, ``@base`` propagates to
+    every transitive dependency, and duplicates, unknown dependencies and
+    cycles raise. ``records`` builds one ``ModuleRecord`` per position from
+    the columns on first access; equality and hashing compare columns.
     """
 
+    names: tuple[str, ...]
+    sizes: tuple[int, ...]
+    hw_tags: tuple[tuple[str, ...], ...]
+    base: tuple[bool, ...]
+    index_of: dict[str, int]
+    dep_targets: tuple[int, ...]
+    dep_offsets: tuple[int, ...]
+    levels: tuple[int, ...]
+
     def __init__(self, records: Iterable[ModuleRecord]):
-        vars(self)["records"] = tuple(records)
+        fields = [
+            (r.name, r.size_kb, tuple(dict.fromkeys(r.deps)), r.hw_tags, r.base_kernel_only)
+            for r in records
+        ]
+        vars(self).update(vars(_assemble(*(zip(*fields) if fields else [()] * 5))))
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
+    def _columns(self) -> tuple:
+        return (
+            self.names, self.sizes, self.hw_tags, self.base, self.dep_offsets, self.dep_targets
+        )
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleCatalog):
             return NotImplemented
-        return self.records == other.records
+        return self._columns() == other._columns()
 
     def __hash__(self) -> int:
-        return hash(self.records)
+        return hash(self._columns())
 
     def __repr__(self) -> str:
         return f"ModuleCatalog(records={self.records!r})"
@@ -113,48 +139,6 @@ class ModuleCatalog:
             for start, end in zip(offsets, offsets[1:])
         )
         return tuple(map(ModuleRecord, names, self.sizes, deps, self.hw_tags, self.base))
-
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.records)
-
-    @cached_property
-    def sizes(self) -> tuple[int, ...]:
-        """Size in kB of each module."""
-        return tuple(r.size_kb for r in self.records)
-
-    @cached_property
-    def hw_tags(self) -> tuple[tuple[str, ...], ...]:
-        """Device-match tags of each module, ``@base`` excluded."""
-        return tuple(r.hw_tags for r in self.records)
-
-    @cached_property
-    def base(self) -> tuple[bool, ...]:
-        """Whether each module is part of the base kernel (resident, never attached)."""
-        return tuple(r.base_kernel_only for r in self.records)
-
-    @cached_property
-    def index_of(self) -> dict[str, int]:
-        return dict(zip(self.names, range(len(self.names))))
-
-    @cached_property
-    def dep_targets(self) -> tuple[int, ...]:
-        """Catalog positions of every module's dependencies, module after
-        module, each module's in ``deps`` order."""
-        return _resolve(self.names, [r.deps for r in self.records], self.index_of)
-
-    @cached_property
-    def dep_offsets(self) -> tuple[int, ...]:
-        """Where each module's run in ``dep_targets`` starts, plus one closing
-        entry: module ``i`` depends on
-        ``dep_targets[dep_offsets[i]:dep_offsets[i + 1]]``."""
-        return tuple(accumulate((len(r.deps) for r in self.records), initial=0))
-
-    @cached_property
-    def levels(self) -> tuple[int, ...]:
-        """Dependency depth of each module: 1 without dependencies, else one
-        more than its deepest dependency."""
-        return _levels(self.names, self.dep_offsets, self.dep_targets)
 
     def record(self, name: str) -> ModuleRecord:
         return self.records[self.index_of[name]]
@@ -310,8 +294,7 @@ def _assemble(names, sizes, deps, hw_tags, base) -> ModuleCatalog:
                 base[dep] = True
                 stack.append(dep)
 
-    # The columns this pass computed, stored in place of their cached
-    # properties; the records are left to be built if ever read.
+    # The records are left to be built if ever read.
     catalog = ModuleCatalog.__new__(ModuleCatalog)
     vars(catalog).update(
         names=tuple(names),

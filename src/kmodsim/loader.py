@@ -12,16 +12,26 @@ thread, one full scan per worker under one shared lock, or one partition per
 loading worker.
 
 All strategies share a per-session ``LoadState``: one state byte per position
-(free, claimed, failed, done, resident) under one ``threading.Condition`` for
-the whole session, however large the catalog. The free->claimed step is a
-test-and-set under that condition; the pre-claim check is a plain read of the
-byte. A worker that passes the read check but loses the claim records a
-``DUP_ATTEMPT`` event and then waits on the condition until the winner
-finishes, so a dependent module can never start attaching before its
-dependencies have completed. Duplicates therefore surface only as DUP_ATTEMPT
-events, never as a second LOAD. A winner whose attach raises marks the
-position failed, which wakes its waiters at once with ``AttachFailed``; the
-session then raises the attach's own error.
+(free, claimed, failed, done, resident) under one ``threading.Lock`` for the
+whole session, however large the catalog. Every transition takes that lock
+directly: the free->claimed step is a test-and-set under it, and a completion
+sets its byte under it. A worker that passes the pre-claim check (a plain read
+of the byte) but loses the claim records a ``DUP_ATTEMPT`` event and then
+waits on a condition built on the same lock until the winner finishes, so a
+dependent module can never start attaching before its dependencies have
+completed. Duplicates therefore surface only as DUP_ATTEMPT events, never as a
+second LOAD. A waiter raises a waiter count under the lock before it checks
+the byte and lowers it when it stops waiting; a completer sets the byte and
+then calls ``notify_all`` only if the count is nonzero, so single-worker boots
+never notify. A winner whose attach raises marks the position failed, which
+wakes its waiters at once with ``AttachFailed``; the session then raises the
+attach's own error.
+
+The scan and the dependency walk read the state bytes directly. The walk
+keeps one stack entry per position on the current dependency path: the
+position and its next dependency entry to read. It passes over complete
+dependencies in place and pushes only an incomplete one, so each entry of a
+module's dependency run is read at most once per walk.
 
 Each worker is a generator. Its only scheduling points are the three
 shared-state steps in ``_load_one``: it yields before the claim, while a
@@ -75,6 +85,8 @@ from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress
+from operator import itemgetter, not_
 from typing import NamedTuple
 
 from .catalog import ModuleCatalog
@@ -177,47 +189,57 @@ _FREE, _CLAIMED, _FAILED, _DONE, _RESIDENT = 0, 1, 2, 3, 4
 
 class LoadState:
     """Shared load table: one state byte per catalog position under one
-    session condition.
+    session lock.
 
     Methods take positions; ``loaded`` returns names. ``is_complete`` is a
     plain read; ``try_claim`` is the only transition that can fail.
     Base-kernel modules start resident, so they can never be claimed. A
     claimed position ends done (``mark_complete``) or failed
-    (``mark_failed``); either wakes its waiters.
+    (``mark_failed``); either wakes its waiters, if any are waiting.
     """
 
     def __init__(self, catalog: ModuleCatalog):
         self._names = catalog.names
         self._states = bytearray(_RESIDENT if base else _FREE for base in catalog.base)
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+        # Workers inside wait_complete; read and written only under the lock.
+        self._waiters = 0
 
     def is_complete(self, position: int) -> bool:
         return self._states[position] >= _DONE
 
     def try_claim(self, position: int) -> bool:
-        with self._cond:
+        with self._lock:
             if self._states[position] != _FREE:
                 return False
             self._states[position] = _CLAIMED
             return True
 
     def mark_complete(self, position: int) -> None:
-        with self._cond:
+        with self._lock:
             self._states[position] = _DONE
-            self._cond.notify_all()
+            if self._waiters:
+                self._cond.notify_all()
 
     def mark_failed(self, position: int) -> None:
-        with self._cond:
+        with self._lock:
             self._states[position] = _FAILED
-            self._cond.notify_all()
+            if self._waiters:
+                self._cond.notify_all()
 
     def wait_complete(self, position: int) -> None:
         """Return once ``position`` is complete; raise ``AttachFailed`` if its
         attach failed, ``LoadTimeout`` if it is still claimed after the timeout."""
-        with self._cond:
-            if not self._cond.wait_for(
-                lambda: self._states[position] >= _FAILED, _COMPLETION_TIMEOUT_S
-            ):
+        with self._lock:
+            self._waiters += 1
+            try:
+                settled = self._cond.wait_for(
+                    lambda: self._states[position] >= _FAILED, _COMPLETION_TIMEOUT_S
+                )
+            finally:
+                self._waiters -= 1
+            if not settled:
                 raise LoadTimeout(
                     f"timed out waiting for module {self._names[position]!r} to finish loading"
                 )
@@ -226,7 +248,7 @@ class LoadState:
 
     def loaded(self) -> frozenset[str]:
         """Names attached dynamically this session (resident modules excluded)."""
-        with self._cond:
+        with self._lock:
             return frozenset(
                 name for name, state in zip(self._names, self._states) if state == _DONE
             )
@@ -252,9 +274,7 @@ class LoadSession:
             raise ConfigError(f"{strategy} needs at least 2 workers, got {config.workers}")
         if not all(0 <= cost < math.inf for cost in (config.load_base_us, config.load_per_kb_us)):
             raise ConfigError("load costs must be finite and non-negative")
-        largest_kb = max(
-            (size for size, base in zip(catalog.sizes, catalog.base) if not base), default=0
-        )
+        largest_kb = max(compress(catalog.sizes, map(not_, catalog.base)), default=0)
         worst_us = config.load_base_us + largest_kb * config.load_per_kb_us
         if worst_us > _COMPLETION_TIMEOUT_S * 1_000_000:
             raise ConfigError(
@@ -266,12 +286,13 @@ class LoadSession:
             raise IndexMismatch(
                 f"{strategy} needs a {required} index, got {index.version}"
             )
-        if tuple(name for name, _ in index.entries) != catalog.names:
+        if tuple(map(itemgetter(0), index.entries)) != catalog.names:
             raise IndexMismatch("index entries do not line up with catalog positions")
 
         self._strategy = strategy
         self._catalog = catalog
-        self._values = [value for _, value in index.entries]
+        self._names = catalog.names
+        self._values = list(map(itemgetter(1), index.entries))
         self._inventory = inventory
         self._config = config
         self._t0 = None if config.instant else _clock_ns()
@@ -323,16 +344,17 @@ class LoadSession:
         self, worker: int, start: int, end: int, lock: threading.Lock | None = None
     ) -> Iterator[int | None]:
         base, hw_tags = self._catalog.base, self._catalog.hw_tags
+        values, supports, states = self._values, self._inventory.supports, self.state._states
         for pos in range(start, end):
             if base[pos]:
                 continue  # resident; not a dynamic-load candidate
-            if not self._values[pos]:
+            if not values[pos]:
                 self._emit(worker, SKIP_FLAG, pos)
                 continue
-            if not self._inventory.supports(hw_tags[pos]):
+            if not supports(hw_tags[pos]):
                 self._emit(worker, SKIP_HW, pos)
                 continue
-            if self.state.is_complete(pos):
+            if states[pos] >= _DONE:
                 continue  # same silent fast-path _attach would take
             if lock is not None:
                 with lock:
@@ -341,20 +363,29 @@ class LoadSession:
                 yield from self._attach(pos, worker)
 
     def _attach(self, root: int, worker: int) -> Iterator[int | None]:
-        """Depth-first idempotent attach: dependencies complete before the claim."""
+        """Depth-first idempotent attach: dependencies complete before the claim.
+
+        A stack entry is a position and the next of its dependency entries to
+        read. Complete dependencies are passed over in place; only an
+        incomplete one is pushed, above its dependent.
+        """
         offsets, targets = self._catalog.dep_offsets, self._catalog.dep_targets
-        is_complete = self.state.is_complete
+        states = self.state._states
         stack = [(root, offsets[root])]
         while stack:
             pos, next_dep = stack.pop()
-            if is_complete(pos):
+            if states[pos] >= _DONE:
                 continue
-            if next_dep < offsets[pos + 1]:
-                stack.append((pos, next_dep + 1))
+            end = offsets[pos + 1]
+            while next_dep < end:
                 dep = targets[next_dep]
-                stack.append((dep, offsets[dep]))
-                continue
-            yield from self._load_one(pos, worker)
+                next_dep += 1
+                if states[dep] < _DONE:
+                    stack.append((pos, next_dep))
+                    stack.append((dep, offsets[dep]))
+                    break
+            else:
+                yield from self._load_one(pos, worker)
 
     def _load_one(self, pos: int, worker: int) -> Iterator[int | None]:
         yield  # about to claim
@@ -386,7 +417,7 @@ class LoadSession:
 
     def _emit(self, worker: int, kind: str, pos: int) -> None:
         stamp = 0 if self._t0 is None else (_clock_ns() - self._t0) // 1000
-        self._events.append(_new_event((stamp, worker, kind, self._catalog.names[pos])))
+        self._events.append(_new_event((stamp, worker, kind, self._names[pos])))
 
 
 def run_strategy(

@@ -142,7 +142,7 @@ class CountingRuns(tuple):
     """A ``dep_targets`` stand-in that counts its item and slice reads.
 
     Install it with ``vars(catalog)["dep_targets"] = CountingRuns(...)``:
-    the cached property then returns it to every reader.
+    every reader of the column then gets it.
     """
 
     reads = 0

@@ -155,8 +155,8 @@ class TestTopoLevels:
         assert err.value.cycle == cycle
 
     def test_unknown_dependency_in_a_directly_built_catalog_is_rejected(self):
-        catalog = ModuleCatalog((ModuleRecord("a", 1, ("ghost",)),))
         with pytest.raises(UnknownDependency, match="module 'a' depends on unknown module 'ghost'"):
+            catalog = ModuleCatalog((ModuleRecord("a", 1, ("ghost",)),))
             topo_levels(catalog)
 
     @settings(max_examples=100, deadline=None)
@@ -384,3 +384,36 @@ class TestOnePassParse:
         assert len(parse_catalog(catalog_text)) == 20_000
         assert calls == {"_parse_record": 0, "_reject_cycles": 0}
 
+
+
+# -- catalogs built directly from records -------------------------------
+
+
+class TestDirectConstruction:
+    RECORDS = (ModuleRecord("b", 1, ("a",), (), True), ModuleRecord("a", 1))
+
+    def test_records_are_kept_in_name_order(self):
+        catalog = ModuleCatalog(self.RECORDS)
+        assert catalog.names == ("a", "b")
+        assert catalog.dep_targets == (0,) and catalog.levels == (1, 2)
+
+    def test_base_status_propagates_to_dependencies(self):
+        catalog = ModuleCatalog(self.RECORDS)
+        assert catalog.base == (True, True)
+        assert catalog.record("a").base_kernel_only
+
+    def test_duplicate_records_are_rejected(self):
+        with pytest.raises(DuplicateModule, match="module 'a' appears more than once"):
+            ModuleCatalog((ModuleRecord("a", 1), ModuleRecord("a", 2)))
+
+    def test_equals_the_parse_of_its_own_serialization(self):
+        records = self.RECORDS + (
+            ModuleRecord("c", 3, ("b", "a", "b"), ("pci:1",)),
+            ModuleRecord("c.symbols", 9),
+        )
+        catalog = ModuleCatalog(records)
+        again = parse_catalog(serialize_catalog(catalog))
+        assert again == catalog and hash(again) == hash(catalog)
+        assert catalog.names == ("a", "b", "c")
+        assert catalog.record("c").deps == ("b", "a")
+        assert catalog != ModuleCatalog(records[:3] + (ModuleRecord("d", 1),))

@@ -598,6 +598,96 @@ def test_concurrent_appends_lose_no_event():
         sys.setswitchinterval(interval)
 
 
+class LockedWaiterCount(LoadState):
+    """A ``LoadState`` whose waiter count is read and changed only under its
+    lock, and never drops below zero."""
+
+    @property
+    def _waiters(self):
+        assert self._lock.locked(), "waiter count read outside the lock"
+        return vars(self)["waiters"]
+
+    @_waiters.setter
+    def _waiters(self, value):
+        if "waiters" in vars(self):  # the first assignment is construction
+            assert self._lock.locked(), "waiter count changed outside the lock"
+        assert value >= 0, "waiter count below zero"
+        vars(self)["waiters"] = value
+
+
+def test_no_completion_wakeup_is_lost(monkeypatch):
+    # A completer notifies only when the waiter count says someone waits. A
+    # waiter that blocked without being counted sleeps out the whole timeout,
+    # cut here to 2 s, before it sees the completion: so a session that lasts
+    # that long lost a wakeup. Under the GIL, a count kept outside the lock
+    # loses a wakeup too rarely to show, so every access checks the lock.
+    catalog, inventory, index, _, expected = append_fixture()
+    interval = sys.getswitchinterval()
+    monkeypatch.setattr(loader, "_COMPLETION_TIMEOUT_S", 2.0)
+    monkeypatch.setattr(loader, "LoadState", LockedWaiterCount)
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            for strategy in ("stage2", "stage3"):
+                config = StrategyConfig(strategy, workers=8)
+                started = time.monotonic()
+                _, trace = run_strategy(catalog, index, inventory, config)
+                assert time.monotonic() - started < loader._COMPLETION_TIMEOUT_S, strategy
+                assert sorted(load_events(trace)) == expected, strategy
+                assert_exactly_once(trace)
+                assert_dependency_safe(trace, catalog)
+    finally:
+        sys.setswitchinterval(interval)
+        monkeypatch.undo()
+
+
+@pytest.fixture
+def notified(monkeypatch):
+    """The condition of every ``threading.Condition.notify_all`` call while the
+    test runs, in call order (starting a thread makes one too)."""
+    conditions = []
+    real_notify_all = threading.Condition.notify_all
+
+    def recording_notify_all(self):
+        conditions.append(self)
+        real_notify_all(self)
+
+    monkeypatch.setattr(threading.Condition, "notify_all", recording_notify_all)
+    return conditions
+
+
+@pytest.mark.parametrize("config", [STAGE0, STAGE1], ids=["stage0", "stage1"])
+def test_single_worker_boots_notify_nobody(config, notified):
+    catalog_text, inventory_text = generate_fixture(300, 6, 1, 0.8)
+    catalog, inventory = parse_catalog(catalog_text), parse_inventory(inventory_text)
+    if config is STAGE1:
+        index = register_v1(catalog, SelectionPolicy.all_load(), inventory)
+    else:
+        index = register_v0(catalog, SelectionPolicy.all_load())
+    state, _ = run_strategy(catalog, index, inventory, config)
+    assert state.loaded()
+    assert notified == []
+
+
+def test_a_completion_notifies_only_while_a_worker_waits(notified):
+    catalog = make_catalog("a|1||", "b|1||")
+    a, b = catalog.index_of["a"], catalog.index_of["b"]
+    state = LoadState(catalog)
+    assert state.try_claim(a) and state.try_claim(b)
+    state.mark_complete(a)
+    assert notified == []
+    waiter = threading.Thread(target=state.wait_complete, args=(b,), daemon=True)
+    waiter.start()
+    deadline = time.monotonic() + 5.0
+    while state._waiters == 0 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert state._waiters == 1
+    state.mark_complete(b)
+    waiter.join(timeout=5.0)
+    assert not waiter.is_alive()
+    assert notified.count(state._cond) == 1 and state._waiters == 0
+
+
 @functools.cache
 def append_fixture():
     """A 2,000-module catalog with every seventh module unselected, its

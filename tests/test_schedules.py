@@ -129,3 +129,10 @@ def test_explorer_catches_completion_before_the_load_event(monkeypatch):
     monkeypatch.setattr(LoadSession, "_load_one", completes_early)
     with pytest.raises(AssertionError):
         _check_every_schedule()
+
+
+def test_every_schedule_with_a_waiter_ends_with_no_waiter_counted():
+    terminals = _explore()
+    waited = [w for w in terminals if any(kind == DUP_ATTEMPT for kind, _, _ in w.trace)]
+    assert waited  # some schedule has a worker lose a claim and wait
+    assert all(world.state._waiters == 0 for world in terminals)
