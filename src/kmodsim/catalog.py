@@ -12,11 +12,11 @@ never be attached dynamically. Because a non-isolatable region cannot depend
 on something that is absent until attached, base status propagates to every
 transitive dependency of a ``@base`` module.
 
-Parsing costs O(modules + edges): one scan of the text, then one pass of
-Kahn's algorithm over dependency positions, which proves the graph acyclic
-and yields every module's level. A file whose record lines all have the
-canonical shape is scanned with one regular expression; any other file goes
-through ``_parse_record`` line by line, with the same result.
+Parsing costs O(modules + edges): one scan of the text, then one depth-first
+walk over dependency positions, which proves the graph acyclic (or names its
+first cycle) and yields every module's level. A file whose record lines all
+have the canonical shape is scanned with one regular expression; any other
+file goes through ``_parse_record`` line by line, with the same result.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
-from operator import sub
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -322,66 +321,37 @@ def _resolve(names, deps, index_of: dict[str, int]) -> tuple[int, ...]:
 
 
 def _levels(names, offsets: tuple[int, ...], targets: tuple[int, ...]) -> tuple[int, ...]:
-    # Kahn's algorithm, one frontier per level: a module joins the next
-    # frontier when its last dependency is placed, which is on the level of
-    # its deepest dependency. Modules never placed lie on or above a cycle.
-    count = len(names)
-    pending = list(map(sub, offsets[1:], offsets))
-    # The reverse edges in the same flat layout: module m's dependents are
-    # dependents[starts[m] : starts[m + 1]], found by counting, then filling.
-    starts = [0] * (count + 1)
-    for dep in targets:
-        starts[dep + 1] += 1
-    starts = list(accumulate(starts))
-    free = starts[:count]
-    dependents = [0] * len(targets)
-    for module, dep in zip(chain.from_iterable(map(repeat, range(count), pending)), targets):
-        dependents[free[dep]] = module
-        free[dep] += 1
-
-    levels = [0] * count
-    frontier = [module for module, waiting in enumerate(pending) if not waiting]
-    level = placed = 0
-    while frontier:
-        level += 1
-        placed += len(frontier)
-        ready = []
-        for module in frontier:
-            levels[module] = level
-            for dependent in dependents[starts[module] : starts[module + 1]]:
-                pending[dependent] -= 1
-                if not pending[dependent]:
-                    ready.append(dependent)
-        frontier = ready
-    if placed < count:
-        _reject_cycles(names, offsets, targets)
-    return tuple(levels)
-
-
-def _reject_cycles(names, offsets: tuple[int, ...], targets: tuple[int, ...]) -> None:
-    # Only called when a cycle exists. Iterative three-color DFS from each
-    # position in order; reports the first cycle found, rotated so that the
-    # bytewise-smallest member leads, keeping the error deterministic.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * len(names)
-
+    # One depth-first walk (Tarjan 1972) from each position in order, taking
+    # dependencies in ``deps`` order. levels[m] is 0 until the walk reaches m,
+    # -1 while m is on the current path, and m's level once its dependencies
+    # are placed. A stack entry is a position, its next dependency entry and
+    # its deepest placed dependency so far; a resumed entry re-reads the
+    # dependency it descended into, which is placed by then. A dependency on
+    # the path closes a cycle: the first one found is reported, rotated so
+    # that the bytewise-smallest member leads, keeping the error deterministic.
+    levels = [0] * len(names)
     for root in range(len(names)):
-        if color[root] != WHITE:
+        if levels[root]:
             continue
-        color[root] = GRAY
-        path = [root]
-        stack = [iter(targets[offsets[root] : offsets[root + 1]])]
+        levels[root] = -1
+        stack = [(root, offsets[root], 0)]
         while stack:
-            dep = next(stack[-1], None)
-            if dep is None:
-                color[path.pop()] = BLACK
-                stack.pop()
-                continue
-            if color[dep] == GRAY:
-                cycle = [names[i] for i in path[path.index(dep):]]
-                pivot = min(range(len(cycle)), key=lambda i: cycle[i].encode("utf-8"))
-                raise CircularDependency(cycle[pivot:] + cycle[:pivot])
-            if color[dep] == WHITE:
-                color[dep] = GRAY
-                path.append(dep)
-                stack.append(iter(targets[offsets[dep] : offsets[dep + 1]]))
+            pos, next_dep, deepest = stack.pop()
+            for next_dep in range(next_dep, offsets[pos + 1]):
+                dep = targets[next_dep]
+                level = levels[dep]
+                if level > deepest:
+                    deepest = level
+                elif not level:
+                    levels[dep] = -1
+                    stack.append((pos, next_dep, deepest))
+                    stack.append((dep, offsets[dep], 0))
+                    break
+                elif level < 0:
+                    path = [entry[0] for entry in stack] + [pos]
+                    cycle = [names[i] for i in path[path.index(dep) :]]
+                    pivot = min(range(len(cycle)), key=lambda i: cycle[i].encode("utf-8"))
+                    raise CircularDependency(cycle[pivot:] + cycle[:pivot])
+            else:
+                levels[pos] = deepest + 1
+    return tuple(levels)

@@ -23,9 +23,10 @@ completed. Duplicates therefore surface only as DUP_ATTEMPT events, never as a
 second LOAD. A waiter raises a waiter count under the lock before it checks
 the byte and lowers it when it stops waiting; a completer sets the byte and
 then calls ``notify_all`` only if the count is nonzero, so single-worker boots
-never notify. A winner whose attach raises marks the position failed, which
-wakes its waiters at once with ``AttachFailed``; the session then raises the
-attach's own error.
+never notify. A wait that times out raises ``LoadTimeout`` even if the byte
+has settled by then, so a lost wakeup is reported, not slept through. A
+winner whose attach raises marks the position failed, which wakes its waiters
+at once with ``AttachFailed``; the session then raises the attach's own error.
 
 The scan and the dependency walk read the state bytes directly. The walk
 keeps one stack entry per position on the current dependency path: the
@@ -230,19 +231,20 @@ class LoadState:
 
     def wait_complete(self, position: int) -> None:
         """Return once ``position`` is complete; raise ``AttachFailed`` if its
-        attach failed, ``LoadTimeout`` if it is still claimed after the timeout."""
+        attach failed, ``LoadTimeout`` if no wakeup settles it before the
+        timeout, whatever the byte reads by then."""
+        deadline = time.monotonic() + _COMPLETION_TIMEOUT_S
         with self._lock:
             self._waiters += 1
             try:
-                settled = self._cond.wait_for(
-                    lambda: self._states[position] >= _FAILED, _COMPLETION_TIMEOUT_S
-                )
+                while self._states[position] < _FAILED:
+                    if not self._cond.wait(deadline - time.monotonic()):
+                        raise LoadTimeout(
+                            f"timed out waiting for module {self._names[position]!r}"
+                            " to finish loading"
+                        )
             finally:
                 self._waiters -= 1
-            if not settled:
-                raise LoadTimeout(
-                    f"timed out waiting for module {self._names[position]!r} to finish loading"
-                )
             if self._states[position] == _FAILED:
                 raise AttachFailed(f"module {self._names[position]!r} failed to attach")
 

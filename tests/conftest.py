@@ -1,7 +1,8 @@
 """Shared fixtures, independent oracles, and trace checkers.
 
 The oracles here deliberately avoid the production code paths they check:
-dependency depth is computed by enumerating every simple path, v1 index
+dependency depth is computed by enumerating every simple path, levels and
+the first cycle by a recursive walk over the record text, v1 index
 values by a memoised recursive longest path over a recursive closure, and
 expected stage0 load orders come from a standalone post-order walk.
 """
@@ -53,6 +54,44 @@ def brute_force_levels(catalog: ModuleCatalog) -> dict[str, int]:
         return [[name] + tail for dep in deps for tail in paths(dep)]
 
     return {rec.name: max(len(p) for p in paths(rec.name)) for rec in catalog.records}
+
+
+def reference_levels_or_cycle(text: str) -> dict[str, int] | list[str]:
+    """Every module's level, or else the first dependency cycle, from the
+    record text by a recursive DFS (small catalogs).
+
+    Roots are taken in bytewise name order and dependencies in ``deps``
+    order; the cycle is rotated so that its bytewise-smallest name leads.
+    """
+    deps: dict[str, list[str]] = {}
+    for line in text.splitlines()[1:]:
+        if line and not line.startswith("#"):
+            name, _, dep_field, _ = line.split("|")
+            if not name.endswith(".symbols"):
+                deps[name] = list(dict.fromkeys(d for d in dep_field.split(",") if d))
+    levels: dict[str, int] = {}
+    path: list[str] = []
+
+    def visit(name: str) -> list[str] | None:
+        path.append(name)
+        for dep in deps[name]:
+            if dep in path:
+                return path[path.index(dep) :]
+            if dep not in levels:
+                cycle = visit(dep)
+                if cycle:
+                    return cycle
+        path.pop()
+        levels[name] = 1 + max((levels[dep] for dep in deps[name]), default=0)
+        return None
+
+    for name in sorted(deps, key=str.encode):
+        if name not in levels:
+            cycle = visit(name)
+            if cycle:
+                first = cycle.index(min(cycle, key=str.encode))
+                return cycle[first:] + cycle[:first]
+    return levels
 
 
 def reference_v1_values(catalog, selected, supported) -> dict[str, int]:
@@ -252,4 +291,17 @@ def catalog_texts(draw, max_modules: int = 25) -> str:
         gated = draw(st.booleans())
         tags = f"dev-{name}" if gated else ""
         lines.append(f"{name}|{size}|{','.join(f'm{j:02d}' for j in deps)}|{tags}")
+    return "MODCAT v1\n" + "\n".join(lines) + "\n"
+
+
+@st.composite
+def maybe_cyclic_catalog_texts(draw, max_modules: int = 12) -> str:
+    """Random catalog text, records in random order, whose dependencies may
+    name any module, itself included: most draws hold a cycle."""
+    n = draw(st.integers(min_value=1, max_value=max_modules))
+    names = [f"m{i:02d}" for i in range(n)]
+    lines = [
+        f"{name}|1|{','.join(draw(st.lists(st.sampled_from(names), max_size=3)))}|"
+        for name in draw(st.permutations(names))
+    ]
     return "MODCAT v1\n" + "\n".join(lines) + "\n"

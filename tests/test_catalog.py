@@ -28,7 +28,14 @@ from kmodsim.errors import (
 )
 from kmodsim.fixtures import generate_fixture
 
-from conftest import LINE_BREAKS, brute_force_levels, catalog_texts, make_catalog
+from conftest import (
+    LINE_BREAKS,
+    brute_force_levels,
+    catalog_texts,
+    make_catalog,
+    maybe_cyclic_catalog_texts,
+    reference_levels_or_cycle,
+)
 
 
 class TestParse:
@@ -140,6 +147,26 @@ class TestTopoLevels:
         catalog = parse_catalog(text)
         assert topo_levels(catalog) == brute_force_levels(catalog)
         assert topo_levels(ModuleCatalog(catalog.records)) == brute_force_levels(catalog)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=maybe_cyclic_catalog_texts())
+    def test_levels_or_first_cycle_match_a_recursive_walk(self, text):
+        expected = reference_levels_or_cycle(text)
+        if isinstance(expected, list):
+            with pytest.raises(CircularDependency) as err:
+                parse_catalog(text)
+            assert err.value.cycle == expected
+        else:
+            assert topo_levels(parse_catalog(text)) == expected
+
+    def test_long_cycle_is_named_without_recursion(self):
+        names = [f"c{i:04d}" for i in range(2000)]
+        lines = [f"{names[0]}|1|{names[-1]}|"]
+        lines.extend(f"{n}|1|{p}|" for p, n in zip(names, names[1:]))
+        with pytest.raises(CircularDependency) as err:
+            make_catalog(*lines)
+        # c0000 -> c1999 -> c1998 -> ... -> c0001 -> c0000
+        assert err.value.cycle == names[:1] + names[:0:-1]
 
     @pytest.mark.parametrize(
         "records, cycle",
@@ -371,7 +398,8 @@ class TestOnePassParse:
         assert str(err.value) == message
 
     def test_canonical_catalog_skips_the_per_line_parser_and_the_cycle_search(self, monkeypatch):
-        calls = {"_parse_record": 0, "_reject_cycles": 0}
+        # One walk computes the levels and is the only cycle search.
+        calls = {"_parse_record": 0, "_levels": 0}
         for name in calls:
             real = getattr(catalog_module, name)
 
@@ -382,7 +410,7 @@ class TestOnePassParse:
             monkeypatch.setattr(catalog_module, name, counted)
         catalog_text, _ = generate_fixture(20_000, 16, 1, 1.0)
         assert len(parse_catalog(catalog_text)) == 20_000
-        assert calls == {"_parse_record": 0, "_reject_cycles": 0}
+        assert calls == {"_parse_record": 0, "_levels": 1}
 
 
 

@@ -192,6 +192,41 @@ class TestLoadState:
             state.wait_complete(a)
         assert f"module {a!r}" not in str(info.value)
 
+    def test_a_wait_that_is_never_woken_times_out_though_the_byte_settled(self, monkeypatch):
+        # The byte is set to done under the lock with no notify: a lost
+        # wakeup. The parked waiter must report it when its wait times out,
+        # not return as if it had been woken.
+        monkeypatch.setattr(loader, "_COMPLETION_TIMEOUT_S", 0.5)
+        catalog = make_catalog("a|1||")
+        a = catalog.index_of["a"]
+        state = LoadState(catalog)
+        assert state.try_claim(a)
+        outcome = []
+
+        def wait():
+            try:
+                state.wait_complete(a)
+                outcome.append("returned")
+            except LoadTimeout as exc:
+                outcome.append(exc)
+
+        waiter = threading.Thread(target=wait, daemon=True)
+        waiter.start()
+        deadline = time.monotonic() + 5.0
+        while True:
+            with state._lock:
+                # A counted waiter holds the lock until it waits, so holding
+                # the lock now means it is parked on the condition.
+                if state._waiters:
+                    state._states[a] = loader._DONE
+                    break
+            assert time.monotonic() < deadline, "the waiter never parked"
+            time.sleep(0.001)
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert len(outcome) == 1 and isinstance(outcome[0], LoadTimeout), outcome
+        assert state._waiters == 0 and state.is_complete(a)
+
     def test_resident_position_is_complete_and_unclaimable(self):
         catalog = make_catalog("app|1|fs|", "fs|4||@base")
         fs, app = catalog.index_of["fs"], catalog.index_of["app"]

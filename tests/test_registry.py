@@ -190,7 +190,7 @@ class TestRegisterV1:
         catalog_text, inventory_text = generate_fixture(500, 8, seed=1, hw_coverage=1.0)
         inventory = parse_inventory(inventory_text)
         parsed = parse_catalog(catalog_text)
-        # A catalog built from records computes its levels on first use.
+        # Each catalog computes its levels once, when it is built.
         for catalog in (parsed, ModuleCatalog(parsed.records)):
             first = register_v1(catalog, SelectionPolicy.all_load(), inventory)
             assert topo_levels(catalog) == dict(zip(catalog.names, catalog.levels))
