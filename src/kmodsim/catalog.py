@@ -15,8 +15,11 @@ transitive dependency of a ``@base`` module.
 Parsing costs O(modules + edges): one scan of the text, then one depth-first
 walk over dependency positions, which proves the graph acyclic (or names its
 first cycle) and yields every module's level. A file whose record lines all
-have the canonical shape is scanned with one regular expression; any other
-file goes through ``_parse_record`` line by line, with the same result.
+have the canonical shape is scanned with one regular expression and split
+into columns in bulk, with no Python-level work per record beyond building
+its dependency tuple; any other file goes through ``_parse_record`` line by
+line, with the same result, and that parser is the only source of
+``MalformedRecord`` messages. A size is unsigned ASCII digits on either path.
 """
 
 from __future__ import annotations
@@ -206,7 +209,10 @@ def _scan_canonical(text: str) -> _Columns | None:
     base = [False] * len(hw_tags)
     for i in [i for i, t in enumerate(tags) if BASE_TAG in t]:
         hw_tags[i], base[i] = _tag_fields(hw_tags[i])
-    deps = [tuple(dict.fromkeys(d.split(","))) if "," in d else (d,) if d else () for d in deps]
+    deps = [tuple(d.split(",")) if d else () for d in deps]
+    # A run that names a dependency twice keeps its first mention only.
+    for i in [i for i, run in enumerate(deps) if len(run) > 1 and len(set(run)) < len(run)]:
+        deps[i] = tuple(dict.fromkeys(deps[i]))
     return names, list(map(int, sizes)), deps, hw_tags, base
 
 
@@ -234,15 +240,21 @@ def _parse_record(line: str, lineno: int) -> _Fields:
     if not _NAME_RE.match(name):
         raise MalformedRecord(f"line {lineno}: bad module name {name!r}")
 
+    # A size is ASCII digits, so int()'s "+5", "1_0" and non-ASCII digits
+    # are not sizes; a leading "-" on digits is reported as a negative size.
     size_text = parts[1].strip()
+    negative = size_text.startswith("-")
+    digits = size_text[1:] if negative else size_text
+    if not (digits.isascii() and digits.isdigit()):
+        raise MalformedRecord(f"line {lineno}: size must be an integer, got {size_text!r}")
+    if negative:
+        raise MalformedRecord(f"line {lineno}: negative size {size_text}")
     try:
         size_kb = int(size_text)
-    except ValueError:
+    except ValueError:  # more digits than int_max_str_digits allows
         raise MalformedRecord(
             f"line {lineno}: size must be an integer, got {size_text!r}"
         ) from None
-    if size_kb < 0:
-        raise MalformedRecord(f"line {lineno}: negative size {size_kb}")
 
     deps = []
     for dep in _split_list(parts[2]):
@@ -267,20 +279,22 @@ def _split_list(text: str) -> list[str]:
 def _assemble(names, sizes, deps, hw_tags, base) -> ModuleCatalog:
     """Validate parsed records and build the catalog with its graph facts."""
     keep = [i for i, name in enumerate(names) if not name.endswith(SYMBOLS_SUFFIX)]
-    kept = [names[i] for i in keep]
-    if len(set(kept)) != len(kept):
-        seen: set[str] = set()
-        for name in kept:
-            if name in seen:
-                raise DuplicateModule(f"module {name!r} appears more than once")
-            seen.add(name)
-
     # UTF-8 keeps code point order, so str order is the bytewise order.
     keep.sort(key=names.__getitem__)
-    names, sizes, deps, hw_tags, base = (
-        [column[i] for i in keep] for column in (names, sizes, deps, hw_tags, base)
+    index_of = dict(zip(map(names.__getitem__, keep), range(len(keep))))
+    if len(index_of) != len(keep):
+        # The message names the first repeat in file order.
+        seen: set[str] = set()
+        for name in names:
+            if name in seen:
+                raise DuplicateModule(f"module {name!r} appears more than once")
+            if not name.endswith(SYMBOLS_SUFFIX):
+                seen.add(name)
+
+    names, sizes, deps, hw_tags = (
+        tuple(map(column.__getitem__, keep)) for column in (names, sizes, deps, hw_tags)
     )
-    index_of = dict(zip(names, range(len(names))))
+    base = list(map(base.__getitem__, keep))
     targets = _resolve(names, deps, index_of)
     offsets = tuple(accumulate(map(len, deps), initial=0))
     levels = _levels(names, offsets, targets)
@@ -296,9 +310,9 @@ def _assemble(names, sizes, deps, hw_tags, base) -> ModuleCatalog:
     # The records are left to be built if ever read.
     catalog = ModuleCatalog.__new__(ModuleCatalog)
     vars(catalog).update(
-        names=tuple(names),
-        sizes=tuple(sizes),
-        hw_tags=tuple(hw_tags),
+        names=names,
+        sizes=sizes,
+        hw_tags=hw_tags,
         base=tuple(base),
         index_of=index_of,
         dep_targets=targets,
@@ -324,34 +338,39 @@ def _levels(names, offsets: tuple[int, ...], targets: tuple[int, ...]) -> tuple[
     # One depth-first walk (Tarjan 1972) from each position in order, taking
     # dependencies in ``deps`` order. levels[m] is 0 until the walk reaches m,
     # -1 while m is on the current path, and m's level once its dependencies
-    # are placed. A stack entry is a position, its next dependency entry and
-    # its deepest placed dependency so far; a resumed entry re-reads the
-    # dependency it descended into, which is placed by then. A dependency on
-    # the path closes a cycle: the first one found is reported, rotated so
-    # that the bytewise-smallest member leads, keeping the error deterministic.
+    # are placed. The stack holds the path's positions; a position on it keeps
+    # its next dependency entry in ``resume`` and its deepest placed dependency
+    # so far in ``deepest``. A resumed position re-reads the dependency it
+    # descended into, which is placed by then. A dependency on the path closes
+    # a cycle: the first one found is reported, rotated so that the
+    # bytewise-smallest member leads, keeping the error deterministic.
     levels = [0] * len(names)
+    resume = list(offsets)
+    deepest = [0] * len(names)
     for root in range(len(names)):
         if levels[root]:
             continue
         levels[root] = -1
-        stack = [(root, offsets[root], 0)]
+        stack = [root]
         while stack:
-            pos, next_dep, deepest = stack.pop()
-            for next_dep in range(next_dep, offsets[pos + 1]):
-                dep = targets[next_dep]
+            pos = stack[-1]
+            best = deepest[pos]
+            for entry in range(resume[pos], offsets[pos + 1]):
+                dep = targets[entry]
                 level = levels[dep]
-                if level > deepest:
-                    deepest = level
+                if level > best:
+                    best = level
                 elif not level:
                     levels[dep] = -1
-                    stack.append((pos, next_dep, deepest))
-                    stack.append((dep, offsets[dep], 0))
+                    resume[pos] = entry
+                    deepest[pos] = best
+                    stack.append(dep)
                     break
                 elif level < 0:
-                    path = [entry[0] for entry in stack] + [pos]
-                    cycle = [names[i] for i in path[path.index(dep) :]]
+                    cycle = [names[i] for i in stack[stack.index(dep) :]]
                     pivot = min(range(len(cycle)), key=lambda i: cycle[i].encode("utf-8"))
                     raise CircularDependency(cycle[pivot:] + cycle[:pivot])
             else:
-                levels[pos] = deepest + 1
+                levels[pos] = best + 1
+                stack.pop()
     return tuple(levels)

@@ -238,12 +238,8 @@ def _resolve_policy_flags(args) -> SelectionPolicy:
         return SelectionPolicy.all_skip()
     if args.policy.startswith("file:"):
         path = args.policy[len("file:"):]
-        names = []
-        for line in _read(path).splitlines():
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                names.append(stripped)
-        return SelectionPolicy.from_file(names)
+        lines = map(str.strip, _read(path).splitlines())
+        return SelectionPolicy.from_file(line for line in lines if line and line[0] != "#")
     raise ConfigError(f"unknown policy {args.policy!r}")
 
 

@@ -8,14 +8,16 @@ not hardware-gated at all (filesystems, syscall shims) and always pass.
 ``_contains_word`` is the definition of a match. The gate reaches it through
 a word-run index of the inventory, so a tag costs a dictionary lookup plus a
 check of the few devices that share its rarest word run, not a scan of every
-device. The index is built on the first tagged query, so sessions that never
-check a tag (stage1, untagged catalogs) never pay for it.
+device. The index, and the casefolded copy of the devices it is built from,
+are made on the first tagged query, so sessions that never check a tag
+(stage1, untagged catalogs) never pay for either: building an inventory only
+strips and checks its device lines, in bulk.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .catalog import ModuleRecord
@@ -33,16 +35,21 @@ class HardwareInventory:
     """Immutable list of device description strings; order is irrelevant."""
 
     devices: tuple[str, ...]
-    _folded: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for dev in self.devices:
-            if not dev or dev != dev.strip():
-                raise ValueError(f"device strings must be non-empty and trimmed: {dev!r}")
-        object.__setattr__(self, "_folded", tuple(d.casefold() for d in self.devices))
+        devices = tuple(self.devices)
+        if not all(devices) or tuple(map(str.strip, devices)) != devices:
+            for dev in devices:
+                if not dev or dev != dev.strip():
+                    raise ValueError(f"device strings must be non-empty and trimmed: {dev!r}")
 
     def __len__(self) -> int:
         return len(self.devices)
+
+    @cached_property
+    def _folded(self) -> tuple[str, ...]:
+        # The casefolded devices, built on the first tagged query.
+        return tuple(map(str.casefold, self.devices))
 
     @cached_property
     def _postings(self) -> dict[str, list[int]]:
@@ -86,11 +93,7 @@ def parse_inventory(text: str) -> HardwareInventory:
         raise MalformedInventory(
             f"inventory must start with a '{INVENTORY_HEADER}' header line"
         )
-    devices = []
-    for line in lines[1:]:
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            devices.append(stripped)
+    devices = [line for line in map(str.strip, lines[1:]) if line and line[0] != "#"]
     return HardwareInventory(tuple(devices))
 
 

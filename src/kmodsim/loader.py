@@ -86,7 +86,7 @@ from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter, not_
 from typing import NamedTuple
 
@@ -444,9 +444,9 @@ def _exhaust(job: Iterator[int | None]) -> None:
 
 def format_trace(events) -> str:
     """One ``<timestamp_us> <worker_id> <KIND> <module>`` line per event."""
-    return "".join(
-        f"{e.timestamp_us} {e.worker_id} {e.kind} {e.module}\n" for e in events
-    )
+    # One C-level %-format of every field at once.
+    fields = tuple(chain.from_iterable(events))
+    return ("%s %s %s %s\n" * (len(fields) // 4)) % fields
 
 
 def parse_trace(text: str) -> list[LoadEvent]:

@@ -17,6 +17,12 @@ Base-kernel modules are already resident, so they are never registered as
 roots; they still receive depth values when a loadable module depends on
 them, which keeps the byte ordering rule (dependency value < dependent
 value) intact across the whole file.
+
+``read_index`` reads an index in the shape ``write_index`` writes with a few
+whole-text string operations and no Python-level work per line. Any other
+text goes line by line through ``_read_lines``, which accepts the same
+indexes and is the only source of error messages. A value is unsigned ASCII
+digits on either path.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ from .hardware import HardwareInventory
 
 INDEX_HEADERS = {"v0": "MODINDEX v0", "v1": "MODINDEX v1"}
 MAX_DEPTH_VALUE = 255
+# The largest value each index version stores.
+_LIMITS = {"v0": 1, "v1": MAX_DEPTH_VALUE}
 
 ALL_LOAD = "all_load"
 ALL_SKIP = "all_skip"
@@ -154,9 +162,49 @@ def write_index(index: IndexFile) -> str:
 
 def read_index(text: str, catalog: ModuleCatalog) -> IndexFile:
     """Parse an index file and validate positional alignment with the catalog."""
+    index = _read_canonical(text, catalog)
+    return _read_lines(text, catalog) if index is None else index
+
+
+_VERSION_OF_HEADER = {header: version for version, header in INDEX_HEADERS.items()}
+# Each version's values as write_index writes them: "0" up to its limit.
+_CANONICAL_VALUES = {
+    version: {str(value): value for value in range(limit + 1)}
+    for version, limit in _LIMITS.items()
+}
+
+
+def _read_canonical(text: str, catalog: ModuleCatalog) -> IndexFile | None:
+    """The index of a text in canonical shape, or None to parse it line by line.
+
+    Canonical text is what ``write_index`` writes: the exact header, then one
+    ``name value`` line per catalog position, each ending in ``\n``, with the
+    catalog's names in order and each value written as ``str`` writes a value
+    within the version's limit. ``_read_lines`` would return the same index.
+    """
+    header, _, body = text.partition("\n")
+    version = _VERSION_OF_HEADER.get(header)
+    if version is None:
+        return None
+    count = len(catalog)
+    # str.split drops every kind of whitespace and line break, so a body that
+    # equals its fields rejoined by single spaces and line ends holds no other.
+    fields = body.split()
+    if len(fields) != 2 * count or ("%s %s\n" * count) % tuple(fields) != body:
+        return None
+    if tuple(fields[0::2]) != catalog.names:
+        return None
+    try:
+        values = list(map(_CANONICAL_VALUES[version].__getitem__, fields[1::2]))
+    except KeyError:
+        return None
+    return IndexFile(version, tuple(zip(catalog.names, values)))
+
+
+def _read_lines(text: str, catalog: ModuleCatalog) -> IndexFile:
     lines = text.splitlines()
     header = lines[0].strip() if lines else ""
-    version = next((v for v, h in INDEX_HEADERS.items() if h == header), None)
+    version = _VERSION_OF_HEADER.get(header)
     if version is None:
         raise VersionMismatch(f"unrecognized index header {header!r}")
 
@@ -166,7 +214,7 @@ def read_index(text: str, catalog: ModuleCatalog) -> IndexFile:
             f"index has {len(body)} entries, catalog has {len(catalog)} modules"
         )
 
-    limit = 1 if version == "v0" else MAX_DEPTH_VALUE
+    limit = _LIMITS[version]
     entries = []
     for pos, (line, expected) in enumerate(zip(body, catalog.names)):
         parts = line.split()
@@ -177,9 +225,13 @@ def read_index(text: str, catalog: ModuleCatalog) -> IndexFile:
             raise PositionMismatch(
                 f"entry {pos}: expected module {expected!r}, got {name!r}"
             )
+        # A value is ASCII digits, so int()'s "+1", "1_0" and non-ASCII
+        # digits are not values.
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueOutOfRange(f"entry {pos}: value {raw!r} is not an integer")
         try:
             value = int(raw)
-        except ValueError:
+        except ValueError:  # more digits than int_max_str_digits allows
             raise ValueOutOfRange(f"entry {pos}: value {raw!r} is not an integer") from None
         if not 0 <= value <= limit:
             raise ValueOutOfRange(
@@ -187,4 +239,3 @@ def read_index(text: str, catalog: ModuleCatalog) -> IndexFile:
             )
         entries.append((name, value))
     return IndexFile(version, tuple(entries))
-

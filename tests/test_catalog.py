@@ -85,6 +85,21 @@ class TestParse:
         with pytest.raises(MalformedRecord):
             make_catalog(line)
 
+    # int() also reads a sign, digit-group underscores and non-ASCII digits.
+    @pytest.mark.parametrize("size", ["+5", "1_0", " +5 ", "٣", "２", "-٣"])
+    def test_sizes_are_unsigned_ascii_digits(self, size):
+        with pytest.raises(MalformedRecord) as err:
+            parse_catalog(f"MODCAT v1\na|{size}||\n")
+        assert str(err.value) == f"line 2: size must be an integer, got {size.strip()!r}"
+
+    @pytest.mark.parametrize("size, message", [("-3", "negative size -3"), ("-0", "negative size -0")])
+    def test_a_signed_size_is_negative(self, size, message):
+        with pytest.raises(MalformedRecord, match=f"^line 2: {message}$"):
+            parse_catalog(f"MODCAT v1\na|{size}||\n")
+
+    def test_sizes_keep_their_leading_zeros_and_padding(self):
+        assert parse_catalog("MODCAT v1\na| 007 ||\n").sizes == (7,)
+
     def test_missing_header(self):
         with pytest.raises(MalformedRecord):
             parse_catalog("a|1||\n")

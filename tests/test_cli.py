@@ -85,6 +85,12 @@ class TestRegister:
         body = (workdir / "index.txt").read_text().splitlines()[1:]
         assert sum(line.endswith(" 1") for line in body) == 1
 
+    def test_file_policy_trims_names_and_skips_comments_and_blank_lines(self, workdir):
+        (workdir / "catalog.txt").write_text("MODCAT v1\na|1||\nb|1||\nc|1||\n")
+        (workdir / "sel.txt").write_text("  # picks b\r\n\t a \r\n\n   \nc　\n")
+        assert run_register(workdir, "v0", f"file:{workdir / 'sel.txt'}") == 0
+        assert (workdir / "index.txt").read_text() == "MODINDEX v0\na 1\nb 0\nc 1\n"
+
     def test_v1_file_policy_writes_oracle_levels(self, workdir):
         (workdir / "catalog.txt").write_text(
             "MODCAT v1\na|1||\nb|1|a|\nc|1|b|\n"

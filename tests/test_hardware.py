@@ -231,3 +231,54 @@ class TestLazyIndex:
         inventory = parse_inventory(inventory_text)
         run_strategy(catalog, index, inventory, StrategyConfig("stage1"))
         assert not index_built(inventory)
+
+    def test_untagged_sweep_never_folds_the_devices(self):
+        catalog = make_catalog("a|1||", "b|1|a|", "c|1||")
+        inventory = make_inventory("Intel dev-a adapter")
+        index = register_v0(catalog, SelectionPolicy.all_load())
+        _, trace = run_strategy(catalog, index, inventory, StrategyConfig("stage0"))
+        assert len(trace) == 3
+        assert not devices_folded(inventory)
+
+    def test_stage1_session_never_folds_the_devices(self):
+        catalog_text, inventory_text = generate_fixture(60, 4, seed=5, hw_coverage=0.8)
+        catalog = parse_catalog(catalog_text)
+        registered_with = parse_inventory(inventory_text)
+        index = register_v1(catalog, SelectionPolicy.all_load(), registered_with)
+        assert devices_folded(registered_with)
+
+        inventory = parse_inventory(inventory_text)
+        run_strategy(catalog, index, inventory, StrategyConfig("stage1"))
+        assert not devices_folded(inventory)
+
+    def test_devices_fold_on_the_first_tagged_query_only(self):
+        inventory = make_inventory("Intel DEV-A adapter", "/8168 PHY")
+        assert not devices_folded(inventory)
+        assert inventory.supports(("dev-a",)) and devices_folded(inventory)
+        folded = inventory._folded
+        assert folded == ("intel dev-a adapter", "/8168 phy")
+        assert inventory.supports(("/8168",)) and inventory._folded is folded
+
+    @pytest.mark.parametrize(
+        "devices, bad",
+        [
+            (("",), ""),
+            (("ok", " lead"), " lead"),
+            (("trail ", "ok"), "trail "),
+            (("ok", "tab\t", ""), "tab\t"),
+            (("ok", "", "x "), ""),
+            (("line\n",), "line\n"),
+            (("　wide",), "　wide"),
+        ],
+    )
+    def test_an_empty_or_untrimmed_device_is_named(self, devices, bad):
+        with pytest.raises(ValueError) as err:
+            HardwareInventory(devices)
+        assert str(err.value) == f"device strings must be non-empty and trimmed: {bad!r}"
+
+    def test_inner_whitespace_is_kept(self):
+        assert HardwareInventory(("Intel  e1000\tport",)).devices == ("Intel  e1000\tport",)
+
+
+def devices_folded(inventory: HardwareInventory) -> bool:
+    return "_folded" in vars(inventory)

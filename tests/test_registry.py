@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kmodsim import catalog as catalog_module
+from kmodsim import registry as registry_module
 from kmodsim.catalog import ModuleCatalog, parse_catalog, topo_levels
 from kmodsim.errors import (
     DepthOverflow,
+    KmodsimError,
     PositionMismatch,
     UnknownSelection,
     ValueOutOfRange,
@@ -17,6 +20,7 @@ from kmodsim.errors import (
 from kmodsim.fixtures import generate_fixture
 from kmodsim.hardware import HardwareInventory, check_hardware_support, parse_inventory
 from kmodsim.registry import (
+    INDEX_HEADERS,
     SelectionPolicy,
     read_index,
     register_v0,
@@ -26,6 +30,7 @@ from kmodsim.registry import (
 )
 
 from conftest import (
+    LINE_BREAKS,
     CountingRuns,
     catalog_texts,
     chain_records,
@@ -239,6 +244,23 @@ class TestIndexFiles:
         with pytest.raises(VersionMismatch):
             read_index("MODINDEX v9\na 1\n", catalog)
 
+    # int() also reads a sign, digit-group underscores and non-ASCII digits.
+    @pytest.mark.parametrize("raw", ["+1", "1_0", "٣", "２", "-0"])
+    def test_values_are_unsigned_ascii_digits(self, raw):
+        catalog = make_catalog("a|1||", "b|1||")
+        with pytest.raises(ValueOutOfRange) as err:
+            read_index(f"MODINDEX v1\na 1\nb {raw}\n", catalog)
+        assert str(err.value) == f"entry 1: value {raw!r} is not an integer"
+
+    def test_the_first_bad_value_is_named(self):
+        catalog = make_catalog("a|1||", "b|1||")
+        with pytest.raises(ValueOutOfRange, match=r"^entry 0: value '\+1' is not an integer$"):
+            read_index("MODINDEX v1\na +1\nb 1_0\n", catalog)
+
+    def test_leading_zeros_are_still_digits(self):
+        catalog = make_catalog("a|1||", "b|1||")
+        assert read_index("MODINDEX v1\na 001\nb 0\n", catalog).entries == (("a", 1), ("b", 0))
+
     def test_headers_are_bit_exact(self):
         catalog = make_catalog("a|1||")
         assert write_index(register_v0(catalog, SelectionPolicy.all_skip())).startswith(
@@ -247,6 +269,126 @@ class TestIndexFiles:
         assert write_index(
             register_v1(catalog, SelectionPolicy.all_skip(), NO_HW)
         ).startswith("MODINDEX v1\n")
+
+
+# -- the one-pass index reader against the per-line parser -----------------
+
+INDEX_CATALOG = make_catalog("a|1||", "b.ko|1||", "m-1_2|1||", "z|1||")
+CANONICAL_INDEX = "MODINDEX v1\na 1\nb.ko 2\nm-1_2 0\nz 255\n"
+BLANKS = (" ", "\t", "  ", " \t", "\xa0", "\u3000")
+
+
+@st.composite
+def index_variants(draw) -> tuple[str, bool]:
+    """Index text for INDEX_CATALOG and whether ``write_index`` wrote it.
+
+    Other text also gets a wrong or padded header, names out of place, a
+    missing or an extra line, values written as ``+1``, ``01``, ``1_0``,
+    ``-1``, non-ASCII digits, words or above the version's limit, lines of 1
+    or 3 fields, tabs, runs of spaces and padding, blank and whitespace-only
+    lines, and every line break, with or without a final one.
+    """
+    canonical = draw(st.booleans())
+
+    def deviate():
+        # Rare, so that some texts hold a single non-canonical detail.
+        return not canonical and draw(st.integers(0, 14)) == 7
+
+    version = draw(st.sampled_from(sorted(INDEX_HEADERS)))
+    limit = 1 if version == "v0" else 255
+    header = INDEX_HEADERS[version]
+    if deviate():
+        header = draw(st.sampled_from(["MODINDEX v2", " " + header, header + "\t", "modindex v1"]))
+    names = list(INDEX_CATALOG.names)
+    if deviate():
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        names[i], names[j] = names[j], names[i]
+    if deviate():
+        names[draw(st.integers(0, 3))] = "ghost"
+    if deviate():
+        del names[draw(st.integers(0, 3))]
+    if deviate():
+        names.append("z")
+
+    lines = [header]
+    for name in names:
+        value = draw(st.integers(0, limit))
+        raw = str(value)
+        if deviate():
+            raw = draw(st.sampled_from(
+                [f"+{value}", f"0{value}", f"{value}_0", f"-{value}", "٣", "\uff12",
+                 "yes", str(limit + 1), "9" * 5000]
+            ))
+        fields = [name, raw]
+        if deviate():
+            fields = fields[:1] if draw(st.booleans()) else fields + ["extra"]
+        sep = draw(st.sampled_from(BLANKS)) if deviate() else " "
+        pad = draw(st.sampled_from(BLANKS)) if deviate() else ""
+        lines.append(pad + sep.join(fields) + pad)
+        if deviate():
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+
+    text = ""
+    for line in lines:
+        text += line + (draw(st.sampled_from(LINE_BREAKS)) if deviate() else "\n")
+    if deviate():
+        text = text[:-1]
+    return text, canonical
+
+
+def index_outcome(read, text):
+    try:
+        return read(text, INDEX_CATALOG)
+    except KmodsimError as err:
+        return type(err), str(err)
+
+
+class TestIndexParsing:
+    @settings(max_examples=400, deadline=None)
+    @given(case=index_variants())
+    @example((CANONICAL_INDEX, True))
+    @example((CANONICAL_INDEX.replace("\n", "\r\n"), False))
+    @example((CANONICAL_INDEX.replace("\n", "\n\n"), False))
+    @example((CANONICAL_INDEX.replace("b.ko 2\n", "b.ko 2\n \t \n"), False))
+    @example((CANONICAL_INDEX.replace("a 1", "a\t1"), False))
+    @example((CANONICAL_INDEX.replace("a 1", "a  1"), False))
+    @example((CANONICAL_INDEX.replace("a 1", " a 1 "), False))
+    @example((CANONICAL_INDEX.replace("MODINDEX v1", " MODINDEX v1 "), False))
+    @example((CANONICAL_INDEX.replace("a 1", "a +1"), False))
+    @example((CANONICAL_INDEX.replace("a 1", "a 01"), False))
+    @example((CANONICAL_INDEX.replace("a 1", "a 1_0"), False))
+    @example((CANONICAL_INDEX.replace("a 1", "a ٣"), False))
+    @example((CANONICAL_INDEX.replace("a 1", "a 256"), False))
+    @example((CANONICAL_INDEX.replace("a 1", "a 1 extra"), False))
+    @example((CANONICAL_INDEX.replace("a 1\nb.ko 2", "b.ko 2\na 1"), False))
+    # Every field in place under a split on whitespace, but one line short.
+    @example(("MODINDEX v0\na\n1 b.ko 1 m-1_2\n1 z 1\n", False))
+    @example((CANONICAL_INDEX[:-1], False))
+    @example((CANONICAL_INDEX.replace("\n", "\x85"), False))
+    @example((CANONICAL_INDEX.replace("\nz", "\u2028z"), False))
+    @example(("MODINDEX v1\na 1\nb.ko 2\nm-1_2 0\n", False))
+    def test_matches_the_per_line_path(self, case):
+        text, canonical = case
+        read = index_outcome(read_index, text)
+        assert read == index_outcome(registry_module._read_lines, text)
+        if canonical:
+            assert write_index(read) == text
+            assert registry_module._read_canonical(text, INDEX_CATALOG) is not None
+
+    def test_a_long_canonical_index_never_reaches_the_line_parser(self, monkeypatch):
+        catalog_text, inventory_text = generate_fixture(20_000, 16, 3, 0.8)
+        catalog = parse_catalog(catalog_text)
+        inventory = parse_inventory(inventory_text)
+        policy = SelectionPolicy.all_load()
+        indexes = [register_v0(catalog, policy), register_v1(catalog, policy, inventory)]
+        assert max(value for _, value in indexes[1].entries) > 1
+
+        def per_line(text, catalog):
+            raise AssertionError("a canonical index reached the line-by-line parser")
+
+        monkeypatch.setattr(registry_module, "_read_lines", per_line)
+        for index in indexes:
+            assert read_index(write_index(index), catalog) == index
 
 
 def test_resolve_selection_materializes_interactive_once():

@@ -1,0 +1,111 @@
+"""SHA-256 digests of every deterministic output of one pipeline pass.
+
+For each workload and seed, this builds the benchmark's inputs as
+``benchmarks/run.py``'s ``Bench.setup`` does, runs one ``Bench.pipeline_pass``
+(the ten ``kmodsim`` commands) and prints one line per output:
+
+    <workload> seed=<n> <output> <sha256>
+
+The outputs are both index files, the stage0 and stage1 traces, each
+strategy's loaded set and each strategy's ``report``. Fields that depend on
+the clock or on thread scheduling are left out before hashing: trace
+timestamps and the report's ``*_us`` lines when the workload sleeps per
+attach, and the ``dup_attempts`` line of the stage2 and stage3 reports.
+stage2 and stage3 traces are not hashed, since their event order follows the
+schedule; their loaded sets are.
+
+Both the benchmark code and ``kmodsim`` are imported from the checkout given
+by ``--root`` (this checkout by default), and nothing there is edited, so two
+checkouts compare with one command:
+
+    diff <(python3 tools/output_digests.py --root ../parent) \\
+         <(python3 tools/output_digests.py)
+
+The exit status is 1 when any command or benchmark check failed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+DEFAULT_ROOT = Path(__file__).resolve().parents[1]
+# Reports of the strategies whose workers race for claims.
+RACING = ("stage2", "stage3")
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def clock_free_trace(text: str) -> str:
+    """A trace with each event's timestamp field dropped."""
+    return "".join(line.split(" ", 1)[1] + "\n" for line in text.splitlines() if line)
+
+
+def stable_report(text: str, strategy: str, timed: bool) -> str:
+    """A report without the lines that follow the clock or the schedule."""
+    keep = []
+    for line in text.splitlines():
+        key = line.split(":", 1)[0]
+        if timed and key.endswith("_us"):
+            continue
+        if strategy in RACING and key == "dup_attempts":
+            continue
+        keep.append(line + "\n")
+    return "".join(keep)
+
+
+def outputs(run, kmodsim, workload, seed: int) -> tuple[dict[str, str], int]:
+    """Each deterministic output's text after one pass, and the failure count."""
+    with tempfile.TemporaryDirectory(prefix="kmodsim-digests-") as work:
+        bench = run.Bench(kmodsim, workload, seed, Path(work))
+        bench.setup()
+        bench.load_oracle()
+        result = bench.pipeline_pass()
+        timed = bool(workload.load_base_us or workload.load_per_kb_us)
+        texts = {f"index.{v}": bench.index[v].read_text() for v in ("v0", "v1")}
+        for s in ("stage0", "stage1"):
+            trace = bench.trace[s].read_text()
+            texts[f"trace.{s}"] = clock_free_trace(trace) if timed else trace
+    for s in run.STRATEGIES:
+        texts[f"loaded.{s}"] = "".join(f"{name}\n" for name in sorted(result["traces"][s].loaded))
+        texts[f"report.{s}"] = stable_report(result["reports"][s], s, timed)
+    return texts, bench.failed
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=DEFAULT_ROOT,
+                        help="checkout whose benchmarks/ and src/ are run")
+    parser.add_argument("--workload", action="append", dest="workloads",
+                        help="workload name, repeatable (default: every workload)")
+    parser.add_argument("--seed", action="append", dest="seeds", type=int,
+                        help="workload seed, repeatable (default: 1, 2, 3)")
+    args = parser.parse_args(argv)
+
+    root = args.root.resolve()
+    sys.path.insert(0, str(root / "benchmarks"))
+    import run  # the checkout's benchmarks/run.py
+
+    unknown = sorted(set(args.workloads or ()) - set(run.WORKLOADS))
+    if unknown:
+        parser.error(f"unknown workload(s): {', '.join(unknown)}")
+    kmodsim = run.load_program(root)
+    failed = 0
+    for name in args.workloads or run.WORKLOADS:
+        for seed in args.seeds or (1, 2, 3):
+            texts, failures = outputs(run, kmodsim, run.WORKLOADS[name], seed)
+            failed += failures
+            for output, text in texts.items():
+                print(f"{name} seed={seed} {output} {digest(text)}")
+    if failed:
+        print(f"error: {failed} command(s) or check(s) failed", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
