@@ -61,11 +61,9 @@ from .metrics import (
 )
 from .registry import (
     IndexFile,
-    SelectionPolicy,
     read_index,
     register_v0,
     register_v1,
-    resolve_selection,
     write_index,
 )
 

@@ -83,11 +83,14 @@ class ModuleCatalog:
     tuples of ints, so a catalog holds no container per module beyond its tag
     tuples.
 
-    ``parse_catalog`` and the constructor build the columns in one place,
-    ``_assemble``: records are sorted by name, ``*.symbols`` entries are
-    dropped, repeated dependencies are kept once, ``@base`` propagates to
-    every transitive dependency, and duplicates, unknown dependencies and
-    cycles raise. ``records`` builds one ``ModuleRecord`` per position from
+    The constructor accepts a record only when its catalog file line parses
+    back to the same fields (lists read as tuples), so every catalog it
+    builds can be written out and read again; ``MalformedRecord`` names the
+    record that cannot. ``parse_catalog`` and the constructor build the
+    columns in one place, ``_assemble``: records are sorted by name,
+    ``*.symbols`` entries are dropped, repeated dependencies are kept once,
+    ``@base`` propagates to every transitive dependency, and duplicates,
+    unknown dependencies and cycles raise. ``records`` builds one ``ModuleRecord`` per position from
     the columns on first access; equality and hashing compare columns.
     """
 
@@ -101,10 +104,7 @@ class ModuleCatalog:
     levels: tuple[int, ...]
 
     def __init__(self, records: Iterable[ModuleRecord]):
-        fields = [
-            (r.name, r.size_kb, tuple(dict.fromkeys(r.deps)), r.hw_tags, r.base_kernel_only)
-            for r in records
-        ]
+        fields = list(map(_record_fields, records))
         vars(self).update(vars(_assemble(*(zip(*fields) if fields else [()] * 5))))
 
     def __setattr__(self, name: str, value) -> None:
@@ -160,13 +160,7 @@ def parse_catalog(text: str) -> ModuleCatalog:
 def serialize_catalog(catalog: ModuleCatalog) -> str:
     """Render a catalog back to file form (records in canonical order)."""
     lines = [CATALOG_HEADER]
-    for rec in catalog.records:
-        tags = list(rec.hw_tags)
-        if rec.base_kernel_only:
-            tags.append(BASE_TAG)
-        lines.append(
-            f"{rec.name}|{rec.size_kb}|{','.join(rec.deps)}|{','.join(tags)}"
-        )
+    lines.extend(map(_record_line, catalog.records))
     return "\n".join(lines) + "\n"
 
 
@@ -189,6 +183,32 @@ _Columns = tuple[
     Sequence[tuple[str, ...]],
     Sequence[bool],
 ]
+
+
+def _record_line(record: ModuleRecord) -> str:
+    """A record as its catalog file line."""
+    # str() lets an item of another type reach _record_fields's comparison.
+    tags = (*record.hw_tags, BASE_TAG) if record.base_kernel_only else record.hw_tags
+    deps, tags = ",".join(map(str, record.deps)), ",".join(map(str, tags))
+    return f"{record.name}|{record.size_kb}|{deps}|{tags}"
+
+
+def _record_fields(record: ModuleRecord) -> _Fields:
+    """A directly built record's fields, as its catalog file line parses them."""
+    line = _record_line(record)
+    fields = _parse_record(line, f"record {record!r}")
+    given = (
+        record.name,
+        record.size_kb,
+        tuple(dict.fromkeys(record.deps)),
+        tuple(record.hw_tags),
+        record.base_kernel_only,
+    )
+    if fields != given:
+        raise MalformedRecord(
+            f"record {record!r}: its catalog line {line!r} reads back as {fields!r}"
+        )
+    return fields
 
 
 def _scan_canonical(text: str) -> _Columns | None:
@@ -226,19 +246,20 @@ def _scan_lines(text: str) -> _Columns:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        rows.append(_parse_record(stripped, lineno))
+        rows.append(_parse_record(stripped, f"line {lineno}"))
     return list(zip(*rows)) or [()] * 5
 
 
-def _parse_record(line: str, lineno: int) -> _Fields:
+def _parse_record(line: str, where: str) -> _Fields:
+    # ``where`` leads every message: the line number, or a record built directly.
     parts = line.split("|")
     if len(parts) != 4:
         raise MalformedRecord(
-            f"line {lineno}: expected 4 '|'-separated fields, got {len(parts)}"
+            f"{where}: expected 4 '|'-separated fields, got {len(parts)}"
         )
     name = parts[0].strip()
     if not _NAME_RE.match(name):
-        raise MalformedRecord(f"line {lineno}: bad module name {name!r}")
+        raise MalformedRecord(f"{where}: bad module name {name!r}")
 
     # A size is ASCII digits, so int()'s "+5", "1_0" and non-ASCII digits
     # are not sizes; a leading "-" on digits is reported as a negative size.
@@ -246,20 +267,20 @@ def _parse_record(line: str, lineno: int) -> _Fields:
     negative = size_text.startswith("-")
     digits = size_text[1:] if negative else size_text
     if not (digits.isascii() and digits.isdigit()):
-        raise MalformedRecord(f"line {lineno}: size must be an integer, got {size_text!r}")
+        raise MalformedRecord(f"{where}: size must be an integer, got {size_text!r}")
     if negative:
-        raise MalformedRecord(f"line {lineno}: negative size {size_text}")
+        raise MalformedRecord(f"{where}: negative size {size_text}")
     try:
         size_kb = int(size_text)
     except ValueError:  # more digits than int_max_str_digits allows
         raise MalformedRecord(
-            f"line {lineno}: size must be an integer, got {size_text!r}"
+            f"{where}: size must be an integer, got {size_text!r}"
         ) from None
 
     deps = []
     for dep in _split_list(parts[2]):
         if not _NAME_RE.match(dep):
-            raise MalformedRecord(f"line {lineno}: bad dependency name {dep!r}")
+            raise MalformedRecord(f"{where}: bad dependency name {dep!r}")
         deps.append(dep)
 
     return (name, size_kb, tuple(dict.fromkeys(deps)), *_tag_fields(_split_list(parts[3])))

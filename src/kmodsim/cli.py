@@ -11,8 +11,9 @@ import argparse
 import sys
 from itertools import compress
 from pathlib import Path
+from typing import Iterable
 
-from .catalog import parse_catalog
+from .catalog import ModuleCatalog, parse_catalog
 from .errors import ConfigError, KmodsimError, MalformedTrace
 from .fixtures import generate_fixture
 from .hardware import HardwareInventory, parse_inventory
@@ -33,7 +34,7 @@ from .metrics import (
     space_report,
     timing_from_trace,
 )
-from .registry import SelectionPolicy, read_index, register_v0, register_v1, write_index
+from .registry import read_index, register_v0, register_v1, write_index
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -125,14 +126,14 @@ def _cmd_gen(args) -> int:
 
 def _cmd_register(args) -> int:
     catalog = parse_catalog(_read(args.catalog))
-    policy = _resolve_policy_flags(args)
+    selected = _selection(args, catalog)
     if args.version == "v1":
         if not args.inventory:
             raise ConfigError("--version v1 requires --inventory")
         inventory = parse_inventory(_read(args.inventory))
-        index = register_v1(catalog, policy, inventory)
+        index = register_v1(catalog, selected, inventory)
     else:
-        index = register_v0(catalog, policy)
+        index = register_v0(catalog, selected)
     Path(args.index).write_text(write_index(index))
     return 0
 
@@ -175,7 +176,7 @@ def _cmd_bench(args) -> int:
         raise ConfigError("no strategies given")
     report = bench(
         catalog,
-        _resolve_policy_flags(args),
+        _selection(args, catalog),
         inventory,
         strategies,
         workers=args.workers,
@@ -225,21 +226,26 @@ def _read(path: str) -> str:
         raise OSError(f"{path}: {exc}") from None
 
 
-def _resolve_policy_flags(args) -> SelectionPolicy:
+def _selection(args, catalog: ModuleCatalog) -> Iterable[str]:
+    """The module names the policy flags select.
+
+    ``--interactive`` asks in catalog order only when registration reads the
+    names, so every other check of the command comes before the first question.
+    """
     if args.interactive:
-        return SelectionPolicy.interactive(_ask_on_terminal)
+        return (name for name in catalog.names if _ask_on_terminal(name))
     if args.assume_yes:
-        return SelectionPolicy.all_load()
+        return catalog.names
     if not args.policy:
         raise ConfigError("pick a policy: --policy, --interactive, or --assume-yes")
     if args.policy == "all-load":
-        return SelectionPolicy.all_load()
+        return catalog.names
     if args.policy == "all-skip":
-        return SelectionPolicy.all_skip()
+        return ()
     if args.policy.startswith("file:"):
         path = args.policy[len("file:"):]
         lines = map(str.strip, _read(path).splitlines())
-        return SelectionPolicy.from_file(line for line in lines if line and line[0] != "#")
+        return [line for line in lines if line and line[0] != "#"]
     raise ConfigError(f"unknown policy {args.policy!r}")
 
 

@@ -42,6 +42,8 @@ class HardwareInventory:
             for dev in devices:
                 if not dev or dev != dev.strip():
                     raise ValueError(f"device strings must be non-empty and trimmed: {dev!r}")
+        # A tuple, so an inventory built from a list compares and hashes.
+        object.__setattr__(self, "devices", devices)
 
     def __len__(self) -> int:
         return len(self.devices)

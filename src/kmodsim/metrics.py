@@ -23,12 +23,7 @@ from .loader import (
     STRATEGIES,
     run_strategy,
 )
-from .registry import (
-    SelectionPolicy,
-    register_v0,
-    register_v1,
-    resolve_selection,
-)
+from .registry import register_v0, register_v1
 
 
 @dataclass(frozen=True)
@@ -145,7 +140,7 @@ def space_report(catalog: ModuleCatalog, loaded_names: Iterable[str]) -> SpaceRe
 
 def bench(
     catalog: ModuleCatalog,
-    policy: SelectionPolicy,
+    selected: Iterable[str],
     inventory: HardwareInventory,
     strategies: Sequence[str],
     workers: int,
@@ -158,7 +153,7 @@ def bench(
     Scores are normalized to stage0's median (1.0 by construction) when
     stage0 is among the strategies; otherwise they are omitted. The composite
     registration+4-loads metric for the v0 and v1 pipelines is always
-    included.
+    included. ``selected`` is read once, after the argument checks.
     """
     if repetitions < 1:
         raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
@@ -166,12 +161,11 @@ def bench(
         if strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {strategy!r}")
 
-    # Interactive policies would otherwise prompt once per run; pin the
-    # selection up front so every run sees the identical choice.
-    policy = SelectionPolicy.from_file(resolve_selection(catalog, policy))
-
-    index_v0 = register_v0(catalog, policy)
-    index_v1 = register_v1(catalog, policy, inventory)
+    # Every registration below reads the selection, and a generator can be
+    # read only once, so it is read here, after the argument checks.
+    selected = frozenset(selected)
+    index_v0 = register_v0(catalog, selected)
+    index_v1 = register_v1(catalog, selected, inventory)
 
     rows = []
     for strategy in strategies:
@@ -210,7 +204,7 @@ def bench(
         )
         for strategy, wall, loads, dups, loaded in rows
     )
-    composite = _composite(catalog, policy, inventory, repetitions)
+    composite = _composite(catalog, selected, inventory, repetitions)
     return BenchReport(
         workers=workers, repetitions=repetitions, results=results, composite=composite
     )
@@ -224,19 +218,19 @@ def _normalize(wall: float, base: float | None) -> float | None:
     return wall / base
 
 
-def _composite(catalog, policy, inventory, repetitions) -> CompositeResult:
+def _composite(catalog, selected, inventory, repetitions) -> CompositeResult:
     v0_samples, v1_samples = [], []
     instant0 = StrategyConfig("stage0")
     instant1 = StrategyConfig("stage1")
     for _ in range(repetitions):
         t0 = time.perf_counter_ns()
-        index = register_v0(catalog, policy)
+        index = register_v0(catalog, selected)
         for _ in range(4):
             run_strategy(catalog, index, inventory, instant0)
         v0_samples.append((time.perf_counter_ns() - t0) / 1000)
 
         t0 = time.perf_counter_ns()
-        index = register_v1(catalog, policy, inventory)
+        index = register_v1(catalog, selected, inventory)
         for _ in range(4):
             run_strategy(catalog, index, inventory, instant1)
         v1_samples.append((time.perf_counter_ns() - t0) / 1000)

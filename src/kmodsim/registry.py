@@ -13,6 +13,12 @@ once and reads each reached module's depth from the levels the catalog
 computed when it was parsed, since a module's depth does not depend on which
 root reaches it.
 
+The user's selection is any iterable of module names: ``catalog.names`` to
+load everything, ``()`` for nothing, the names from a file, or a generator
+that asks the user about each name. Registration reads it once, so a
+generator that asks is asked once per module, and a name outside the catalog
+raises ``UnknownSelection``.
+
 Base-kernel modules are already resident, so they are never registered as
 roots; they still receive depth values when a loadable module depends on
 them, which keeps the byte ordering rule (dependency value < dependent
@@ -27,12 +33,11 @@ digits on either path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Iterable
 
 from .catalog import ModuleCatalog
 from .errors import (
-    ConfigError,
     DepthOverflow,
     PositionMismatch,
     UnknownSelection,
@@ -46,36 +51,6 @@ MAX_DEPTH_VALUE = 255
 # The largest value each index version stores.
 _LIMITS = {"v0": 1, "v1": MAX_DEPTH_VALUE}
 
-ALL_LOAD = "all_load"
-ALL_SKIP = "all_skip"
-FROM_FILE = "from_file"
-INTERACTIVE = "interactive"
-
-
-@dataclass(frozen=True)
-class SelectionPolicy:
-    """How registration decides which modules the user wants loaded."""
-
-    kind: str
-    names: frozenset[str] = frozenset()
-    ask: Callable[[str], bool] | None = field(default=None, compare=False)
-
-    @classmethod
-    def all_load(cls) -> "SelectionPolicy":
-        return cls(ALL_LOAD)
-
-    @classmethod
-    def all_skip(cls) -> "SelectionPolicy":
-        return cls(ALL_SKIP)
-
-    @classmethod
-    def from_file(cls, names: Iterable[str]) -> "SelectionPolicy":
-        return cls(FROM_FILE, names=frozenset(names))
-
-    @classmethod
-    def interactive(cls, ask: Callable[[str], bool]) -> "SelectionPolicy":
-        return cls(INTERACTIVE, ask=ask)
-
 
 @dataclass(frozen=True)
 class IndexFile:
@@ -85,37 +60,25 @@ class IndexFile:
     entries: tuple[tuple[str, int], ...]
 
 
-def resolve_selection(catalog: ModuleCatalog, policy: SelectionPolicy) -> frozenset[str]:
-    """Materialize a policy into the set of selected module names.
-
-    Interactive policies are asked once per module, in catalog order.
-    """
-    if policy.kind == ALL_LOAD:
-        return frozenset(catalog.names)
-    if policy.kind == ALL_SKIP:
-        return frozenset()
-    if policy.kind == FROM_FILE:
-        unknown = sorted(policy.names - set(catalog.names))
-        if unknown:
-            raise UnknownSelection(f"selection names unknown modules: {', '.join(unknown)}")
-        return policy.names
-    if policy.kind == INTERACTIVE:
-        if policy.ask is None:
-            raise ConfigError("interactive policy needs an ask callback")
-        return frozenset(name for name in catalog.names if policy.ask(name))
-    raise ConfigError(f"unknown selection policy {policy.kind!r}")
+def _selection(catalog: ModuleCatalog, selected: Iterable[str]) -> frozenset[str]:
+    """The selected names, read once; every one must name a catalog module."""
+    selected = frozenset(selected)
+    if not catalog.index_of.keys() >= selected:
+        unknown = sorted(selected - catalog.index_of.keys())
+        raise UnknownSelection(f"selection names unknown modules: {', '.join(unknown)}")
+    return selected
 
 
-def register_v0(catalog: ModuleCatalog, policy: SelectionPolicy) -> IndexFile:
-    """Record the raw selection as one flag bit per catalog position."""
-    selected = resolve_selection(catalog, policy)
+def register_v0(catalog: ModuleCatalog, selected: Iterable[str]) -> IndexFile:
+    """Record the selected names as one flag bit per catalog position."""
+    selected = _selection(catalog, selected)
     entries = tuple((name, 1 if name in selected else 0) for name in catalog.names)
     return IndexFile("v0", entries)
 
 
 def register_v1(
     catalog: ModuleCatalog,
-    policy: SelectionPolicy,
+    selected: Iterable[str],
     inventory: HardwareInventory,
 ) -> IndexFile:
     """Assign dependency-depth bytes to every loadable, supported selection.
@@ -125,7 +88,7 @@ def register_v1(
     transitive dependencies; every module it reaches gets its level from the
     catalog, everything else stays 0.
     """
-    selected = resolve_selection(catalog, policy)
+    selected = _selection(catalog, selected)
     offsets, targets = catalog.dep_offsets, catalog.dep_targets
     reached = bytearray(len(catalog))
     queue = []

@@ -23,7 +23,7 @@ from kmodsim.loader import (
     run_strategy,
 )
 from kmodsim.metrics import bench, space_report
-from kmodsim.registry import SelectionPolicy, register_v0, register_v1
+from kmodsim.registry import register_v0, register_v1
 
 from conftest import (
     assert_dependency_safe,
@@ -52,7 +52,7 @@ def test_criterion_1_registry_levels_match_the_depth_oracle(random_cases):
     started = time.perf_counter()
     checked = 0
     for catalog, inventory in random_cases:
-        index = register_v1(catalog, SelectionPolicy.all_load(), inventory)
+        index = register_v1(catalog, catalog.names, inventory)
         oracle = topo_levels(catalog)
         for name, value in index.entries:
             if value:
@@ -71,8 +71,8 @@ def test_criterion_1_registry_levels_match_the_depth_oracle(random_cases):
 
 def test_criterion_2_dependency_safety_for_every_strategy(random_cases):
     for catalog, inventory in random_cases:
-        v0 = register_v0(catalog, SelectionPolicy.all_load())
-        v1 = register_v1(catalog, SelectionPolicy.all_load(), inventory)
+        v0 = register_v0(catalog, catalog.names)
+        v1 = register_v1(catalog, catalog.names, inventory)
         for strategy in ALL:
             config = StrategyConfig(strategy, workers=4 if strategy != "stage0" else 1)
             if strategy == "stage1":
@@ -87,7 +87,7 @@ def test_criterion_2_dependency_safety_for_every_strategy(random_cases):
 @pytest.mark.parametrize("workers", [2, 4, 8])
 def test_criterion_3_exactly_once_under_race(workers):
     catalog = make_catalog("b|1|a|", "c|1|a|", "a|1||")
-    index = register_v0(catalog, SelectionPolicy.all_load())
+    index = register_v0(catalog, catalog.names)
     config = StrategyConfig("stage3", workers=workers, load_base_us=100)
     dup_total = 0
     for _ in range(200):
@@ -109,9 +109,8 @@ def test_criterion_4_strategy_equivalence(random_cases):
             if not rec.base_kernel_only and check_hardware_support(rec, inventory)
         ]
         picked = rng.sample(supported, rng.randint(0, len(supported)))
-        policy = SelectionPolicy.from_file(picked)
-        v0 = register_v0(catalog, policy)
-        v1 = register_v1(catalog, policy, inventory)
+        v0 = register_v0(catalog, picked)
+        v1 = register_v1(catalog, picked, inventory)
 
         baseline, _ = run_strategy(catalog, v0, inventory, StrategyConfig("stage0"))
         for strategy, index in (("stage2", v0), ("stage3", v0), ("stage1", v1)):
@@ -124,20 +123,20 @@ def test_criterion_4_strategy_equivalence(random_cases):
 
 def test_criterion_5_count_byte_semantics():
     unsupported = make_catalog("a|1||dev-a")
-    index = register_v1(unsupported, SelectionPolicy.all_load(), make_inventory("other hw"))
+    index = register_v1(unsupported, unsupported.names, make_inventory("other hw"))
     assert dict(index.entries)["a"] == 0
 
     leaf = make_catalog("a|1||dev-a")
-    index = register_v1(leaf, SelectionPolicy.all_load(), make_inventory("Vendor dev-a card"))
+    index = register_v1(leaf, leaf.names, make_inventory("Vendor dev-a card"))
     assert dict(index.entries)["a"] == 1
 
     fits = make_catalog(*chain_records([f"c{i:03d}" for i in range(255)]))
-    index = register_v1(fits, SelectionPolicy.all_load(), NO_HW)
+    index = register_v1(fits, fits.names, NO_HW)
     assert max(value for _, value in index.entries) == 255
 
     overflows = make_catalog(*chain_records([f"c{i:03d}" for i in range(256)]))
     with pytest.raises(DepthOverflow):
-        register_v1(overflows, SelectionPolicy.all_load(), NO_HW)
+        register_v1(overflows, overflows.names, NO_HW)
     _passed(5, "count byte semantics", "0 / 1 / 255-chain fits / 256-chain overflows")
 
 
@@ -150,7 +149,7 @@ def test_criterion_6_space_arithmetic(random_cases):
 
     sessions = 0
     for catalog, inventory in random_cases[:25]:
-        v0 = register_v0(catalog, SelectionPolicy.all_load())
+        v0 = register_v0(catalog, catalog.names)
         state, _ = run_strategy(catalog, v0, inventory, StrategyConfig("stage0"))
         report = space_report(catalog, state.loaded())
         assert report.total_kb == report.loaded_kb + report.saved_kb + report.base_only_kb
@@ -167,7 +166,7 @@ def test_criterion_7_directional_performance_reported_not_enforced():
     started = time.perf_counter()
     catalog, inventory = _bench_fixture()
     report = bench(
-        catalog, SelectionPolicy.all_load(), inventory,
+        catalog, catalog.names, inventory,
         ALL, workers=8, repetitions=5, load_base_us=50, load_per_kb_us=2,
     )
     elapsed = time.perf_counter() - started
@@ -193,7 +192,7 @@ def test_criterion_8_registration_plus_four_loads_composite():
     assert average_depth >= 2, f"fixture too shallow: {average_depth:.2f}"
 
     report = bench(
-        catalog, SelectionPolicy.all_load(), inventory,
+        catalog, catalog.names, inventory,
         ["stage0"], workers=1, repetitions=7,
     )
     composite = report.composite

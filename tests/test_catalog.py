@@ -27,6 +27,9 @@ from kmodsim.errors import (
     UnknownDependency,
 )
 from kmodsim.fixtures import generate_fixture
+from kmodsim.hardware import HardwareInventory
+from kmodsim.loader import StrategyConfig, format_trace, parse_trace, run_strategy
+from kmodsim.registry import read_index, register_v0, write_index
 
 from conftest import (
     LINE_BREAKS,
@@ -432,6 +435,34 @@ class TestOnePassParse:
 # -- catalogs built directly from records -------------------------------
 
 
+_DIRECT_NAMES = ("a", "b", "c", "d", "c.symbols")
+_DIRECT_TAGS = ("pci", "Dev-A", "x")
+# Values that a catalog line may not carry, one strategy per ModuleRecord
+# field that a record is rendered from.
+_ODD_FIELDS = (
+    st.text("ab |,#@\n\t", max_size=3),
+    st.one_of(st.integers(-2, -1), st.booleans(), st.just("7")),
+    st.lists(st.text("b |,\n", max_size=2), min_size=1, max_size=2),
+    st.lists(st.one_of(st.just("@base"), st.text("x |,@\n", max_size=3)), min_size=1, max_size=2),
+)
+
+
+@st.composite
+def direct_records(draw) -> ModuleRecord:
+    """A record with valid fields, at most one of them replaced by an odd value."""
+    fields = [
+        draw(st.sampled_from(_DIRECT_NAMES)),
+        draw(st.integers(0, 10**9)),
+        draw(st.lists(st.sampled_from(_DIRECT_NAMES), max_size=2)),
+        tuple(draw(st.lists(st.sampled_from(_DIRECT_TAGS), max_size=2))),
+        draw(st.booleans()),
+    ]
+    slot = draw(st.sampled_from((None,) * 8 + tuple(range(len(_ODD_FIELDS)))))
+    if slot is not None:
+        fields[slot] = draw(_ODD_FIELDS[slot])
+    return ModuleRecord(*fields)
+
+
 class TestDirectConstruction:
     RECORDS = (ModuleRecord("b", 1, ("a",), (), True), ModuleRecord("a", 1))
 
@@ -460,3 +491,45 @@ class TestDirectConstruction:
         assert catalog.names == ("a", "b", "c")
         assert catalog.record("c").deps == ("b", "a")
         assert catalog != ModuleCatalog(records[:3] + (ModuleRecord("d", 1),))
+
+    @pytest.mark.parametrize(
+        "record, problem",
+        [
+            (ModuleRecord("a b", 1), "bad module name 'a b'"),
+            (ModuleRecord("a", 1, ("b c",)), "bad dependency name 'b c'"),
+            (ModuleRecord("a", -5), "negative size -5"),
+            (ModuleRecord("a", True), "size must be an integer, got 'True'"),
+            (ModuleRecord("a", "1"), "its catalog line 'a|1||' reads back as"),
+            (ModuleRecord(" a", 1), "its catalog line ' a|1||' reads back as"),
+            (ModuleRecord("a", 1, (), ("x|y",)), "expected 4 '|'-separated fields, got 5"),
+            (ModuleRecord("a", 1, (), ("",)), "its catalog line 'a|1||' reads back as"),
+            (ModuleRecord("a", 1, (), ("x,y",)), "its catalog line 'a|1||x,y' reads back as"),
+            (ModuleRecord("a", 1, (), ("@base",)), "its catalog line 'a|1||@base' reads back as"),
+        ],
+    )
+    def test_a_record_that_its_catalog_line_cannot_carry_is_named(self, record, problem):
+        with pytest.raises(MalformedRecord) as raised:
+            ModuleCatalog([ModuleRecord("ok", 1), record])
+        message = str(raised.value)
+        assert message.startswith(f"record {record!r}: ") and problem in message
+
+    def test_list_fields_are_stored_as_tuples(self):
+        from_lists = ModuleCatalog([ModuleRecord("a", 1, ["b"], ["dev-a"]), ModuleRecord("b", 1)])
+        from_tuples = ModuleCatalog([ModuleRecord("a", 1, ("b",), ("dev-a",)), ModuleRecord("b", 1)])
+        assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+        assert from_lists.hw_tags == (("dev-a",), ())
+        assert from_lists.record("a").deps == ("b",)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(direct_records(), max_size=5, unique_by=lambda record: record.name))
+    def test_every_catalog_it_accepts_round_trips(self, records):
+        try:
+            catalog = ModuleCatalog(records)
+        except KmodsimError:
+            return
+        again = parse_catalog(serialize_catalog(catalog))
+        assert again == catalog and hash(again) == hash(catalog)
+        index = register_v0(catalog, catalog.names)
+        assert read_index(write_index(index), catalog) == index
+        _, trace = run_strategy(catalog, index, HardwareInventory(()), StrategyConfig("stage0"))
+        assert parse_trace(format_trace(trace)) == trace

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 import subprocess
 import sys
 import threading
@@ -281,6 +282,62 @@ IMPOSSIBLE_TRACES = {
     "0 0 LOAD core\n": "LOAD of 'core', which is a resident @base module",
     "0 0 LOAD app\n0 0 LOAD fs\n": "LOAD of 'app' before its dependency 'fs'",
 }
+
+
+def prompts(out: str) -> list[str]:
+    """The module names an interactive selection asked about, in order."""
+    return re.findall(r"load (\S+)\? \[y/n\] ", out)
+
+
+class TestInteractiveSelection:
+    """Questions come after every other check of the command, once per module."""
+
+    @pytest.fixture
+    def inputs(self, workdir, monkeypatch):
+        (workdir / "catalog.txt").write_text("MODCAT v1\nb|1||\na|1||\nc|1|a|\n")
+        (workdir / "inventory.txt").write_text("HWINV v1\n")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("y\nn\ny\n" * 3))
+        return workdir
+
+    def bench(self, workdir, *flags):
+        return main([
+            "bench", "--catalog", str(workdir / "catalog.txt"),
+            "--inventory", str(workdir / "inventory.txt"), "--interactive", *flags,
+        ])
+
+    def test_register_v1_without_inventory_fails_before_asking(self, inputs, capsys):
+        rc = main([
+            "register", "--catalog", str(inputs / "catalog.txt"), "--version", "v1",
+            "--index", str(inputs / "index.txt"), "--interactive",
+        ])
+        out, err = capsys.readouterr()
+        assert rc == 1 and err == "error: config: --version v1 requires --inventory\n"
+        assert prompts(out) == []
+
+    def test_bench_without_repetitions_fails_before_asking(self, inputs, capsys):
+        assert self.bench(inputs, "--reps", "0") == 1
+        out, err = capsys.readouterr()
+        assert err == "error: config: repetitions must be at least 1, got 0\n"
+        assert prompts(out) == []
+
+    def test_bench_asks_once_per_module_in_catalog_order(self, inputs, capsys):
+        assert self.bench(inputs, "--reps", "3", "--format", "csv") == 0
+        out = capsys.readouterr().out
+        assert prompts(out) == ["a", "b", "c"]
+        assert sys.stdin.read() == "y\nn\ny\n" * 2
+        rows = [line.split(",") for line in out.splitlines() if line.startswith("stage")]
+        assert [(row[0], row[5]) for row in rows] == [
+            ("stage0", "2"), ("stage1", "2"), ("stage2", "2"), ("stage3", "2"),
+        ]
+
+    def test_register_asks_in_catalog_order(self, inputs, capsys):
+        rc = main([
+            "register", "--catalog", str(inputs / "catalog.txt"), "--version", "v0",
+            "--index", str(inputs / "index.txt"), "--interactive",
+        ])
+        assert rc == 0
+        assert prompts(capsys.readouterr().out) == ["a", "b", "c"]
+        assert (inputs / "index.txt").read_text() == "MODINDEX v0\na 1\nb 0\nc 1\n"
 
 
 class TestBenchAndReport:

@@ -19,7 +19,7 @@ from kmodsim.hardware import (
     parse_inventory,
 )
 from kmodsim.loader import StrategyConfig, run_strategy
-from kmodsim.registry import SelectionPolicy, register_v0, register_v1
+from kmodsim.registry import register_v0, register_v1
 
 from conftest import make_catalog, make_inventory
 
@@ -216,7 +216,7 @@ class TestLazyIndex:
     def test_untagged_sweep_never_builds_the_index(self):
         catalog = make_catalog("a|1||", "b|1|a|", "c|1||")
         inventory = make_inventory("Intel dev-a adapter")
-        index = register_v0(catalog, SelectionPolicy.all_load())
+        index = register_v0(catalog, catalog.names)
         _, trace = run_strategy(catalog, index, inventory, StrategyConfig("stage0"))
         assert len(trace) == 3
         assert not index_built(inventory)
@@ -225,7 +225,7 @@ class TestLazyIndex:
         catalog_text, inventory_text = generate_fixture(60, 4, seed=5, hw_coverage=0.8)
         catalog = parse_catalog(catalog_text)
         registered_with = parse_inventory(inventory_text)
-        index = register_v1(catalog, SelectionPolicy.all_load(), registered_with)
+        index = register_v1(catalog, catalog.names, registered_with)
         assert index_built(registered_with)
 
         inventory = parse_inventory(inventory_text)
@@ -235,7 +235,7 @@ class TestLazyIndex:
     def test_untagged_sweep_never_folds_the_devices(self):
         catalog = make_catalog("a|1||", "b|1|a|", "c|1||")
         inventory = make_inventory("Intel dev-a adapter")
-        index = register_v0(catalog, SelectionPolicy.all_load())
+        index = register_v0(catalog, catalog.names)
         _, trace = run_strategy(catalog, index, inventory, StrategyConfig("stage0"))
         assert len(trace) == 3
         assert not devices_folded(inventory)
@@ -244,7 +244,7 @@ class TestLazyIndex:
         catalog_text, inventory_text = generate_fixture(60, 4, seed=5, hw_coverage=0.8)
         catalog = parse_catalog(catalog_text)
         registered_with = parse_inventory(inventory_text)
-        index = register_v1(catalog, SelectionPolicy.all_load(), registered_with)
+        index = register_v1(catalog, catalog.names, registered_with)
         assert devices_folded(registered_with)
 
         inventory = parse_inventory(inventory_text)
@@ -278,6 +278,12 @@ class TestLazyIndex:
 
     def test_inner_whitespace_is_kept(self):
         assert HardwareInventory(("Intel  e1000\tport",)).devices == ("Intel  e1000\tport",)
+
+    def test_a_device_list_is_stored_as_a_tuple(self):
+        inventory = HardwareInventory(["Intel e1000"])
+        assert inventory.devices == ("Intel e1000",)
+        assert inventory == HardwareInventory(("Intel e1000",))
+        assert hash(inventory) == hash(HardwareInventory(("Intel e1000",)))
 
 
 def devices_folded(inventory: HardwareInventory) -> bool:

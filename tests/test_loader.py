@@ -38,7 +38,7 @@ from kmodsim.loader import (
     plan_partitions,
     run_strategy,
 )
-from kmodsim.registry import SelectionPolicy, register_v0, register_v1
+from kmodsim.registry import register_v0, register_v1
 
 from conftest import (
     LINE_BREAKS,
@@ -59,7 +59,7 @@ STAGE1 = StrategyConfig("stage1")
 
 
 def flags_index(catalog, names):
-    return register_v0(catalog, SelectionPolicy.from_file(names))
+    return register_v0(catalog, names)
 
 
 def kinds(trace):
@@ -320,7 +320,7 @@ class TestStage0:
         # a required module attaches even when its own tags match nothing.
         catalog = make_catalog("top|1|lib|", "lib|1||dev-lib")
         inv = make_inventory("nothing relevant")
-        index = register_v0(catalog, SelectionPolicy.all_load())
+        index = register_v0(catalog, catalog.names)
         state, trace = run_strategy(catalog, index, inv, STAGE0)
         assert state.loaded() == {"lib", "top"}
         assert (SKIP_HW, "lib") in kinds(trace)  # as a root it is still skipped
@@ -334,7 +334,7 @@ class TestStage0:
 
     def test_base_modules_are_resident_not_loaded(self):
         catalog = make_catalog("fs|4||@base", "app|1|fs|")
-        index = register_v0(catalog, SelectionPolicy.all_load())
+        index = register_v0(catalog, catalog.names)
         state, trace = run_strategy(catalog, index, NO_HW, STAGE0)
         assert load_events(trace) == ["app"]
         assert all(e.module != "fs" for e in trace)
@@ -343,7 +343,7 @@ class TestStage0:
 
     def test_wrong_index_version(self):
         catalog = make_catalog("a|1||")
-        index = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
+        index = register_v1(catalog, catalog.names, NO_HW)
         with pytest.raises(IndexMismatch):
             run_strategy(catalog, index, NO_HW, STAGE0)
 
@@ -351,30 +351,30 @@ class TestStage0:
 class TestStage1:
     def test_chain_sweeps_one_level_per_pass(self):
         catalog = make_catalog(*chain_records(["a", "b", "c"]))
-        index = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
+        index = register_v1(catalog, catalog.names, NO_HW)
         _, trace = run_strategy(catalog, index, NO_HW, STAGE1)
         assert kinds(trace) == [(LOAD, "a"), (LOAD, "b"), (LOAD, "c")]
 
     def test_diamond_ties_break_in_catalog_order(self):
         catalog = make_catalog("d|1|b,c|", "b|1|a|", "c|1|a|", "a|1||")
-        index = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
+        index = register_v1(catalog, catalog.names, NO_HW)
         _, trace = run_strategy(catalog, index, NO_HW, STAGE1)
         assert load_events(trace) == ["a", "b", "c", "d"]
 
     def test_all_zero_values_produce_an_empty_trace(self):
         catalog = make_catalog("a|1||", "b|1||")
-        index = register_v1(catalog, SelectionPolicy.all_skip(), NO_HW)
+        index = register_v1(catalog, (), NO_HW)
         _, trace = run_strategy(catalog, index, NO_HW, STAGE1)
         assert trace == []
 
     def test_wrong_index_version(self):
         catalog = make_catalog("a|1||")
         with pytest.raises(IndexMismatch):
-            run_strategy(catalog, register_v0(catalog, SelectionPolicy.all_load()), NO_HW, STAGE1)
+            run_strategy(catalog, register_v0(catalog, catalog.names), NO_HW, STAGE1)
 
     def test_leveled_base_dependency_is_not_swept(self):
         catalog = make_catalog("fs|4||@base", "app|1|fs|")
-        index = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
+        index = register_v1(catalog, catalog.names, NO_HW)
         assert dict(index.entries)["fs"] == 1
         state, trace = run_strategy(catalog, index, NO_HW, STAGE1)
         assert load_events(trace) == ["app"]
@@ -413,7 +413,7 @@ SHARED_DEP = ["b|1|a|", "c|1|a|", "a|1||"]
 class TestStage3:
     def test_loaded_set_matches_stage0(self):
         catalog = make_catalog(*SHARED_DEP)
-        index = register_v0(catalog, SelectionPolicy.all_load())
+        index = register_v0(catalog, catalog.names)
         s0, _ = run_strategy(catalog, index, NO_HW, STAGE0)
         s3, trace = run_strategy(catalog, index, NO_HW, StrategyConfig("stage3", workers=4))
         assert s3.loaded() == s0.loaded()
@@ -433,7 +433,7 @@ class TestStage3:
     @pytest.mark.parametrize("workers", [2, 4, 8])
     def test_shared_dependency_loads_exactly_once_under_stress(self, workers):
         catalog = make_catalog(*SHARED_DEP)
-        index = register_v0(catalog, SelectionPolicy.all_load())
+        index = register_v0(catalog, catalog.names)
         config = StrategyConfig("stage3", workers=workers)
         for _ in range(120):
             state, trace = run_strategy(catalog, index, NO_HW, config)
@@ -445,7 +445,7 @@ class TestStage3:
         # A big attach latency on the shared dependency keeps one worker
         # inside the load long enough for the other to lose the claim.
         catalog = make_catalog(*SHARED_DEP)
-        index = register_v0(catalog, SelectionPolicy.all_load())
+        index = register_v0(catalog, catalog.names)
         config = StrategyConfig("stage3", workers=3, load_base_us=30_000)
         for _ in range(5):
             state, trace = run_strategy(catalog, index, NO_HW, config)
@@ -461,7 +461,7 @@ class TestStage3:
 class TestTraces:
     def test_per_worker_timestamps_nondecreasing(self):
         catalog = make_catalog(*(f"m{i:02d}|{i}||" for i in range(20)))
-        index = register_v0(catalog, SelectionPolicy.all_load())
+        index = register_v0(catalog, catalog.names)
         config = StrategyConfig("stage3", workers=4, load_base_us=20, load_per_kb_us=1)
         _, trace = run_strategy(catalog, index, NO_HW, config)
         assert_worker_clocks_monotone(trace)
@@ -481,7 +481,7 @@ class TestTraces:
 
     def test_format_parse_round_trip(self):
         catalog = make_catalog(*SHARED_DEP)
-        index = register_v0(catalog, SelectionPolicy.all_load())
+        index = register_v0(catalog, catalog.names)
         _, trace = run_strategy(catalog, index, NO_HW, StrategyConfig("stage3", workers=2))
         assert parse_trace(format_trace(trace)) == trace
 
@@ -696,9 +696,9 @@ def test_single_worker_boots_notify_nobody(config, notified):
     catalog_text, inventory_text = generate_fixture(300, 6, 1, 0.8)
     catalog, inventory = parse_catalog(catalog_text), parse_inventory(inventory_text)
     if config is STAGE1:
-        index = register_v1(catalog, SelectionPolicy.all_load(), inventory)
+        index = register_v1(catalog, catalog.names, inventory)
     else:
-        index = register_v0(catalog, SelectionPolicy.all_load())
+        index = register_v0(catalog, catalog.names)
     state, _ = run_strategy(catalog, index, inventory, config)
     assert state.loaded()
     assert notified == []
@@ -740,7 +740,7 @@ def append_fixture():
 
 def test_many_sessions_run_concurrently_without_interference():
     catalog = make_catalog(*SHARED_DEP)
-    index = register_v0(catalog, SelectionPolicy.all_load())
+    index = register_v0(catalog, catalog.names)
 
     def one_session(_):
         state, trace = run_strategy(
@@ -762,7 +762,7 @@ import sys, time
 from kmodsim import loader
 from kmodsim.catalog import parse_catalog
 from kmodsim.hardware import HardwareInventory
-from kmodsim.registry import SelectionPolicy, register_v0
+from kmodsim.registry import register_v0
 
 real_load = loader.simulate_load
 
@@ -773,7 +773,7 @@ def failing_load(size_kb, config):
 
 loader.simulate_load = failing_load
 catalog = parse_catalog("MODCAT v1\\na|7||\\nb|1|a|\\nc|1|a|\\nd|1|a|\\n")
-index = register_v0(catalog, SelectionPolicy.all_load())
+index = register_v0(catalog, catalog.names)
 config = loader.StrategyConfig(sys.argv[1], workers=int(sys.argv[2]))
 t0 = time.monotonic()
 try:
@@ -808,7 +808,7 @@ def test_stage2_and_stage3_overlap_sleeps_stage0_does_not():
     # Coarse sanity check that simulated latency really runs in parallel:
     # eight independent 5 ms modules, four workers.
     catalog = make_catalog(*(f"m{i}|0||" for i in range(8)))
-    index = register_v0(catalog, SelectionPolicy.all_load())
+    index = register_v0(catalog, catalog.names)
 
     def wall(config):
         t0 = time.perf_counter()
@@ -873,7 +873,7 @@ class TestPacedAttachClock:
 
     def test_stage0_carries_each_overshoot_into_the_next_attach(self, overrun_clock):
         catalog = make_catalog(*(f"m{i}|{kb}||" for i, kb in enumerate([3, 1, 4, 1, 5, 9, 2, 6])))
-        index = register_v0(catalog, SelectionPolicy.all_load())
+        index = register_v0(catalog, catalog.names)
         config = StrategyConfig("stage0", load_base_us=200, load_per_kb_us=10)
         _, trace = run_strategy(catalog, index, NO_HW, config)
         costs = costs_ns(catalog, trace, config)
@@ -889,7 +889,7 @@ class TestPacedAttachClock:
         # 300, 50 and 300 µs: the 50 µs attach is due before the 100 µs lag
         # it inherits has run out, so it sleeps not at all and passes on 50 µs.
         catalog = make_catalog("a|6||", "b|1||", "c|6||")
-        index = register_v0(catalog, SelectionPolicy.all_load())
+        index = register_v0(catalog, catalog.names)
         config = StrategyConfig("stage0", load_per_kb_us=50)
         _, trace = run_strategy(catalog, index, NO_HW, config)
         assert overrun_clock.requested_ns() == [300_000, 250_000]
@@ -897,7 +897,7 @@ class TestPacedAttachClock:
 
     def test_every_session_starts_at_lag_zero(self, overrun_clock):
         catalog = make_catalog("a|1||", "b|1||")
-        index = register_v0(catalog, SelectionPolicy.all_load())
+        index = register_v0(catalog, catalog.names)
         config = StrategyConfig("stage0", load_base_us=300)
         run_strategy(catalog, index, NO_HW, config)
         run_strategy(catalog, index, NO_HW, config)  # same thread, new session
@@ -908,7 +908,7 @@ class TestPacedAttachClock:
         # stepped in turn one yield at a time on the one virtual clock: every
         # worker attaches while the others carry a lag.
         catalog = make_catalog(*(f"m{i:02d}|1||" for i in range(12)))
-        index = register_v0(catalog, SelectionPolicy.all_load())
+        index = register_v0(catalog, catalog.names)
         config = StrategyConfig("stage3", workers=4, load_base_us=300)
         session = loader.LoadSession(catalog, index, NO_HW, config)
         jobs = dict(enumerate(session._jobs()))
@@ -927,9 +927,9 @@ class TestPacedAttachClock:
     def test_instant_mode_never_reads_the_clock_or_sleeps(self, overrun_clock, strategy):
         catalog = make_catalog(*SHARED_DEP)
         if strategy == "stage1":
-            index = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
+            index = register_v1(catalog, catalog.names, NO_HW)
         else:
-            index = register_v0(catalog, SelectionPolicy.all_load())
+            index = register_v0(catalog, catalog.names)
         config = StrategyConfig(strategy, workers=1 if strategy in ("stage0", "stage1") else 3)
         state, _ = run_strategy(catalog, index, NO_HW, config)
         assert state.loaded() == {"a", "b", "c"}
@@ -943,7 +943,7 @@ def test_no_worker_attaches_faster_than_its_nominal_costs(monkeypatch, strategy,
     # Every module has its own size, so the start stamps taken by the wrapped
     # simulate_load are told apart by module.
     catalog = make_catalog(*(f"m{i:02d}|{i}||" for i in range(40)))
-    index = register_v0(catalog, SelectionPolicy.all_load())
+    index = register_v0(catalog, catalog.names)
     config = StrategyConfig(strategy, workers=workers, load_base_us=200)
     started_ns = {}
     real_load = loader.simulate_load
@@ -973,7 +973,7 @@ def test_stage0_reads_each_dependency_entry_at_most_once(monkeypatch):
     catalog_text, inventory_text = generate_fixture(5000, 16, seed=1, hw_coverage=1.0)
     catalog = parse_catalog(catalog_text)
     inventory = parse_inventory(inventory_text)
-    index = register_v0(catalog, SelectionPolicy.all_load())
+    index = register_v0(catalog, catalog.names)
     targets = CountingRuns(catalog.dep_targets)
     vars(catalog)["dep_targets"] = targets
     record_calls = 0
@@ -1022,14 +1022,11 @@ def test_boot_outputs_match_the_pinned_digests(strategy):
     config = StrategyConfig(strategy, workers={"stage2": 2, "stage3": 3}.get(strategy, 1))
     digest = hashlib.sha256()
     for catalog, inventory in identity_fixtures():
-        for policy in (
-            SelectionPolicy.all_load(),
-            SelectionPolicy.from_file(catalog.names[::3]),
-        ):
+        for selected in (catalog.names, catalog.names[::3]):
             if strategy == "stage1":
-                index = register_v1(catalog, policy, inventory)
+                index = register_v1(catalog, selected, inventory)
             else:
-                index = register_v0(catalog, policy)
+                index = register_v0(catalog, selected)
             state, trace = run_strategy(catalog, index, inventory, config)
             if strategy in ("stage0", "stage1"):
                 output = format_trace(trace)

@@ -24,7 +24,7 @@ from kmodsim.metrics import (
     space_report,
     timing_from_trace,
 )
-from kmodsim.registry import SelectionPolicy, register_v0
+from kmodsim.registry import register_v0
 
 from conftest import chain_records, make_catalog, make_inventory
 
@@ -72,7 +72,7 @@ class TestTiming:
 
     def test_real_stage3_race_rolls_up(self):
         catalog = make_catalog("b|1|a|", "c|1|a|", "a|1||")
-        index = register_v0(catalog, SelectionPolicy.all_load())
+        index = register_v0(catalog, catalog.names)
         for _ in range(5):
             _, trace = run_strategy(
                 catalog, index, NO_HW, StrategyConfig("stage3", workers=3, load_base_us=30_000)
@@ -115,7 +115,7 @@ class TestSpace:
 
     def test_accepts_a_sessions_loaded_names(self):
         catalog = make_catalog("a|10||", "b|20||")
-        index = register_v0(catalog, SelectionPolicy.from_file(["a"]))
+        index = register_v0(catalog, ["a"])
         state, _ = run_strategy(catalog, index, NO_HW, StrategyConfig("stage0"))
         report = space_report(catalog, state.loaded())
         assert report.loaded_kb == 10 and report.saved_kb == 20
@@ -134,14 +134,14 @@ class TestBench:
 
     def test_stage0_normalizes_to_one(self):
         report = bench(
-            self.catalog, SelectionPolicy.all_load(), self.inventory,
+            self.catalog, self.catalog.names, self.inventory,
             ["stage0"], workers=1, repetitions=2,
         )
         assert report.results[0].normalized == 1.0
 
     def test_instant_mode_is_deterministic(self):
         run = lambda: bench(
-            self.catalog, SelectionPolicy.all_load(), self.inventory,
+            self.catalog, self.catalog.names, self.inventory,
             ["stage0", "stage1", "stage2", "stage3"], workers=4, repetitions=3,
         )
         first, second = run(), run()
@@ -155,7 +155,7 @@ class TestBench:
         # worker count, far above scheduler noise.
         catalog = make_catalog(*(f"m{i:03d}|0||" for i in range(100)))
         report = bench(
-            catalog, SelectionPolicy.all_load(), make_inventory(),
+            catalog, catalog.names, make_inventory(),
             ["stage2", "stage3"], workers=5, repetitions=3, load_base_us=300,
         )
         wall = {r.strategy: r.median_wall_us for r in report.results}
@@ -163,7 +163,7 @@ class TestBench:
 
     def test_all_strategies_load_the_same_set(self):
         report = bench(
-            self.catalog, SelectionPolicy.all_load(), self.inventory,
+            self.catalog, self.catalog.names, self.inventory,
             ["stage0", "stage1", "stage2", "stage3"], workers=4, repetitions=1,
         )
         sets = {r.strategy: r.loaded for r in report.results}
@@ -171,7 +171,7 @@ class TestBench:
 
     def test_composite_is_always_reported(self):
         report = bench(
-            self.catalog, SelectionPolicy.all_load(), self.inventory,
+            self.catalog, self.catalog.names, self.inventory,
             ["stage1"], workers=1, repetitions=1,
         )
         assert report.composite.v0_us > 0 and report.composite.v1_us > 0
@@ -179,23 +179,23 @@ class TestBench:
 
     def test_zero_reps_rejected(self):
         with pytest.raises(ConfigError):
-            bench(self.catalog, SelectionPolicy.all_load(), self.inventory,
+            bench(self.catalog, self.catalog.names, self.inventory,
                   ["stage0"], workers=1, repetitions=0)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError):
-            bench(self.catalog, SelectionPolicy.all_load(), self.inventory,
+            bench(self.catalog, self.catalog.names, self.inventory,
                   ["stage9"], workers=1, repetitions=1)
 
     def test_changing_loaded_set_is_a_coded_error(self, drifting_bench):
         with pytest.raises(LoadSetMismatch) as info:
-            bench(self.catalog, SelectionPolicy.all_load(), self.inventory,
+            bench(self.catalog, self.catalog.names, self.inventory,
                   ["stage0"], workers=1, repetitions=2)
         assert info.value.code == "load-set-mismatch"
 
     def test_csv_shape(self):
         report = bench(
-            self.catalog, SelectionPolicy.all_load(), self.inventory,
+            self.catalog, self.catalog.names, self.inventory,
             ["stage0", "stage1", "stage2", "stage3"], workers=8, repetitions=1,
         )
         lines = render_bench_csv(report).strip().splitlines()
@@ -206,7 +206,7 @@ class TestBench:
 
     def test_text_report_names_the_normalization_base(self):
         report = bench(
-            self.catalog, SelectionPolicy.all_load(), self.inventory,
+            self.catalog, self.catalog.names, self.inventory,
             ["stage0"], workers=1, repetitions=1,
         )
         text = render_bench_text(report)

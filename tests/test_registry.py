@@ -21,11 +21,9 @@ from kmodsim.fixtures import generate_fixture
 from kmodsim.hardware import HardwareInventory, check_hardware_support, parse_inventory
 from kmodsim.registry import (
     INDEX_HEADERS,
-    SelectionPolicy,
     read_index,
     register_v0,
     register_v1,
-    resolve_selection,
     write_index,
 )
 
@@ -49,23 +47,23 @@ def values_of(index) -> dict[str, int]:
 class TestRegisterV0:
     def test_all_load_flags_everything(self):
         catalog = make_catalog("a|1||", "b|1||")
-        index = register_v0(catalog, SelectionPolicy.all_load())
+        index = register_v0(catalog, catalog.names)
         assert index.entries == (("a", 1), ("b", 1))
 
     def test_single_selection(self):
         catalog = make_catalog("a|1||", "b|1||")
-        index = register_v0(catalog, SelectionPolicy.from_file(["b"]))
+        index = register_v0(catalog, ["b"])
         assert index.entries == (("a", 0), ("b", 1))
 
     def test_all_skip_is_all_zeros(self):
         catalog = make_catalog("a|1||", "b|1||", "c|1||")
-        index = register_v0(catalog, SelectionPolicy.all_skip())
+        index = register_v0(catalog, ())
         assert values_of(index) == {"a": 0, "b": 0, "c": 0}
 
     def test_unknown_selection(self):
         catalog = make_catalog("a|1||")
         with pytest.raises(UnknownSelection):
-            register_v0(catalog, SelectionPolicy.from_file(["ghost"]))
+            register_v0(catalog, ["ghost"])
 
     def test_interactive_asks_in_catalog_order(self):
         catalog = make_catalog("b|1||", "a|1||", "c|1||")
@@ -75,7 +73,7 @@ class TestRegisterV0:
             asked.append(name)
             return name != "b"
 
-        index = register_v0(catalog, SelectionPolicy.interactive(ask))
+        index = register_v0(catalog, (name for name in catalog.names if ask(name)))
         assert asked == ["a", "b", "c"]
         assert values_of(index) == {"a": 1, "b": 0, "c": 1}
 
@@ -83,64 +81,64 @@ class TestRegisterV0:
 class TestRegisterV1:
     def test_chain_levels_match_the_oracle(self):
         catalog = make_catalog(*chain_records(["a", "b", "c"]))
-        index = register_v1(catalog, SelectionPolicy.from_file(["c"]), NO_HW)
+        index = register_v1(catalog, ["c"], NO_HW)
         assert values_of(index) == {"a": 1, "b": 2, "c": 3}
         assert values_of(index) == topo_levels(catalog)
 
     def test_unsupported_selected_module_stays_zero(self):
         catalog = make_catalog("a|1||ath9k")
         inv = make_inventory("Intel e1000 Gigabit")
-        index = register_v1(catalog, SelectionPolicy.all_load(), inv)
+        index = register_v1(catalog, catalog.names, inv)
         assert values_of(index) == {"a": 0}
 
     def test_diamond_levels_match_the_oracle(self):
         catalog = make_catalog("d|1|b,c|", "b|1|a|", "c|1|a|", "a|1||")
-        index = register_v1(catalog, SelectionPolicy.from_file(["d"]), NO_HW)
+        index = register_v1(catalog, ["d"], NO_HW)
         assert values_of(index) == {"a": 1, "b": 2, "c": 2, "d": 3}
 
     def test_dependencies_inherit_loadability(self):
         # b is gated on absent hardware, but as a dependency of a selected,
         # supported module it must still receive its depth.
         catalog = make_catalog("top|1|b|", "b|1||dev-b")
-        index = register_v1(catalog, SelectionPolicy.from_file(["top"]), NO_HW)
+        index = register_v1(catalog, ["top"], NO_HW)
         assert values_of(index) == {"b": 1, "top": 2}
 
     def test_unselected_roots_stay_zero(self):
         catalog = make_catalog("a|1||", "b|1||")
-        index = register_v1(catalog, SelectionPolicy.from_file(["a"]), NO_HW)
+        index = register_v1(catalog, ["a"], NO_HW)
         assert values_of(index) == {"a": 1, "b": 0}
 
     def test_all_skip_is_all_zeros(self):
         catalog = make_catalog(*chain_records(["a", "b", "c"]))
-        index = register_v1(catalog, SelectionPolicy.all_skip(), NO_HW)
+        index = register_v1(catalog, (), NO_HW)
         assert set(values_of(index).values()) == {0}
 
     def test_255_chain_fits_exactly(self):
         catalog = make_catalog(*chain_records([f"c{i:03d}" for i in range(255)]))
-        index = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
+        index = register_v1(catalog, catalog.names, NO_HW)
         assert max(values_of(index).values()) == 255
 
     def test_256_chain_overflows(self):
         catalog = make_catalog(*chain_records([f"c{i:03d}" for i in range(256)]))
         with pytest.raises(DepthOverflow):
-            register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
+            register_v1(catalog, catalog.names, NO_HW)
 
     def test_base_modules_are_not_leveled_as_roots(self):
         catalog = make_catalog("fs|4||@base", "app|1||")
-        index = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
+        index = register_v1(catalog, catalog.names, NO_HW)
         assert values_of(index) == {"app": 1, "fs": 0}
 
     def test_base_dependency_still_receives_its_depth(self):
         # Keeps the byte ordering rule intact: every dependency of a nonzero
         # module is itself nonzero and strictly smaller.
         catalog = make_catalog("fs|4||@base", "app|1|fs|")
-        index = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
+        index = register_v1(catalog, catalog.names, NO_HW)
         assert values_of(index) == {"app": 2, "fs": 1}
 
     def test_registration_is_deterministic(self):
         catalog = make_catalog("d|1|b,c|", "b|1|a|", "c|1|a|", "a|1||")
-        first = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
-        second = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
+        first = register_v1(catalog, catalog.names, NO_HW)
+        second = register_v1(catalog, catalog.names, NO_HW)
         assert write_index(first) == write_index(second)
 
     @settings(max_examples=75, deadline=None)
@@ -150,7 +148,7 @@ class TestRegisterV1:
         inv = make_inventory(
             *(f"Vendor dev-{r.name} adapter" for i, r in enumerate(catalog.records) if i % 2)
         )
-        index = register_v1(catalog, SelectionPolicy.all_load(), inv)
+        index = register_v1(catalog, catalog.names, inv)
         oracle = topo_levels(catalog)
         for name, value in index.entries:
             if value:
@@ -163,7 +161,7 @@ class TestRegisterV1:
     @given(text=catalog_texts(max_modules=40))
     def test_dependency_values_sit_strictly_below(self, text):
         catalog = parse_catalog(text)
-        index = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
+        index = register_v1(catalog, catalog.names, NO_HW)
         values = values_of(index)
         for rec in catalog.records:
             if values[rec.name] >= 2:
@@ -178,7 +176,7 @@ class TestRegisterV1:
         inventory = parse_inventory(inventory_text)
         targets = CountingRuns(catalog.dep_targets)
         vars(catalog)["dep_targets"] = targets
-        index = register_v1(catalog, SelectionPolicy.all_load(), inventory)
+        index = register_v1(catalog, catalog.names, inventory)
         assert any(value for _, value in index.entries)
         assert 0 < targets.reads <= len(catalog), (targets.reads, len(catalog))
 
@@ -197,21 +195,21 @@ class TestRegisterV1:
         parsed = parse_catalog(catalog_text)
         # Each catalog computes its levels once, when it is built.
         for catalog in (parsed, ModuleCatalog(parsed.records)):
-            first = register_v1(catalog, SelectionPolicy.all_load(), inventory)
+            first = register_v1(catalog, catalog.names, inventory)
             assert topo_levels(catalog) == dict(zip(catalog.names, catalog.levels))
-            assert register_v1(catalog, SelectionPolicy.all_load(), inventory) == first
+            assert register_v1(catalog, catalog.names, inventory) == first
         assert calls == 2
 
 
 class TestIndexFiles:
     def test_round_trip_v1(self):
         catalog = make_catalog(*chain_records(["a", "b", "c"]))
-        index = register_v1(catalog, SelectionPolicy.all_load(), NO_HW)
+        index = register_v1(catalog, catalog.names, NO_HW)
         assert read_index(write_index(index), catalog) == index
 
     def test_round_trip_v0(self):
         catalog = make_catalog("a|1||", "b|1||")
-        index = register_v0(catalog, SelectionPolicy.from_file(["a"]))
+        index = register_v0(catalog, ["a"])
         assert read_index(write_index(index), catalog) == index
 
     def test_value_above_byte_range_rejected(self):
@@ -263,11 +261,11 @@ class TestIndexFiles:
 
     def test_headers_are_bit_exact(self):
         catalog = make_catalog("a|1||")
-        assert write_index(register_v0(catalog, SelectionPolicy.all_skip())).startswith(
+        assert write_index(register_v0(catalog, ())).startswith(
             "MODINDEX v0\n"
         )
         assert write_index(
-            register_v1(catalog, SelectionPolicy.all_skip(), NO_HW)
+            register_v1(catalog, (), NO_HW)
         ).startswith("MODINDEX v1\n")
 
 
@@ -379,8 +377,9 @@ class TestIndexParsing:
         catalog_text, inventory_text = generate_fixture(20_000, 16, 3, 0.8)
         catalog = parse_catalog(catalog_text)
         inventory = parse_inventory(inventory_text)
-        policy = SelectionPolicy.all_load()
-        indexes = [register_v0(catalog, policy), register_v1(catalog, policy, inventory)]
+        indexes = [
+            register_v0(catalog, catalog.names), register_v1(catalog, catalog.names, inventory)
+        ]
         assert max(value for _, value in indexes[1].entries) > 1
 
         def per_line(text, catalog):
@@ -390,10 +389,3 @@ class TestIndexParsing:
         for index in indexes:
             assert read_index(write_index(index), catalog) == index
 
-
-def test_resolve_selection_materializes_interactive_once():
-    catalog = make_catalog("a|1||", "b|1||")
-    calls = []
-    policy = SelectionPolicy.interactive(lambda name: calls.append(name) or True)
-    assert resolve_selection(catalog, policy) == {"a", "b"}
-    assert calls == ["a", "b"]

@@ -18,12 +18,12 @@ import pytest
 
 from kmodsim.hardware import HardwareInventory
 from kmodsim.loader import DUP_ATTEMPT, LOAD, LoadSession, StrategyConfig
-from kmodsim.registry import SelectionPolicy, register_v0
+from kmodsim.registry import register_v0
 
 from conftest import make_catalog
 
 CATALOG = make_catalog("a|1||", "b|1|a|", "c|1|a|")
-INDEX = register_v0(CATALOG, SelectionPolicy.all_load())
+INDEX = register_v0(CATALOG, CATALOG.names)
 # Three workers: two loading partitions, [a, b] and [c].
 CONFIG = StrategyConfig("stage3", workers=3)
 
