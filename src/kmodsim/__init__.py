@@ -56,6 +56,7 @@ from .metrics import (
     SessionTiming,
     SpaceReport,
     bench,
+    check_trace,
     space_report,
     timing_from_trace,
 )

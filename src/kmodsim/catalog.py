@@ -195,6 +195,12 @@ def _record_line(record: ModuleRecord) -> str:
 
 def _record_fields(record: ModuleRecord) -> _Fields:
     """A directly built record's fields, as its catalog file line parses them."""
+    for field, value in (("deps", record.deps), ("hw_tags", record.hw_tags)):
+        # A string is a sequence of one-letter names; its line would read back.
+        if isinstance(value, str):
+            raise MalformedRecord(
+                f"record {record!r}: {field} is a string, not a sequence of names"
+            )
     line = _record_line(record)
     fields = _parse_record(line, f"record {record!r}")
     given = (

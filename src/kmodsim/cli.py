@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import compress
 from pathlib import Path
 from typing import Iterable
 
 from .catalog import ModuleCatalog, parse_catalog
-from .errors import ConfigError, KmodsimError, MalformedTrace
+from .errors import ConfigError, KmodsimError
 from .fixtures import generate_fixture
 from .hardware import HardwareInventory, parse_inventory
 from .loader import (
-    LOAD,
     STRATEGIES,
     StrategyConfig,
     format_trace,
@@ -27,6 +25,7 @@ from .loader import (
 )
 from .metrics import (
     bench,
+    check_trace,
     render_bench_csv,
     render_bench_text,
     render_session_csv,
@@ -192,27 +191,8 @@ def _cmd_bench(args) -> int:
 def _cmd_report(args) -> int:
     catalog = parse_catalog(_read(args.catalog))
     trace = parse_trace(_read(args.trace))
-    names, base = catalog.names, catalog.base
-    offsets, targets = catalog.dep_offsets, catalog.dep_targets
-    loaded = bytearray(len(catalog))
-    for event in trace:
-        if event.kind != LOAD:
-            continue
-        pos = catalog.index_of.get(event.module)
-        if pos is None:
-            raise MalformedTrace(f"LOAD of {event.module!r}, which is not in the catalog")
-        if loaded[pos]:
-            raise MalformedTrace(f"second LOAD of {event.module!r}")
-        if base[pos]:
-            raise MalformedTrace(f"LOAD of {event.module!r}, which is a resident @base module")
-        for dep in targets[offsets[pos] : offsets[pos + 1]]:
-            if not (loaded[dep] or base[dep]):
-                raise MalformedTrace(
-                    f"LOAD of {event.module!r} before its dependency {names[dep]!r}"
-                )
-        loaded[pos] = 1
+    space = space_report(catalog, check_trace(catalog, trace))
     timing = timing_from_trace(trace)
-    space = space_report(catalog, compress(names, loaded))
     render = render_session_csv if args.format == "csv" else render_session_text
     sys.stdout.write(render(timing, space))
     return 0

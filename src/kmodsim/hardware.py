@@ -37,6 +37,10 @@ class HardwareInventory:
     devices: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.devices, str):
+            raise ValueError(
+                f"devices must be a sequence of strings, not the string {self.devices!r}"
+            )
         devices = tuple(self.devices)
         if not all(devices) or tuple(map(str.strip, devices)) != devices:
             for dev in devices:

@@ -23,7 +23,7 @@ from .loader import (
     STRATEGIES,
     run_strategy,
 )
-from .registry import register_v0, register_v1
+from .registry import _selection, register_v0, register_v1
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,36 @@ def timing_from_trace(trace: Sequence[LoadEvent]) -> SessionTiming:
     )
 
 
+def check_trace(catalog: ModuleCatalog, trace: Iterable[LoadEvent]) -> frozenset[str]:
+    """The names a trace attached, once it is shown to keep the paper's rules.
+
+    Every LOAD names a catalog module that is not ``@base``, no module
+    LOADs twice, and each LOAD comes after the LOADs of its dependencies
+    that are not ``@base``. The first LOAD that breaks a rule raises
+    ``MalformedTrace``; events of other kinds are not read.
+    """
+    names, base = catalog.names, catalog.base
+    offsets, targets = catalog.dep_offsets, catalog.dep_targets
+    loaded = bytearray(len(catalog))
+    for event in trace:
+        if event.kind != LOAD:
+            continue
+        pos = catalog.index_of.get(event.module)
+        if pos is None:
+            raise MalformedTrace(f"LOAD of {event.module!r}, which is not in the catalog")
+        if loaded[pos]:
+            raise MalformedTrace(f"second LOAD of {event.module!r}")
+        if base[pos]:
+            raise MalformedTrace(f"LOAD of {event.module!r}, which is a resident @base module")
+        for dep in targets[offsets[pos] : offsets[pos + 1]]:
+            if not (loaded[dep] or base[dep]):
+                raise MalformedTrace(
+                    f"LOAD of {event.module!r} before its dependency {names[dep]!r}"
+                )
+        loaded[pos] = 1
+    return frozenset(compress(names, loaded))
+
+
 def space_report(catalog: ModuleCatalog, loaded_names: Iterable[str]) -> SpaceReport:
     """Account catalog size against the names a finished session attached.
 
@@ -163,7 +193,7 @@ def bench(
 
     # Every registration below reads the selection, and a generator can be
     # read only once, so it is read here, after the argument checks.
-    selected = frozenset(selected)
+    selected = _selection(catalog, selected)
     index_v0 = register_v0(catalog, selected)
     index_v1 = register_v1(catalog, selected, inventory)
 

@@ -62,6 +62,8 @@ class IndexFile:
 
 def _selection(catalog: ModuleCatalog, selected: Iterable[str]) -> frozenset[str]:
     """The selected names, read once; every one must name a catalog module."""
+    if isinstance(selected, str):
+        raise UnknownSelection(f"selection is the string {selected!r}, not a collection of names")
     selected = frozenset(selected)
     if not catalog.index_of.keys() >= selected:
         unknown = sorted(selected - catalog.index_of.keys())

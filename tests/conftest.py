@@ -1,4 +1,8 @@
-"""Shared fixtures, independent oracles, and trace checkers.
+"""Shared fixtures, independent oracles, and trace helpers.
+
+A trace's LOAD rules (each module once, after its dependencies) are checked
+by the library's ``check_trace``; the helpers here only pick out LOADs and
+check per-worker clocks.
 
 The oracles here deliberately avoid the production code paths they check:
 dependency depth is computed by enumerating every simple path, levels and
@@ -143,31 +147,22 @@ def sequential_load_order(catalog, flags: dict[str, int], supported) -> list[str
     return order
 
 
-# -- trace checkers -----------------------------------------------------
+# -- traces -------------------------------------------------------------
 
 
 def load_events(trace) -> list[str]:
     return [e.module for e in trace if e.kind == LOAD]
 
 
-def assert_exactly_once(trace) -> None:
-    loads = load_events(trace)
-    assert len(loads) == len(set(loads)), f"duplicate LOAD events: {sorted(loads)}"
-
-
-def assert_dependency_safe(trace, catalog) -> None:
-    """Every LOAD must come after the LOADs of all its non-resident deps."""
-    position = {}
-    for i, event in enumerate(trace):
-        if event.kind == LOAD:
-            assert event.module not in position, f"{event.module} loaded twice"
-            position[event.module] = i
-    for name, pos in position.items():
-        for dep in catalog.record(name).deps:
-            if catalog.record(dep).base_kernel_only:
-                continue
-            assert dep in position, f"{name} loaded but dependency {dep} never did"
-            assert position[dep] < pos, f"{name} loaded before its dependency {dep}"
+# A catalog, fs, app -> fs + core, core @base, and each trace that breaks a
+# LOAD rule on it -> the message ``check_trace`` rejects the trace with.
+IMPOSSIBLE_TRACE_CATALOG = "MODCAT v1\nfs|4||\napp|1|fs,core|\ncore|2||@base\n"
+IMPOSSIBLE_TRACES = {
+    "0 0 LOAD ghost\n0 0 LOAD ghost\n": "LOAD of 'ghost', which is not in the catalog",
+    "0 0 LOAD fs\n0 1 LOAD fs\n": "second LOAD of 'fs'",
+    "0 0 LOAD core\n": "LOAD of 'core', which is a resident @base module",
+    "0 0 LOAD app\n0 0 LOAD fs\n": "LOAD of 'app' before its dependency 'fs'",
+}
 
 
 def assert_worker_clocks_monotone(trace) -> None:

@@ -22,12 +22,10 @@ from kmodsim.loader import (
     plan_partitions,
     run_strategy,
 )
-from kmodsim.metrics import bench, space_report
+from kmodsim.metrics import bench, check_trace, space_report
 from kmodsim.registry import register_v0, register_v1
 
 from conftest import (
-    assert_dependency_safe,
-    assert_exactly_once,
     chain_records,
     load_events,
     make_catalog,
@@ -76,11 +74,10 @@ def test_criterion_2_dependency_safety_for_every_strategy(random_cases):
         for strategy in ALL:
             config = StrategyConfig(strategy, workers=4 if strategy != "stage0" else 1)
             if strategy == "stage1":
-                _, trace = run_strategy(catalog, v1, inventory, config)
+                state, trace = run_strategy(catalog, v1, inventory, config)
             else:
-                _, trace = run_strategy(catalog, v0, inventory, config)
-            assert_dependency_safe(trace, catalog)
-            assert_exactly_once(trace)
+                state, trace = run_strategy(catalog, v0, inventory, config)
+            assert check_trace(catalog, trace) == state.loaded()
     _passed(2, "dependency safety", f"{len(random_cases)} catalogs x {len(ALL)} strategies")
 
 

@@ -505,6 +505,8 @@ class TestDirectConstruction:
             (ModuleRecord("a", 1, (), ("",)), "its catalog line 'a|1||' reads back as"),
             (ModuleRecord("a", 1, (), ("x,y",)), "its catalog line 'a|1||x,y' reads back as"),
             (ModuleRecord("a", 1, (), ("@base",)), "its catalog line 'a|1||@base' reads back as"),
+            (ModuleRecord("c", 1, "ab"), "deps is a string, not a sequence of names"),
+            (ModuleRecord("c", 1, (), "pci"), "hw_tags is a string, not a sequence of names"),
         ],
     )
     def test_a_record_that_its_catalog_line_cannot_carry_is_named(self, record, problem):

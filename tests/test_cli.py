@@ -16,6 +16,8 @@ from kmodsim.cli import main
 from kmodsim.fixtures import generate_fixture
 from kmodsim.loader import parse_trace
 
+from conftest import IMPOSSIBLE_TRACE_CATALOG, IMPOSSIBLE_TRACES
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -274,16 +276,6 @@ class TestLoad:
         assert capsys.readouterr().err.startswith("error: config: ")
 
 
-# Trace -> the message ``report`` rejects it with, on the catalog
-# fs, app -> fs + core, core @base.
-IMPOSSIBLE_TRACES = {
-    "0 0 LOAD ghost\n0 0 LOAD ghost\n": "LOAD of 'ghost', which is not in the catalog",
-    "0 0 LOAD fs\n0 1 LOAD fs\n": "second LOAD of 'fs'",
-    "0 0 LOAD core\n": "LOAD of 'core', which is a resident @base module",
-    "0 0 LOAD app\n0 0 LOAD fs\n": "LOAD of 'app' before its dependency 'fs'",
-}
-
-
 def prompts(out: str) -> list[str]:
     """The module names an interactive selection asked about, in order."""
     return re.findall(r"load (\S+)\? \[y/n\] ", out)
@@ -398,7 +390,7 @@ class TestBenchAndReport:
 
     @pytest.mark.parametrize("trace", list(IMPOSSIBLE_TRACES))
     def test_report_rejects_an_impossible_trace(self, workdir, capsys, trace):
-        (workdir / "catalog.txt").write_text("MODCAT v1\nfs|4||\napp|1|fs,core|\ncore|2||@base\n")
+        (workdir / "catalog.txt").write_text(IMPOSSIBLE_TRACE_CATALOG)
         (workdir / "trace.txt").write_text(trace)
         rc = main([
             "report", "--trace", str(workdir / "trace.txt"),

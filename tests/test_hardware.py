@@ -276,6 +276,10 @@ class TestLazyIndex:
             HardwareInventory(devices)
         assert str(err.value) == f"device strings must be non-empty and trimmed: {bad!r}"
 
+    def test_a_string_is_not_read_as_devices(self):
+        with pytest.raises(ValueError, match="^devices must be a sequence of strings, "):
+            HardwareInventory("eth0")
+
     def test_inner_whitespace_is_kept(self):
         assert HardwareInventory(("Intel  e1000\tport",)).devices == ("Intel  e1000\tport",)
 

@@ -38,13 +38,12 @@ from kmodsim.loader import (
     plan_partitions,
     run_strategy,
 )
+from kmodsim.metrics import check_trace
 from kmodsim.registry import register_v0, register_v1
 
 from conftest import (
     LINE_BREAKS,
     CountingRuns,
-    assert_dependency_safe,
-    assert_exactly_once,
     assert_worker_clocks_monotone,
     chain_records,
     load_events,
@@ -388,13 +387,13 @@ class TestStage2:
         s0, _ = run_strategy(catalog, index, NO_HW, STAGE0)
         s2, trace = run_strategy(catalog, index, NO_HW, StrategyConfig("stage2", workers=4))
         assert s2.loaded() == s0.loaded()
-        assert_exactly_once(trace)
+        assert check_trace(catalog, trace) == s2.loaded()
 
     def test_dependencies_precede_dependents_in_trace(self):
         catalog = make_catalog(*chain_records(["a", "b", "c"]))
         index = flags_index(catalog, ["c"])
         _, trace = run_strategy(catalog, index, NO_HW, StrategyConfig("stage2", workers=3))
-        assert_dependency_safe(trace, catalog)
+        check_trace(catalog, trace)
 
     def test_single_worker_rejected(self):
         catalog = make_catalog("a|1||")
@@ -417,8 +416,7 @@ class TestStage3:
         s0, _ = run_strategy(catalog, index, NO_HW, STAGE0)
         s3, trace = run_strategy(catalog, index, NO_HW, StrategyConfig("stage3", workers=4))
         assert s3.loaded() == s0.loaded()
-        assert_exactly_once(trace)
-        assert_dependency_safe(trace, catalog)
+        assert check_trace(catalog, trace) == s3.loaded()
 
     def test_single_worker_rejected(self):
         catalog = make_catalog("a|1||")
@@ -437,8 +435,7 @@ class TestStage3:
         config = StrategyConfig("stage3", workers=workers)
         for _ in range(120):
             state, trace = run_strategy(catalog, index, NO_HW, config)
-            assert_exactly_once(trace)
-            assert_dependency_safe(trace, catalog)
+            assert check_trace(catalog, trace) == state.loaded()
             assert state.loaded() == {"a", "b", "c"}
 
     def test_racing_workers_surface_dup_attempts(self):
@@ -449,8 +446,7 @@ class TestStage3:
         config = StrategyConfig("stage3", workers=3, load_base_us=30_000)
         for _ in range(5):
             state, trace = run_strategy(catalog, index, NO_HW, config)
-            assert_exactly_once(trace)
-            assert_dependency_safe(trace, catalog)
+            assert check_trace(catalog, trace) == state.loaded()
             dups = [e for e in trace if e.kind == DUP_ATTEMPT]
             if dups:
                 assert all(e.module == "a" for e in dups)
@@ -488,10 +484,14 @@ class TestTraces:
     def test_parse_rejects_garbage(self):
         from kmodsim.errors import MalformedTrace
 
-        with pytest.raises(MalformedTrace):
+        with pytest.raises(MalformedTrace, match="^line 1: unknown event kind 'NOT_A_KIND'$"):
             parse_trace("1 0 NOT_A_KIND a\n")
-        with pytest.raises(MalformedTrace):
+        with pytest.raises(MalformedTrace, match="^line 1: expected 4 fields, got 3$"):
             parse_trace("1 0 LOAD\n")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:  # 0 lets int() read any number of digits
+            with pytest.raises(MalformedTrace, match="^line 2: timestamp or worker too long$"):
+                parse_trace("1 0 LOAD a\n" + "9" * (limit + 1) + " 0 LOAD b\n")
 
 
 # Whitespace that str.split splits at and that breaks no line.
@@ -623,12 +623,11 @@ def test_concurrent_appends_lose_no_event():
         for _ in range(20):
             for strategy in ("stage2", "stage3"):
                 config = StrategyConfig(strategy, workers=8)
-                _, trace = run_strategy(catalog, index, inventory, config)
+                state, trace = run_strategy(catalog, index, inventory, config)
                 if strategy == "stage2":  # every worker scans every position
                     assert sum(1 for e in trace if e.kind == SKIP_FLAG) == 8 * unselected
                 assert sorted(load_events(trace)) == expected, strategy
-                assert_exactly_once(trace)
-                assert_dependency_safe(trace, catalog)
+                assert check_trace(catalog, trace) == state.loaded()
     finally:
         sys.setswitchinterval(interval)
 
@@ -666,11 +665,10 @@ def test_no_completion_wakeup_is_lost(monkeypatch):
             for strategy in ("stage2", "stage3"):
                 config = StrategyConfig(strategy, workers=8)
                 started = time.monotonic()
-                _, trace = run_strategy(catalog, index, inventory, config)
+                state, trace = run_strategy(catalog, index, inventory, config)
                 assert time.monotonic() - started < loader._COMPLETION_TIMEOUT_S, strategy
                 assert sorted(load_events(trace)) == expected, strategy
-                assert_exactly_once(trace)
-                assert_dependency_safe(trace, catalog)
+                assert check_trace(catalog, trace) == state.loaded()
     finally:
         sys.setswitchinterval(interval)
         monkeypatch.undo()
@@ -746,7 +744,7 @@ def test_many_sessions_run_concurrently_without_interference():
         state, trace = run_strategy(
             catalog, index, NO_HW, StrategyConfig("stage3", workers=3, load_base_us=200)
         )
-        assert_exactly_once(trace)
+        assert check_trace(catalog, trace) == state.loaded()
         return state.loaded()
 
     with ThreadPoolExecutor(max_workers=8) as pool:

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kmodsim.errors import ConfigError, LoadSetMismatch, MalformedTrace
+from kmodsim.catalog import parse_catalog
+from kmodsim.errors import ConfigError, LoadSetMismatch, MalformedTrace, UnknownSelection
 from kmodsim.hardware import HardwareInventory
 from kmodsim.loader import (
     DUP_ATTEMPT,
@@ -15,10 +21,13 @@ from kmodsim.loader import (
     SKIP_HW,
     LoadEvent,
     StrategyConfig,
+    format_trace,
+    parse_trace,
     run_strategy,
 )
 from kmodsim.metrics import (
     bench,
+    check_trace,
     render_bench_csv,
     render_bench_text,
     space_report,
@@ -26,7 +35,20 @@ from kmodsim.metrics import (
 )
 from kmodsim.registry import register_v0
 
-from conftest import chain_records, make_catalog, make_inventory
+from conftest import (
+    IMPOSSIBLE_TRACE_CATALOG,
+    IMPOSSIBLE_TRACES,
+    catalog_texts,
+    chain_records,
+    make_catalog,
+    make_inventory,
+)
+
+# The benchmark's oracles read the files with their own code, not kmodsim's.
+_BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
+if _BENCHMARKS not in sys.path:
+    sys.path.insert(0, _BENCHMARKS)
+import oracles  # noqa: E402
 
 NO_HW = HardwareInventory(())
 
@@ -85,6 +107,58 @@ class TestTiming:
                 )
                 return
         pytest.fail("race never produced a duplicate attempt")
+
+
+class TestCheckTrace:
+    def test_returns_the_attached_names(self):
+        catalog = make_catalog("a|1||", "b|1|a,core|", "core|1||@base", "x|1||")
+        trace = [ev(SKIP_FLAG, "x"), ev(LOAD, "a"), ev(DUP_ATTEMPT, "a"), ev(LOAD, "b")]
+        loaded = check_trace(catalog, trace)
+        assert loaded == {"a", "b"} and type(loaded) is frozenset
+
+    @pytest.mark.parametrize("trace", list(IMPOSSIBLE_TRACES))
+    def test_each_broken_rule_is_named(self, trace):
+        catalog = parse_catalog(IMPOSSIBLE_TRACE_CATALOG)
+        message = IMPOSSIBLE_TRACES[trace]
+        with pytest.raises(MalformedTrace, match=f"^{re.escape(message)}$"):
+            check_trace(catalog, parse_trace(trace))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_the_independent_oracle(self, data):
+        text = data.draw(catalog_texts_with_base())
+        reference = oracles.read_catalog(text)
+        names = sorted(reference.sizes)
+        kinds = st.sampled_from([LOAD, LOAD, SKIP_HW, SKIP_FLAG, DUP_ATTEMPT])
+        steps = st.tuples(kinds, st.sampled_from([*names, "ghost"]))
+        drawn = data.draw(st.lists(steps, min_size=1, max_size=30))
+        trace = [LoadEvent(ts, 0, kind, module) for ts, (kind, module) in enumerate(drawn)]
+        if data.draw(st.booleans()):
+            # What the drawn LOADs select, with every device present, in
+            # catalog order, which puts dependencies first: no rule breaks.
+            every_tag = frozenset(t.casefold() for tags in reference.tags.values() for t in tags)
+            picked = [e.module for e in trace if e.kind == LOAD and e.module in reference.sizes]
+            selected = oracles.expected_loaded(reference, picked, every_tag)
+            trace = [LoadEvent(0, 0, LOAD, module) for module in sorted(selected)]
+        trace_text = format_trace(trace)
+        breaks_a_rule = bool(oracles.check_trace(trace_text, reference)) or any(
+            e.kind == LOAD and e.module in reference.base for e in trace
+        )
+        catalog = parse_catalog(text)
+        if breaks_a_rule:
+            with pytest.raises(MalformedTrace):
+                check_trace(catalog, trace)
+        else:
+            assert check_trace(catalog, trace) == oracles.summarize_trace(trace_text).loaded
+
+
+@st.composite
+def catalog_texts_with_base(draw) -> str:
+    """``catalog_texts`` with up to two of its modules tagged ``@base``."""
+    lines = draw(catalog_texts()).splitlines()
+    for i in draw(st.sets(st.integers(1, len(lines) - 1), max_size=2)):
+        lines[i] += "@base" if lines[i].endswith("|") else ",@base"
+    return "\n".join(lines) + "\n"
 
 
 class TestSpace:
@@ -181,6 +255,10 @@ class TestBench:
         with pytest.raises(ConfigError):
             bench(self.catalog, self.catalog.names, self.inventory,
                   ["stage0"], workers=1, repetitions=0)
+
+    def test_a_string_selection_is_not_read_as_names(self):
+        with pytest.raises(UnknownSelection, match="^selection is the string 'ab', "):
+            bench(self.catalog, "ab", self.inventory, ["stage0"], workers=1, repetitions=1)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError):

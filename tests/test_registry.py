@@ -65,6 +65,12 @@ class TestRegisterV0:
         with pytest.raises(UnknownSelection):
             register_v0(catalog, ["ghost"])
 
+    def test_a_string_selection_is_not_read_as_names(self):
+        catalog = make_catalog("a|1||", "b|1||", "ab|1||")
+        for register in (register_v0, lambda c, s: register_v1(c, s, NO_HW)):
+            with pytest.raises(UnknownSelection, match="^selection is the string 'ab', "):
+                register(catalog, "ab")
+
     def test_interactive_asks_in_catalog_order(self):
         catalog = make_catalog("b|1||", "a|1||", "c|1||")
         asked = []
