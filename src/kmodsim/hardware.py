@@ -5,13 +5,24 @@ header. A module is supported when any of its tags occurs, case-insensitively
 and on word boundaries, inside any device string. Modules without tags are
 not hardware-gated at all (filesystems, syscall shims) and always pass.
 
-``_contains_word`` is the definition of a match. The gate reaches it through
-a word-run index of the inventory, so a tag costs a dictionary lookup plus a
-check of the few devices that share its rarest word run, not a scan of every
-device. The index, and the casefolded copy of the devices it is built from,
-are made on the first tagged query, so sessions that never check a tag
-(stage1, untagged catalogs) never pay for either: building an inventory only
-strips and checks its device lines, in bulk.
+``_contains_word`` over the casefolded devices is the definition of a match.
+The gate reaches it through three structures, each built on the first query
+that needs it, so most tags cost one set lookup:
+
+- ``_tokens``, the whitespace-delimited tokens of the devices. A tag that is
+  a whole token matches, because whitespace is never a word character.
+- ``_runs``, the word runs of those tokens (maximal runs of letters, digits
+  and ``_``). A tag that starts and ends with a word character fails when
+  one of its word runs is missing, and, when it is a single run, matches
+  when that run is present.
+- ``_postings``, each word run mapped to the devices that hold it. What is
+  left of such tags is checked only against the devices that hold its
+  rarest word run. Any other tag, e.g. ``/8168``, is checked against every
+  device.
+
+Sessions that never check a tag (stage1, untagged catalogs) build none of
+them, nor the casefolded copy of the devices they come from: building an
+inventory only checks its device lines, in bulk.
 """
 
 from __future__ import annotations
@@ -42,7 +53,14 @@ class HardwareInventory:
                 f"devices must be a sequence of strings, not the string {self.devices!r}"
             )
         devices = tuple(self.devices)
-        if not all(devices) or tuple(map(str.strip, devices)) != devices:
+        try:
+            trimmed = tuple(map(str.strip, devices)) == devices
+        except TypeError:
+            trimmed = False
+        if not all(devices) or not trimmed:
+            for dev in devices:
+                if not isinstance(dev, str):
+                    raise ValueError(f"device strings must be str, not {dev!r}")
             for dev in devices:
                 if not dev or dev != dev.strip():
                     raise ValueError(f"device strings must be non-empty and trimmed: {dev!r}")
@@ -56,6 +74,16 @@ class HardwareInventory:
     def _folded(self) -> tuple[str, ...]:
         # The casefolded devices, built on the first tagged query.
         return tuple(map(str.casefold, self.devices))
+
+    @cached_property
+    def _tokens(self) -> frozenset[str]:
+        # Whitespace-delimited tokens of the casefolded devices.
+        return frozenset(" ".join(self._folded).split())
+
+    @cached_property
+    def _runs(self) -> frozenset[str]:
+        # Word runs of the tokens, which are the word runs of the devices.
+        return frozenset(_WORD_RUN.findall(" ".join(self._tokens)))
 
     @cached_property
     def _postings(self) -> dict[str, list[int]]:
@@ -73,22 +101,29 @@ class HardwareInventory:
 
         An untagged module matches unconditionally; adding devices can
         therefore never turn a supported module into an unsupported one.
+        Each casefolded tag is decided by the first step that applies: a
+        whole device token matches; a tag bounded by word characters fails
+        when one of its word runs is in no device, and matches when it is a
+        single run that is; the rest is checked against the devices that
+        hold its rarest word run, or against every device.
         """
         return not tags or any(self._matches(tag.casefold()) for tag in tags)
 
     def _matches(self, tag: str) -> bool:
         """True when ``_contains_word`` holds for some device and casefolded ``tag``."""
+        if tag in self._tokens:
+            return True
         if not (tag and _is_word_char(tag[0]) and _is_word_char(tag[-1])):
             return any(_contains_word(device, tag) for device in self._folded)
         # A match is bounded by non-word characters on both sides, so every
         # word run of such a tag is a whole word run of the matching device.
-        candidates: list[int] | None = None
-        for run in _WORD_RUN.findall(tag):
-            hits = self._postings.get(run)
-            if hits is None:
-                return False
-            if candidates is None or len(hits) < len(candidates):
-                candidates = hits
+        runs = _WORD_RUN.findall(tag)
+        if not self._runs.issuperset(runs):
+            return False
+        if len(runs) == 1:
+            # The one run spans the tag, and is a whole run of some device.
+            return True
+        candidates = min((self._postings[run] for run in runs), key=len)
         return any(_contains_word(self._folded[pos], tag) for pos in candidates)
 
 

@@ -123,8 +123,12 @@ def oracle(tags, devices) -> bool:
     return any(_contains_word(d.casefold(), t.casefold()) for d in devices for t in tags)
 
 
-def index_built(inventory: HardwareInventory) -> bool:
-    return "_postings" in vars(inventory)
+GATE_STRUCTURES = ("_tokens", "_runs", "_postings")
+
+
+def built(inventory: HardwareInventory) -> set[str]:
+    """The gate's lazily built structures that ``inventory`` holds so far."""
+    return {name for name in ("_folded",) + GATE_STRUCTURES if name in vars(inventory)}
 
 
 # Word characters whose casefolding is not one-to-one or not ASCII: sharp s
@@ -132,7 +136,9 @@ def index_built(inventory: HardwareInventory) -> bool:
 # character), final sigma to sigma, the fi ligature to "fi"; Arabic-Indic
 # three, Devanagari five and superscript two are digits of other scripts.
 WORDY = "abAB01_ßSsİiσςΣ٣५²ﬁ"
-EDGES = " -/.\u0307"
+# Tab, no-break space, thin space and the file separator are whitespace to
+# ``str.split``, so they delimit the gate's tokens like a space does.
+EDGES = " -/.\u0307\t\u00a0\u2009\u001c"
 
 
 @st.composite
@@ -166,42 +172,71 @@ class TestIndexedGate:
     @example(case=(["İ", "i"], ["İ"]))
     @example(case=(["ΟΔΟΣ"], ["οδος", "οδοσ"]))
     @example(case=(["port ٣"], ["٣"]))
+    @example(case=(["Realtek RTL8111 /8168"], ["/8168"]))
+    @example(case=(["x dev-foo-bar"], ["dev-foo"]))
+    @example(case=(["dev x", "foo"], ["foo-dev"]))
+    @example(case=(["a-b"], ["b"]))
     def test_matches_the_oracle(self, case):
         devices, tags = case
         inventory = HardwareInventory(tuple(devices))
         assert check_hardware_support(module(*tags), inventory) == oracle(tags, devices)
 
     @pytest.mark.parametrize(
-        "devices, tag, expected, indexed",
+        "devices, tag, expected, decided_by",
         [
-            (["Intel dev-foo adapter"], "dev-foo", True, True),
-            (["Intel dev-foo adapter", "dev-bar"], "dev-foobar", False, True),
-            (["Intel dev-foo adapter"], "nowhere", False, True),
-            (["Broadcom NetXtreme II controller"], "NetXtreme II", True, True),
-            (["ab ab"], "ab ab", True, True),
-            (["ab", "ab x"], "ab ab", False, True),
-            (["STRASSE"], "Straße", True, True),
-            (["ΟΔΟΣ"], "οδος", True, True),
-            (["port ٣"], "٣", True, True),
-            (["Intel e1000 - rev 2"], "- rev", True, False),
-            (["Realtek RTL8111/8168 PCIe"], "/8168", False, False),
-            (["Realtek RTL8111/8168 PCIe"], "8168 ", False, False),
-            (["İ"], "İ", True, False),
-            (["a"], "", False, False),
+            (["Intel dev-foo adapter"], "dev-foo", True, "tokens"),
+            (["Intel dev-foo adapter", "dev-bar"], "dev-foobar", False, "runs"),
+            (["Intel dev-foo adapter"], "nowhere", False, "runs"),
+            (["Broadcom NetXtreme II controller"], "NetXtreme II", True, "postings"),
+            (["ab ab"], "ab ab", True, "postings"),
+            (["ab", "ab x"], "ab ab", False, "postings"),
+            (["STRASSE"], "Straße", True, "tokens"),
+            (["ΟΔΟΣ"], "οδος", True, "tokens"),
+            (["port ٣"], "٣", True, "tokens"),
+            (["Intel e1000 - rev 2"], "- rev", True, "scan"),
+            (["Realtek RTL8111/8168 PCIe"], "/8168", False, "scan"),
+            (["Realtek RTL8111/8168 PCIe"], "8168 ", False, "scan"),
+            (["İ"], "İ", True, "tokens"),
+            (["a"], "", False, "scan"),
+            (["a-b"], "b", True, "runs"),
         ],
     )
-    def test_path_and_result(self, devices, tag, expected, indexed):
+    def test_path_and_result(self, devices, tag, expected, decided_by):
         inventory = HardwareInventory(tuple(devices))
         assert check_hardware_support(module(tag), inventory) is expected
         assert oracle([tag], devices) is expected
-        assert index_built(inventory) is indexed
+        # Each step builds what it reads; every tag tries the tokens first.
+        assert built(inventory) == {
+            "tokens": {"_folded", "_tokens"},
+            "scan": {"_folded", "_tokens"},
+            "runs": {"_folded", "_tokens", "_runs"},
+            "postings": {"_folded", "_tokens", "_runs", "_postings"},
+        }[decided_by]
+        assert (tag.casefold() in inventory._tokens) is (decided_by == "tokens")
 
-    def test_index_is_built_once(self):
+    def test_each_structure_is_built_once(self):
         inventory = make_inventory("Intel dev-foo adapter", "Realtek dev-bar PHY")
-        assert check_hardware_support(module("dev-foo"), inventory)
-        postings = inventory._postings
+        assert check_hardware_support(module("intel dev-foo"), inventory)
+        structures = [getattr(inventory, name) for name in GATE_STRUCTURES]
+        assert check_hardware_support(module("dev-bar phy"), inventory)
         assert check_hardware_support(module("dev-bar"), inventory)
-        assert inventory._postings is postings
+        assert check_hardware_support(module("foo"), inventory)
+        assert not check_hardware_support(module("dev-baz"), inventory)
+        assert not check_hardware_support(module("/bar"), inventory)
+        for name, structure in zip(GATE_STRUCTURES, structures):
+            assert getattr(inventory, name) is structure, name
+
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    def test_generated_tags_are_decided_by_the_two_sets(self, seed):
+        catalog_text, inventory_text = generate_fixture(300, 4, seed, 0.8)
+        catalog = parse_catalog(catalog_text)
+        inventory = parse_inventory(inventory_text)
+        tagged = [tags for tags in catalog.hw_tags if tags]
+        assert len(tagged) == 300
+        results = [inventory.supports(tags) for tags in tagged]
+        assert results == [oracle(tags, inventory.devices) for tags in tagged]
+        assert True in results and False in results
+        assert built(inventory) == {"_folded", "_tokens", "_runs"}
 
     def test_word_run_pattern_is_the_word_char_predicate(self):
         word = re.compile(r"\w")
@@ -211,7 +246,7 @@ class TestIndexedGate:
 
 
 class TestLazyIndex:
-    """Sessions that never check a tag never pay for the index."""
+    """Sessions that never check a tag build nothing of the gate's."""
 
     def test_untagged_sweep_never_builds_the_index(self):
         catalog = make_catalog("a|1||", "b|1|a|", "c|1||")
@@ -219,42 +254,23 @@ class TestLazyIndex:
         index = register_v0(catalog, catalog.names)
         _, trace = run_strategy(catalog, index, inventory, StrategyConfig("stage0"))
         assert len(trace) == 3
-        assert not index_built(inventory)
+        assert not built(inventory)
 
     def test_stage1_session_never_builds_the_index(self):
         catalog_text, inventory_text = generate_fixture(60, 4, seed=5, hw_coverage=0.8)
         catalog = parse_catalog(catalog_text)
         registered_with = parse_inventory(inventory_text)
         index = register_v1(catalog, catalog.names, registered_with)
-        assert index_built(registered_with)
+        assert built(registered_with) == {"_folded", "_tokens", "_runs"}
 
         inventory = parse_inventory(inventory_text)
         run_strategy(catalog, index, inventory, StrategyConfig("stage1"))
-        assert not index_built(inventory)
-
-    def test_untagged_sweep_never_folds_the_devices(self):
-        catalog = make_catalog("a|1||", "b|1|a|", "c|1||")
-        inventory = make_inventory("Intel dev-a adapter")
-        index = register_v0(catalog, catalog.names)
-        _, trace = run_strategy(catalog, index, inventory, StrategyConfig("stage0"))
-        assert len(trace) == 3
-        assert not devices_folded(inventory)
-
-    def test_stage1_session_never_folds_the_devices(self):
-        catalog_text, inventory_text = generate_fixture(60, 4, seed=5, hw_coverage=0.8)
-        catalog = parse_catalog(catalog_text)
-        registered_with = parse_inventory(inventory_text)
-        index = register_v1(catalog, catalog.names, registered_with)
-        assert devices_folded(registered_with)
-
-        inventory = parse_inventory(inventory_text)
-        run_strategy(catalog, index, inventory, StrategyConfig("stage1"))
-        assert not devices_folded(inventory)
+        assert not built(inventory)
 
     def test_devices_fold_on_the_first_tagged_query_only(self):
         inventory = make_inventory("Intel DEV-A adapter", "/8168 PHY")
-        assert not devices_folded(inventory)
-        assert inventory.supports(("dev-a",)) and devices_folded(inventory)
+        assert not built(inventory)
+        assert inventory.supports(("dev-a",)) and "_folded" in built(inventory)
         folded = inventory._folded
         assert folded == ("intel dev-a adapter", "/8168 phy")
         assert inventory.supports(("/8168",)) and inventory._folded is folded
@@ -276,6 +292,15 @@ class TestLazyIndex:
             HardwareInventory(devices)
         assert str(err.value) == f"device strings must be non-empty and trimmed: {bad!r}"
 
+    @pytest.mark.parametrize(
+        "devices, bad",
+        [((1,), 1), ((b"eth0",), b"eth0"), (("ok", None), None), (("", 2), 2)],
+    )
+    def test_a_device_that_is_not_a_string_is_named(self, devices, bad):
+        with pytest.raises(ValueError) as err:
+            HardwareInventory(devices)
+        assert str(err.value) == f"device strings must be str, not {bad!r}"
+
     def test_a_string_is_not_read_as_devices(self):
         with pytest.raises(ValueError, match="^devices must be a sequence of strings, "):
             HardwareInventory("eth0")
@@ -289,6 +314,3 @@ class TestLazyIndex:
         assert inventory == HardwareInventory(("Intel e1000",))
         assert hash(inventory) == hash(HardwareInventory(("Intel e1000",)))
 
-
-def devices_folded(inventory: HardwareInventory) -> bool:
-    return "_folded" in vars(inventory)
