@@ -2,7 +2,8 @@
 
 Every path is an explicit flag; nothing here ever looks at real module
 directories or device databases. Domain errors exit nonzero after printing a
-machine-parseable ``error: <code>: <detail>`` line on stderr.
+machine-parseable ``error: <code>: <detail>`` line on stderr. A command builds
+only its own argument parser, and nothing is cached between ``main`` calls.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from .registry import read_index, register_v0, register_v1, write_index
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)
@@ -49,31 +52,55 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for one ``command``, or for every command when it names none.
+
+    Building all five subparsers costs three to five times as much as building
+    one, so a known command gets only its own. Any other first argument (none,
+    ``-h``, an unknown name) gets the full parser, whose help and errors list
+    the commands.
+    """
     parser = argparse.ArgumentParser(
         prog="kmodsim",
         description="Simulate staged, parallel attachment of loadable kernel modules.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    if command in _COMMANDS:
+        names = (command,)
+        # The usage line still lists every command, as the full parser's does.
+        # Only here: a pinned metavar would rename the argument in the full
+        # parser's "invalid choice" and "required" errors.
+        sub = parser.add_subparsers(
+            dest="subcommand", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
+        )
+    else:
+        names = tuple(_COMMANDS)
+        sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name in names:
+        help_text, add_arguments, handler = _COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_text)
+        add_arguments(subparser)
+        subparser.set_defaults(func=handler)
+    return parser
 
-    gen = sub.add_parser("gen", help="generate a deterministic catalog + inventory pair")
+
+def _gen_arguments(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("--modules", type=int, required=True)
     gen.add_argument("--max-depth", type=int, default=4)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--hw-coverage", type=float, default=1.0)
     gen.add_argument("--catalog", required=True, help="output catalog path")
     gen.add_argument("--inventory", required=True, help="output inventory path")
-    gen.set_defaults(func=_cmd_gen)
 
-    reg = sub.add_parser("register", help="build an index file from a selection policy")
+
+def _register_arguments(reg: argparse.ArgumentParser) -> None:
     reg.add_argument("--catalog", required=True)
     reg.add_argument("--version", choices=("v0", "v1"), required=True)
     reg.add_argument("--index", required=True, help="output index path")
     reg.add_argument("--inventory", help="required for --version v1")
     _add_policy_flags(reg)
-    reg.set_defaults(func=_cmd_register)
 
-    load = sub.add_parser("load", help="run one load strategy and write its trace")
+
+def _load_arguments(load: argparse.ArgumentParser) -> None:
     load.add_argument("--catalog", required=True)
     load.add_argument("--index", required=True)
     load.add_argument("--inventory", help="required for stage0/stage2/stage3")
@@ -82,9 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
     load.add_argument("--trace", help="trace output path")
     load.add_argument("--load-base-us", type=float, default=0.0)
     load.add_argument("--load-per-kb-us", type=float, default=0.0)
-    load.set_defaults(func=_cmd_load)
 
-    ben = sub.add_parser("bench", help="compare strategies on identical inputs")
+
+def _bench_arguments(ben: argparse.ArgumentParser) -> None:
     ben.add_argument("--catalog", required=True)
     ben.add_argument("--inventory", required=True)
     ben.add_argument("--strategy", default=",".join(STRATEGIES),
@@ -95,15 +122,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--load-base-us", type=float, default=0.0)
     ben.add_argument("--load-per-kb-us", type=float, default=0.0)
     _add_policy_flags(ben)
-    ben.set_defaults(func=_cmd_bench)
 
-    rep = sub.add_parser("report", help="summarize a trace against its catalog")
+
+def _report_arguments(rep: argparse.ArgumentParser) -> None:
     rep.add_argument("--trace", required=True)
     rep.add_argument("--catalog", required=True)
     rep.add_argument("--format", choices=("text", "csv"), default="text")
-    rep.set_defaults(func=_cmd_report)
-
-    return parser
 
 
 def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
@@ -196,6 +220,17 @@ def _cmd_report(args) -> int:
     render = render_session_csv if args.format == "csv" else render_session_text
     sys.stdout.write(render(timing, space))
     return 0
+
+
+# Each command's help line, the function that adds its arguments, and its handler.
+_COMMANDS = {
+    "gen": ("generate a deterministic catalog + inventory pair", _gen_arguments, _cmd_gen),
+    "register": ("build an index file from a selection policy", _register_arguments,
+                 _cmd_register),
+    "load": ("run one load strategy and write its trace", _load_arguments, _cmd_load),
+    "bench": ("compare strategies on identical inputs", _bench_arguments, _cmd_bench),
+    "report": ("summarize a trace against its catalog", _report_arguments, _cmd_report),
+}
 
 
 def _read(path: str) -> str:

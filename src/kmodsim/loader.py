@@ -256,6 +256,32 @@ class LoadState:
             )
 
 
+def check_config(catalog: ModuleCatalog, config: StrategyConfig) -> None:
+    """Raise ``ConfigError`` unless a session of ``config`` over ``catalog`` can start.
+
+    The strategy must be known, the worker count within [1, MAX_WORKERS] (two
+    or more for stage2 and stage3), both attach costs finite and
+    non-negative, and the largest non-base module's attach no longer than a
+    worker waits for a claim winner.
+    """
+    strategy = config.strategy
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {strategy!r}")
+    if not 1 <= config.workers <= MAX_WORKERS:
+        raise ConfigError(f"workers must be within [1, {MAX_WORKERS}], got {config.workers}")
+    if strategy in ("stage2", "stage3") and config.workers < 2:
+        raise ConfigError(f"{strategy} needs at least 2 workers, got {config.workers}")
+    if not all(0 <= cost < math.inf for cost in (config.load_base_us, config.load_per_kb_us)):
+        raise ConfigError("load costs must be finite and non-negative")
+    largest_kb = max(compress(catalog.sizes, map(not_, catalog.base)), default=0)
+    worst_us = config.load_base_us + largest_kb * config.load_per_kb_us
+    if worst_us > _COMPLETION_TIMEOUT_S * 1_000_000:
+        raise ConfigError(
+            f"one attach would take {worst_us:g} us, longer than the "
+            f"{_COMPLETION_TIMEOUT_S:g} s a worker waits for a claim winner"
+        )
+
+
 class LoadSession:
     """One strategy execution: owns the state, the trace, and the workers."""
 
@@ -267,22 +293,8 @@ class LoadSession:
         config: StrategyConfig,
         events: list[LoadEvent] | None = None,
     ):
+        check_config(catalog, config)
         strategy = config.strategy
-        if strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {strategy!r}")
-        if not 1 <= config.workers <= MAX_WORKERS:
-            raise ConfigError(f"workers must be within [1, {MAX_WORKERS}], got {config.workers}")
-        if strategy in ("stage2", "stage3") and config.workers < 2:
-            raise ConfigError(f"{strategy} needs at least 2 workers, got {config.workers}")
-        if not all(0 <= cost < math.inf for cost in (config.load_base_us, config.load_per_kb_us)):
-            raise ConfigError("load costs must be finite and non-negative")
-        largest_kb = max(compress(catalog.sizes, map(not_, catalog.base)), default=0)
-        worst_us = config.load_base_us + largest_kb * config.load_per_kb_us
-        if worst_us > _COMPLETION_TIMEOUT_S * 1_000_000:
-            raise ConfigError(
-                f"one attach would take {worst_us:g} us, longer than the "
-                f"{_COMPLETION_TIMEOUT_S:g} s a worker waits for a claim winner"
-            )
         required = "v1" if strategy == "stage1" else "v0"
         if index.version != required:
             raise IndexMismatch(

@@ -20,7 +20,7 @@ from .loader import (
     SKIP_HW,
     LoadEvent,
     StrategyConfig,
-    STRATEGIES,
+    check_config,
     run_strategy,
 )
 from .registry import _selection, register_v0, register_v1
@@ -183,13 +183,16 @@ def bench(
     Scores are normalized to stage0's median (1.0 by construction) when
     stage0 is among the strategies; otherwise they are omitted. The composite
     registration+4-loads metric for the v0 and v1 pipelines is always
-    included. ``selected`` is read once, after the argument checks.
+    included. Every strategy's ``check_config`` runs before anything else, and
+    ``selected`` is read once, after those checks.
     """
     if repetitions < 1:
         raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
-    for strategy in strategies:
-        if strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {strategy!r}")
+    configs = [
+        StrategyConfig(strategy, workers, load_base_us, load_per_kb_us) for strategy in strategies
+    ]
+    for config in configs:
+        check_config(catalog, config)
 
     # Every registration below reads the selection, and a generator can be
     # read only once, so it is read here, after the argument checks.
@@ -198,13 +201,8 @@ def bench(
     index_v1 = register_v1(catalog, selected, inventory)
 
     rows = []
-    for strategy in strategies:
-        config = StrategyConfig(
-            strategy=strategy,
-            workers=workers,
-            load_base_us=load_base_us,
-            load_per_kb_us=load_per_kb_us,
-        )
+    for config in configs:
+        strategy = config.strategy
         index = index_v1 if strategy == "stage1" else index_v0
         walls, loads, dups = [], 0, 0
         loaded: frozenset[str] | None = None

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from kmodsim import loader
-from kmodsim.cli import main
+from kmodsim.cli import _build_parser, main
 from kmodsim.fixtures import generate_fixture
 from kmodsim.loader import parse_trace
 
@@ -312,6 +312,27 @@ class TestInteractiveSelection:
         assert err == "error: config: repetitions must be at least 1, got 0\n"
         assert prompts(out) == []
 
+    @pytest.mark.parametrize("flags, err", [
+        (["--workers", "1"], "error: config: stage2 needs at least 2 workers, got 1\n"),
+        (["--load-base-us", "nan"], "error: config: load costs must be finite and non-negative\n"),
+    ])
+    def test_bench_rejects_a_session_config_before_asking(self, inputs, capsys, flags, err):
+        assert self.bench(inputs, "--reps", "1", *flags) == 1
+        out, got = capsys.readouterr()
+        assert got == err and prompts(out) == []
+        assert sys.stdin.read() == "y\nn\ny\n" * 3
+
+    def test_bench_runs_one_worker_strategies_on_one_worker(self, inputs, capsys):
+        rc = self.bench(inputs, "--workers", "1", "--strategy", "stage0,stage1",
+                        "--reps", "1", "--format", "csv")
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert prompts(out) == ["a", "b", "c"]
+        rows = [line.split(",") for line in out.splitlines() if line.startswith("stage")]
+        assert [(row[0], row[1], row[5]) for row in rows] == [
+            ("stage0", "1", "2"), ("stage1", "1", "2"),
+        ]
+
     def test_bench_asks_once_per_module_in_catalog_order(self, inputs, capsys):
         assert self.bench(inputs, "--reps", "3", "--format", "csv") == 0
         out = capsys.readouterr().out
@@ -507,3 +528,63 @@ def test_unknown_flag_is_an_error():
     with pytest.raises(SystemExit) as err:
         main(["gen", "--modules", "1", "--catalog", "c", "--inventory", "i", "--bogus"])
     assert err.value.code != 0
+
+
+# Parser inputs whose help, errors and parsed namespace must not depend on
+# whether main builds one command's parser or all of them.
+SURFACE_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    *([command, "-h"] for command in ("gen", "register", "load", "bench", "report")),
+    ["bogus"],
+    ["re"],
+    ["-x"],
+    ["--", "report", "--trace", "t", "--catalog", "c"],
+    ["gen", "--catalog", "c", "--inventory", "i"],
+    ["report", "--trace", "t", "--catalog", "c", "extra"],
+    ["register", "--catalog", "c", "--version", "v2", "--index", "x"],
+    ["gen", "--modules", "ten", "--catalog", "c", "--inventory", "i"],
+    ["bench", "--catalog", "c", "--inventory", "i", "--policy", "all-load", "--interactive"],
+    ["report", "--tra", "t", "--catalog", "c"],
+    ["gen", "--modules", "3", "--max-depth", "2", "--catalog", "c", "--inventory", "i"],
+    ["register", "--catalog", "c", "--version", "v1", "--index", "x", "--inventory", "i",
+     "--policy", "file:s"],
+    ["load", "--catalog", "c", "--index", "x", "--strategy", "stage3", "--workers", "3",
+     "--load-base-us", "5"],
+    ["bench", "--catalog", "c", "--inventory", "i", "--interactive", "--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", SURFACE_CASES, ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def parse(parser):
+        try:
+            return None, vars(parser.parse_args(argv)), *capsys.readouterr()
+        except SystemExit as exc:
+            return exc.code, None, *capsys.readouterr()
+
+    assert parse(_build_parser(argv[0] if argv else None)) == parse(_build_parser())
+
+
+def test_a_command_builds_only_its_own_subparser():
+    (subparsers,) = _build_parser("report")._subparsers._group_actions
+    assert list(subparsers.choices) == ["report"]
+    (subparsers,) = _build_parser()._subparsers._group_actions
+    assert list(subparsers.choices) == ["gen", "register", "load", "bench", "report"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "the following arguments are required: subcommand"),
+    (["bogus"], "argument subcommand: invalid choice: 'bogus' "
+                "(choose from 'gen', 'register', 'load', 'bench', 'report')"),
+])
+def test_top_level_errors_name_the_subcommand_argument(argv, error, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert capsys.readouterr().err == (
+        f"usage: kmodsim [-h] {{gen,register,load,bench,report}} ...\nkmodsim: error: {error}\n"
+    )

@@ -260,10 +260,21 @@ class TestBench:
         with pytest.raises(UnknownSelection, match="^selection is the string 'ab', "):
             bench(self.catalog, "ab", self.inventory, ["stage0"], workers=1, repetitions=1)
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigError):
-            bench(self.catalog, self.catalog.names, self.inventory,
-                  ["stage9"], workers=1, repetitions=1)
+    @pytest.mark.parametrize("strategies, workers, base_us, match", [
+        (["stage9"], 1, 0.0, "unknown strategy 'stage9'"),
+        (["stage0"], 0, 0.0, "workers must be within"),
+        (["stage0", "stage1", "stage2"], 1, 0.0, "stage2 needs at least 2 workers, got 1"),
+        (["stage0", "stage3"], 2, float("nan"), "load costs must be finite"),
+        (["stage0"], 1, 1e15, "one attach would take"),
+    ])
+    def test_session_config_is_checked_before_the_selection_is_read(
+        self, strategies, workers, base_us, match
+    ):
+        names = iter(self.catalog.names)
+        with pytest.raises(ConfigError, match=match):
+            bench(self.catalog, names, self.inventory, strategies,
+                  workers=workers, repetitions=1, load_base_us=base_us)
+        assert list(names) == list(self.catalog.names)
 
     def test_changing_loaded_set_is_a_coded_error(self, drifting_bench):
         with pytest.raises(LoadSetMismatch) as info:

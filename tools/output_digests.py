@@ -14,6 +14,12 @@ attach, and the ``dup_attempts`` line of the stage2 and stage3 reports.
 stage2 and stage3 traces are not hashed, since their event order follows the
 schedule; their loaded sets are.
 
+The command line's own text is digested once, after the workloads, as
+``cli <case> <sha256>`` lines: the top-level ``--help``, each command's
+``--help``, and the usage errors of an unknown command and of an extra
+argument. Each case is ``kmodsim.cli.main`` of the checkout run with
+``COLUMNS=80``, and its digest covers the exit status, stdout and stderr.
+
 Both the benchmark code and ``kmodsim`` are imported from the checkout given
 by ``--root`` (this checkout by default), and nothing there is edited, so two
 checkouts compare with one command:
@@ -27,10 +33,14 @@ The exit status is 1 when any command or benchmark check failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 DEFAULT_ROOT = Path(__file__).resolve().parents[1]
 # Reports of the strategies whose workers race for claims.
@@ -77,6 +87,29 @@ def outputs(run, kmodsim, workload, seed: int) -> tuple[dict[str, str], int]:
     return texts, bench.failed
 
 
+CLI_CASES = {
+    "help": ["--help"],
+    **{f"help.{c}": [c, "--help"] for c in ("gen", "register", "load", "bench", "report")},
+    "error.unknown-command": ["bogus"],
+    "error.extra-argument": ["report", "--trace", "t", "--catalog", "c", "extra"],
+}
+
+
+def cli_texts(cli) -> dict[str, str]:
+    """Each CLI case's exit status, stdout and stderr, at a fixed terminal width."""
+    texts = {}
+    for case, argv in CLI_CASES.items():
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, COLUMNS="80"), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = cli.main(argv)
+            except SystemExit as exc:
+                status = exc.code
+        texts[case] = f"exit {status}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+    return texts
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=DEFAULT_ROOT,
@@ -102,6 +135,8 @@ def main(argv: list[str] | None = None) -> int:
             failed += failures
             for output, text in texts.items():
                 print(f"{name} seed={seed} {output} {digest(text)}")
+    for case, text in cli_texts(kmodsim.cli).items():
+        print(f"cli {case} {digest(text)}")
     if failed:
         print(f"error: {failed} command(s) or check(s) failed", file=sys.stderr)
     return 1 if failed else 0
