@@ -9,7 +9,11 @@ only its own argument parser, and nothing is cached between ``main`` calls.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
+import stat
 import sys
+import tempfile
 from pathlib import Path
 from typing import Iterable
 
@@ -139,11 +143,12 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_gen(args) -> int:
+    if Path(args.catalog).resolve() == Path(args.inventory).resolve():
+        raise ConfigError(f"--catalog and --inventory name one file: {args.catalog}")
     catalog_text, inventory_text = generate_fixture(
         args.modules, args.max_depth, args.seed, args.hw_coverage
     )
-    Path(args.catalog).write_text(catalog_text)
-    Path(args.inventory).write_text(inventory_text)
+    _write_all([(args.catalog, catalog_text), (args.inventory, inventory_text)])
     return 0
 
 
@@ -239,6 +244,44 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: {exc}") from None
+
+
+def _write_all(outputs: list[tuple[str, str]]) -> None:
+    """Write each ``(path, text)``, or change no path when any write fails.
+
+    Each text goes to a temporary file beside its target, and the targets are
+    replaced only after every text is written. A temporary file takes the mode
+    of the file it replaces, or the umask's default for a new file. A target
+    that exists but is not a regular file (``/dev/null``, a pipe) is written in
+    place, after the temporary files and before the first replace.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
+    staged: list[tuple[str, Path]] = []
+    in_place: list[tuple[str, str]] = []
+    try:
+        for path, text in outputs:
+            target = Path(path).resolve()
+            if target.exists() and not target.is_file():
+                in_place.append((path, text))
+                continue
+            try:
+                fd, temp = tempfile.mkstemp(prefix=f".{target.name}.", dir=target.parent)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            staged.append((temp, target))
+            with os.fdopen(fd, "w", encoding="utf-8") as out:
+                out.write(text)
+            mode = stat.S_IMODE(target.stat().st_mode) if target.exists() else 0o666 & ~umask
+            os.chmod(temp, mode)
+        for path, text in in_place:
+            Path(path).write_text(text, encoding="utf-8")
+        for temp, target in staged:
+            os.replace(temp, target)
+    finally:
+        for temp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temp)
 
 
 def _selection(args, catalog: ModuleCatalog) -> Iterable[str]:

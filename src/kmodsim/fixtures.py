@@ -4,13 +4,16 @@ Everything is driven by one seeded RNG, so the same arguments always produce
 byte-identical files. Every generated module carries exactly one device tag;
 the inventory contains a matching device for roughly ``hw_coverage`` of them
 plus a couple of decoy devices that match nothing. A few ``*.symbols`` decoy
-records are sprinkled in to exercise catalog filtering. Generation costs
-O(modules × max_depth).
+records are sprinkled in to exercise catalog filtering. Generation does
+constant Python work per module around its random draws; only C-level passes
+over the per-level module counts grow with ``max_depth``.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import accumulate
 
 from .catalog import CATALOG_HEADER
 from .errors import ConfigError
@@ -50,49 +53,54 @@ def generate_fixture(
         raise ConfigError(f"hw coverage must be within [0, 1], got {hw_coverage}")
 
     rng = random.Random(seed)
+    randint, randrange, sample = rng.randint, rng.randrange, rng.sample
     names = _unique_names(rng, modules)
 
     # Levels grow one at a time so a level-k module always has a level-(k-1)
     # dependency available; that pins the longest chain to the deepest level,
-    # which therefore never exceeds the module count.
+    # which therefore never exceeds the module count. Here levels count from
+    # 0, and a module takes a level below ``top``: one more than the number of
+    # levels in use, or max_depth when that is smaller.
     buckets: list[list[str]] = [[] for _ in range(min(max_depth, modules))]
-    highest = 0
-    plan = []
-    for name in names:
-        level = rng.randint(1, min(max_depth, highest + 1))
-        deps: list[str] = []
-        if level > 1:
-            # Draw positions in the lower levels, not names (the RNG use is
-            # the same, since sample picks indices by length alone), so the
-            # first dependency can be skipped without copying the levels:
-            # O(max_depth) per module in place of O(modules).
-            first = rng.choice(range(len(buckets[level - 2])))
-            deps.append(buckets[level - 2][first])
-            below = sum(len(bucket) for bucket in buckets[: level - 2])
-            skip, others = below + first, below + len(buckets[level - 2]) - 1
-            extra = rng.randint(0, min(2, others))
-            for i in rng.sample(range(others), extra):
-                i += i >= skip
-                for bucket in buckets[: level - 1]:
-                    if i < len(bucket):
-                        break
-                    i -= len(bucket)
-                deps.append(bucket[i])
-        buckets[level - 1].append(name)
-        highest = max(highest, level)
-        size_kb = rng.randint(4, 96)
-        plan.append((name, size_kb, deps, f"dev-{name}"))
-
-    matched = [name for name, *_ in plan if rng.random() < hw_coverage]
-
+    counts = [0] * len(buckets)
+    top = 1
     catalog_lines = [
         CATALOG_HEADER,
         f"# modules={modules} max_depth={max_depth} seed={seed} hw_coverage={hw_coverage}",
     ]
-    for name, size_kb, deps, tag in plan:
-        catalog_lines.append(f"{name}|{size_kb}|{','.join(deps)}|{tag}")
-    for name in names[: min(3, modules)]:
+    for name in names:
+        level = randint(1, top) - 1
+        if level == top - 1 and top < max_depth:
+            top += 1
+        if level:
+            # Draw positions in the lower levels, not names (the RNG use is
+            # the same, since sample picks indices by length alone), so the
+            # first dependency can be skipped without copying the levels.
+            # Per module that is constant Python work plus C-level passes
+            # over the ``level`` counts below it.
+            first = randrange(counts[level - 1])
+            below = sum(counts[: level - 1])
+            skip, others = below + first, below + counts[level - 1] - 1
+            extra = randint(0, min(2, others))
+            deps = buckets[level - 1][first]
+            if extra:
+                ends = list(accumulate(counts[:level]))
+                picked = [deps]
+                for i in sample(range(others), extra):
+                    i += i >= skip
+                    at = bisect_right(ends, i)
+                    picked.append(buckets[at][i - ends[at - 1] if at else i])
+                deps = ",".join(picked)
+        else:
+            deps = ""
+        buckets[level].append(name)
+        counts[level] += 1
+        catalog_lines.append(f"{name}|{randint(4, 96)}|{deps}|dev-{name}")
+    for name in names[:3]:
         catalog_lines.append(f"{name}.symbols|1||")
+
+    draw = rng.random
+    matched = [name for name in names if draw() < hw_coverage]
 
     inventory_lines = [
         INVENTORY_HEADER,
@@ -109,14 +117,17 @@ def generate_fixture(
 
 
 def _unique_names(rng: random.Random, count: int) -> list[str]:
-    names: list[str] = []
-    seen: set[str] = set()
+    # A dict keeps the names in draw order and answers "seen?" in one lookup.
+    choice, randint = rng.choice, rng.randint
+    names: dict[str, None] = {}
     while len(names) < count:
-        name = "".join(rng.choice(_SYLLABLES) for _ in range(rng.randint(2, 3)))
-        if name in seen:
-            name = f"{name}{rng.randint(0, 99)}"
-        if name in seen:
-            continue
-        seen.add(name)
-        names.append(name)
-    return names
+        if randint(2, 3) == 3:
+            name = choice(_SYLLABLES) + choice(_SYLLABLES) + choice(_SYLLABLES)
+        else:
+            name = choice(_SYLLABLES) + choice(_SYLLABLES)
+        if name in names:
+            name = f"{name}{randint(0, 99)}"
+            if name in names:
+                continue
+        names[name] = None
+    return list(names)

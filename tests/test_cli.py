@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import os
 import re
 import subprocess
 import sys
@@ -60,6 +61,56 @@ class TestGen:
         ])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: config: ")
+
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["over-old-outputs", "fresh"])
+    def test_a_failed_gen_creates_or_changes_neither_output(self, workdir, capsys, existing):
+        if existing:
+            run_gen(workdir, seed=1)
+        before = sorted((p.name, p.read_bytes()) for p in workdir.iterdir())
+        rc = main([
+            "gen", "--modules", "20", "--seed", "2",
+            "--catalog", str(workdir / "catalog.txt"),
+            "--inventory", str(workdir / "missing" / "inventory.txt"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: io: ")
+        # No temporary file is left behind either.
+        assert sorted((p.name, p.read_bytes()) for p in workdir.iterdir()) == before
+
+    @pytest.mark.parametrize("catalog, inventory", [
+        ("c.txt", "c.txt"),
+        ("c.txt", "./c.txt"),
+        ("sub/../c.txt", "c.txt"),
+        ("link.txt", "c.txt"),
+    ])
+    def test_one_file_for_both_outputs_is_a_config_error(
+        self, workdir, monkeypatch, capsys, catalog, inventory
+    ):
+        monkeypatch.chdir(workdir)
+        (workdir / "sub").mkdir()
+        (workdir / "link.txt").symlink_to("c.txt")
+        rc = main(["gen", "--modules", "5", "--catalog", catalog, "--inventory", inventory])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: config: --catalog and --inventory ")
+        assert not (workdir / "c.txt").exists()
+
+    def test_outputs_keep_the_mode_a_plain_write_gives(self, workdir):
+        (workdir / "catalog.txt").write_text("old")
+        (workdir / "catalog.txt").chmod(0o640)
+        (workdir / "plain.txt").write_text("new")
+        run_gen(workdir)
+        assert (workdir / "catalog.txt").stat().st_mode & 0o777 == 0o640
+        assert (workdir / "inventory.txt").stat().st_mode == (workdir / "plain.txt").stat().st_mode
+
+    def test_a_target_that_is_not_a_regular_file_is_written_in_place(self, workdir):
+        rc = main([
+            "gen", "--modules", "5",
+            "--catalog", str(workdir / "catalog.txt"), "--inventory", os.devnull,
+        ])
+        assert rc == 0
+        assert (workdir / "catalog.txt").read_text() == generate_fixture(5, 4, 0, 1.0)[0]
+        assert Path(os.devnull).is_char_device()
 
 
 class TestRegister:

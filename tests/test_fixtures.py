@@ -16,8 +16,10 @@ from kmodsim.fixtures import MAX_MODULES, generate_fixture
 from kmodsim.hardware import check_hardware_support, parse_inventory
 
 # SHA-256 of catalog_text + inventory_text. The first nine are the benchmark
-# workloads' shapes; the last three have at most 21 lower-level modules, where
-# random.sample copies its population by iteration rather than by index.
+# workloads' shapes; the next three have at most 21 lower-level modules, where
+# random.sample copies its population by iteration rather than by index. The
+# last two are deep: 40 and 55 levels, with extra dependencies that reach
+# down dozens of levels, so each dependency is looked up across many levels.
 GOLDEN = {
     (1000, 8, 1, 0.8): "90a110f86f1e73d89f337180844db98f4beb7d5b08ad7074a563208fc7c6b270",
     (1000, 8, 2, 0.8): "f3d36a2590a88b287cd7b5e40b7dccfbd8df50748c4a13a7be43db37890402e1",
@@ -31,6 +33,8 @@ GOLDEN = {
     (1, 1, 0, 0.0): "c1ba04a4a5819531866b4f36cf2fc7bae535d8ba28c62f4a79fd92bdca787ad8",
     (5, 2, 1, 1.0): "a9a615f029cbfab24c2742c02c91e78622b35ba0c5308a698cc211e4fde727a0",
     (50, 5, 7, 0.5): "3b1c2c8c29f65eaca42471c6d4b409c55fd1350d0be4a933946602739c4e9420",
+    (3000, 40, 9, 0.3): "7031cfc3aad9f739d970ec46d8604109e8c23c33082716772d32f6d869401b2c",
+    (2000, 255, 4, 0.6): "1318f2ecfc308c6a22185005087887adf705ad65ef7145883b34192919b5cde7",
 }
 
 

@@ -6,8 +6,9 @@ For each workload and seed, this builds the benchmark's inputs as
 
     <workload> seed=<n> <output> <sha256>
 
-The outputs are both index files, the stage0 and stage1 traces, each
-strategy's loaded set and each strategy's ``report``. Fields that depend on
+The outputs are the catalog and inventory as ``Bench.setup`` leaves them
+(``gen``'s files after the workload's rewrite), both index files, the stage0
+and stage1 traces, each strategy's loaded set and each strategy's ``report``. Fields that depend on
 the clock or on thread scheduling are left out before hashing: trace
 timestamps and the report's ``*_us`` lines when the workload sleeps per
 attach, and the ``dup_attempts`` line of the stage2 and stage3 reports.
@@ -74,10 +75,11 @@ def outputs(run, kmodsim, workload, seed: int) -> tuple[dict[str, str], int]:
     with tempfile.TemporaryDirectory(prefix="kmodsim-digests-") as work:
         bench = run.Bench(kmodsim, workload, seed, Path(work))
         bench.setup()
+        texts = {"catalog": bench.catalog.read_text(), "inventory": bench.inventory.read_text()}
         bench.load_oracle()
         result = bench.pipeline_pass()
         timed = bool(workload.load_base_us or workload.load_per_kb_us)
-        texts = {f"index.{v}": bench.index[v].read_text() for v in ("v0", "v1")}
+        texts.update({f"index.{v}": bench.index[v].read_text() for v in ("v0", "v1")})
         for s in ("stage0", "stage1"):
             trace = bench.trace[s].read_text()
             texts[f"trace.{s}"] = clock_free_trace(trace) if timed else trace
