@@ -12,14 +12,20 @@ never be attached dynamically. Because a non-isolatable region cannot depend
 on something that is absent until attached, base status propagates to every
 transitive dependency of a ``@base`` module.
 
-Parsing costs O(modules + edges): one scan of the text, then one depth-first
-walk over dependency positions, which proves the graph acyclic (or names its
-first cycle) and yields every module's level. A file whose record lines all
-have the canonical shape is scanned with one regular expression and split
-into columns in bulk, with no Python-level work per record beyond building
-its dependency tuple; any other file goes through ``_parse_record`` line by
-line, with the same result, and that parser is the only source of
-``MalformedRecord`` messages. A size is unsigned ASCII digits on either path.
+Parsing costs O(modules + edges): one scan of the text, then one forward pass
+over the records in file order, which yields every module's level when the
+file lists each module after all of its dependencies (every generated file
+does). A file that lists a dependent first, or has a cycle, stops that pass at
+the first dependency not yet placed; one depth-first walk over dependency
+positions then computes the levels from scratch. The walk is the only search
+for cycles: it proves the graph acyclic or names its first cycle, so neither
+a level nor an error depends on the order of the records. A file whose
+record lines all have the canonical shape is scanned with one regular
+expression and split into columns in bulk, with no Python-level work per
+record beyond building its dependency tuple; any other file goes through
+``_parse_record`` line by line, with the same result, and that parser is the
+only source of ``MalformedRecord`` messages. A size is unsigned ASCII digits
+on either path.
 """
 
 from __future__ import annotations
@@ -318,13 +324,17 @@ def _assemble(names, sizes, deps, hw_tags, base) -> ModuleCatalog:
             if not name.endswith(SYMBOLS_SUFFIX):
                 seen.add(name)
 
+    # Positions in file order; a *.symbols entry has none.
+    order = map(index_of.get, names)
     names, sizes, deps, hw_tags = (
         tuple(map(column.__getitem__, keep)) for column in (names, sizes, deps, hw_tags)
     )
     base = list(map(base.__getitem__, keep))
     targets = _resolve(names, deps, index_of)
     offsets = tuple(accumulate(map(len, deps), initial=0))
-    levels = _levels(names, offsets, targets)
+    levels = _levels_in_order(order, offsets, targets, len(names))
+    if levels is None:
+        levels = _levels(names, offsets, targets)
 
     stack = [i for i, flag in enumerate(base) if flag]
     while stack:
@@ -361,7 +371,32 @@ def _resolve(names, deps, index_of: dict[str, int]) -> tuple[int, ...]:
         ) from None
 
 
+def _levels_in_order(
+    order: Iterable[int | None], offsets: tuple[int, ...], targets: tuple[int, ...], count: int
+) -> tuple[int, ...] | None:
+    # One forward pass over the positions in file order, skipping the Nones of
+    # *.symbols entries. When the file lists every module after all of its
+    # dependencies, as every generated file does, that order is topological
+    # (Kahn 1962) and each level follows from levels already placed. At the
+    # first dependency not yet placed (level 0) the pass gives up and returns
+    # None: the file lists a dependent first, or the graph has a cycle.
+    levels = [0] * count
+    for pos in order:
+        if pos is None:
+            continue
+        deepest = 0
+        for dep in targets[offsets[pos] : offsets[pos + 1]]:
+            level = levels[dep]
+            if not level:
+                return None
+            if level > deepest:
+                deepest = level
+        levels[pos] = deepest + 1
+    return tuple(levels)
+
+
 def _levels(names, offsets: tuple[int, ...], targets: tuple[int, ...]) -> tuple[int, ...]:
+    # The fallback when _levels_in_order gives up, and the only cycle search.
     # One depth-first walk (Tarjan 1972) from each position in order, taking
     # dependencies in ``deps`` order. levels[m] is 0 until the walk reaches m,
     # -1 while m is on the current path, and m's level once its dependencies

@@ -68,9 +68,11 @@ and a module's completion flag is raised only after its event is in the
 trace, so trace order respects dependency completion under every schedule.
 
 ``parse_trace`` scans a trace in canonical shape (what ``format_trace``
-writes) with one regular expression and turns it into events in bulk; any
-other text goes line by line through ``_parse_lines``, which accepts the same
-traces and is the only source of ``MalformedTrace`` messages.
+writes) with one regular expression and turns it into events in bulk,
+converting each distinct timestamp or worker text to an int once (an instant
+trace has one timestamp); any other text goes line by line through
+``_parse_lines``, which accepts the same traces and is the only source of
+``MalformedTrace`` messages.
 
 Nothing in this module touches process-global state; any number of sessions
 may run concurrently in one process.
@@ -487,7 +489,13 @@ def _parse_canonical(text: str) -> list[LoadEvent] | None:
     # Every line matched, so the text splits into four fields per event.
     fields = text.split()
     stamps, workers, kinds, modules = (fields[i::4] for i in range(4))
-    return list(map(_new_event, zip(map(int, stamps), map(int, workers), kinds, modules)))
+    return list(map(_new_event, zip(_ints(stamps), _ints(workers), kinds, modules)))
+
+
+def _ints(texts: list[str]) -> Iterator[int]:
+    """The int of each text, converting each distinct text once."""
+    distinct = set(texts)
+    return map(dict(zip(distinct, map(int, distinct))).__getitem__, texts)
 
 
 def _parse_lines(text: str) -> list[LoadEvent]:

@@ -200,6 +200,26 @@ def record_count(monkeypatch):
     return counter
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, *names)`` counts calls of each named function of
+    ``module`` while the test runs, in the dict it returns."""
+
+    def count(module, *names: str) -> dict[str, int]:
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            real = getattr(module, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return count
+
+
 # -- random catalog generation (test-side, seeded) ----------------------
 
 

@@ -415,20 +415,71 @@ class TestOnePassParse:
             parse_catalog(text)
         assert str(err.value) == message
 
-    def test_canonical_catalog_skips_the_per_line_parser_and_the_cycle_search(self, monkeypatch):
-        # One walk computes the levels and is the only cycle search.
-        calls = {"_parse_record": 0, "_levels": 0}
-        for name in calls:
-            real = getattr(catalog_module, name)
-
-            def counted(*args, _name=name, _real=real):
-                calls[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(catalog_module, name, counted)
+    def test_canonical_catalog_skips_the_per_line_parser_and_the_cycle_search(self, count_calls):
+        # A generated file lists every module after its dependencies, so one
+        # pass in file order gives the levels and the walk, the only cycle
+        # search, never runs.
+        calls = count_calls(catalog_module, "_parse_record", "_levels_in_order", "_levels")
         catalog_text, _ = generate_fixture(20_000, 16, 1, 1.0)
         assert len(parse_catalog(catalog_text)) == 20_000
-        assert calls == {"_parse_record": 0, "_levels": 1}
+        assert calls == {"_parse_record": 0, "_levels_in_order": 1, "_levels": 0}
+
+
+def _late_dependency(text: str) -> str:
+    """``text`` with its first record line, which a later record depends on, moved last."""
+    lines = text.splitlines()
+    first = next(line for line in lines[1:] if not line.startswith("#"))
+    lines.remove(first)
+    name = first.split("|")[0]
+    assert any(name in line.split("|")[2].split(",") for line in lines[1:] if "|" in line)
+    return "\n".join([*lines, first]) + "\n"
+
+
+@st.composite
+def shuffled_catalog_texts(draw) -> tuple[str, str]:
+    """A ``catalog_texts`` catalog and the same records in a random order.
+
+    One record may first gain a dependency on a later module (a cycle when
+    that module reaches it), on itself or on an unknown module.
+    """
+    header, *lines = draw(catalog_texts(max_modules=12)).splitlines()
+    names = [line.split("|")[0] for line in lines]
+    dep = draw(st.sampled_from([None, "ghost", *names]))
+    if dep is not None:
+        i = draw(st.integers(0, len(lines) - 1))
+        name, size, deps, tags = lines[i].split("|")
+        lines[i] = f"{name}|{size}|{deps + ',' if deps else ''}{dep}|{tags}"
+    shuffled = draw(st.permutations(lines))
+    return "\n".join([header, *lines]) + "\n", "\n".join([header, *shuffled]) + "\n"
+
+
+class TestLevelsInFileOrder:
+    @pytest.mark.parametrize(
+        "reorder",
+        [
+            lambda text: serialize_catalog(parse_catalog(text)),
+            lambda text: "\n".join([text.splitlines()[0], *text.splitlines()[:0:-1]]) + "\n",
+            _late_dependency,
+        ],
+        ids=["name-order", "reversed", "one-late-dependency"],
+    )
+    def test_a_file_that_lists_a_dependent_first_takes_the_walk_once(self, reorder, count_calls):
+        catalog_text, _ = generate_fixture(2000, 8, 3, 0.8)
+        text = reorder(catalog_text)
+        assert text != catalog_text
+        calls = count_calls(catalog_module, "_levels_in_order", "_levels")
+        in_file_order = parse_catalog(catalog_text)
+        assert calls == {"_levels_in_order": 1, "_levels": 0}
+        reordered = parse_catalog(text)
+        assert calls == {"_levels_in_order": 2, "_levels": 1}
+        for column in COLUMNS:
+            assert getattr(reordered, column) == getattr(in_file_order, column), column
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=shuffled_catalog_texts())
+    def test_record_order_changes_neither_the_catalog_nor_an_error(self, case):
+        text, shuffled = case
+        assert outcome(parse_catalog, shuffled) == outcome(parse_catalog, text)
 
 
 

@@ -186,25 +186,22 @@ class TestRegisterV1:
         assert any(value for _, value in index.entries)
         assert 0 < targets.reads <= len(catalog), (targets.reads, len(catalog))
 
-    def test_levels_are_computed_once_per_catalog(self, monkeypatch):
-        real_levels = catalog_module._levels
-        calls = 0
-
-        def counting_levels(*args):
-            nonlocal calls
-            calls += 1
-            return real_levels(*args)
-
-        monkeypatch.setattr(catalog_module, "_levels", counting_levels)
+    def test_levels_are_computed_once_per_catalog(self, count_calls):
+        calls = count_calls(catalog_module, "_levels_in_order", "_levels")
         catalog_text, inventory_text = generate_fixture(500, 8, seed=1, hw_coverage=1.0)
         inventory = parse_inventory(inventory_text)
+        # Each catalog computes its levels once, when it is built: the parsed
+        # one by the pass in file order, the one built from its records (in
+        # name order, which lists a dependent first) by the walk.
         parsed = parse_catalog(catalog_text)
-        # Each catalog computes its levels once, when it is built.
-        for catalog in (parsed, ModuleCatalog(parsed.records)):
+        assert calls == {"_levels_in_order": 1, "_levels": 0}
+        direct = ModuleCatalog(parsed.records)
+        assert calls == {"_levels_in_order": 2, "_levels": 1}
+        for catalog in (parsed, direct):
             first = register_v1(catalog, catalog.names, inventory)
             assert topo_levels(catalog) == dict(zip(catalog.names, catalog.levels))
             assert register_v1(catalog, catalog.names, inventory) == first
-        assert calls == 2
+        assert calls == {"_levels_in_order": 2, "_levels": 1}
 
 
 class TestIndexFiles:

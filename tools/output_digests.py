@@ -8,12 +8,14 @@ For each workload and seed, this builds the benchmark's inputs as
 
 The outputs are the catalog and inventory as ``Bench.setup`` leaves them
 (``gen``'s files after the workload's rewrite), both index files, the stage0
-and stage1 traces, each strategy's loaded set and each strategy's ``report``. Fields that depend on
-the clock or on thread scheduling are left out before hashing: trace
-timestamps and the report's ``*_us`` lines when the workload sleeps per
-attach, and the ``dup_attempts`` line of the stage2 and stage3 reports.
-stage2 and stage3 traces are not hashed, since their event order follows the
-schedule; their loaded sets are.
+and stage1 traces, each strategy's loaded set and each strategy's ``report``.
+The catalog is also written out in name order, and the levels parsed from
+that file and the v1 index ``register`` writes from it are digested too.
+Fields that depend on the clock or on thread scheduling are left out before
+hashing: trace timestamps and the report's ``*_us`` lines when the workload
+sleeps per attach, and the ``dup_attempts`` line of the stage2 and stage3
+reports. stage2 and stage3 traces are not hashed, since their event order
+follows the schedule; their loaded sets are.
 
 The command line's own text is digested once, after the workloads, as
 ``cli <case> <sha256>`` lines: the top-level ``--help``, each command's
@@ -80,6 +82,7 @@ def outputs(run, kmodsim, workload, seed: int) -> tuple[dict[str, str], int]:
         result = bench.pipeline_pass()
         timed = bool(workload.load_base_us or workload.load_per_kb_us)
         texts.update({f"index.{v}": bench.index[v].read_text() for v in ("v0", "v1")})
+        texts.update(name_order_outputs(kmodsim, bench, Path(work)))
         for s in ("stage0", "stage1"):
             trace = bench.trace[s].read_text()
             texts[f"trace.{s}"] = clock_free_trace(trace) if timed else trace
@@ -87,6 +90,28 @@ def outputs(run, kmodsim, workload, seed: int) -> tuple[dict[str, str], int]:
         texts[f"loaded.{s}"] = "".join(f"{name}\n" for name in sorted(result["traces"][s].loaded))
         texts[f"report.{s}"] = stable_report(result["reports"][s], s, timed)
     return texts, bench.failed
+
+
+def name_order_outputs(kmodsim, bench, work: Path) -> dict[str, str]:
+    """The levels and the v1 index of the bench's catalog written in name order.
+
+    A generated file lists every module after its dependencies; in name order
+    a dependent usually comes first, so these outputs come from the parser's
+    other path to the levels, on the benchmark's own catalogs.
+    """
+    parse, serialize = kmodsim.catalog.parse_catalog, kmodsim.catalog.serialize_catalog
+    catalog = work / "catalog_name_order.txt"
+    catalog.write_text(serialize(parse(bench.catalog.read_text())))
+    by_name = parse(catalog.read_text())
+    index = work / "index_v1_name_order.txt"
+    bench.command([
+        "register", "--catalog", str(catalog), "--version", "v1",
+        "--inventory", str(bench.inventory), "--index", str(index), *bench.policy(),
+    ])
+    return {
+        "levels.name-order": "".join(f"{n} {v}\n" for n, v in zip(by_name.names, by_name.levels)),
+        "index.v1.name-order": index.read_text(),
+    }
 
 
 CLI_CASES = {
