@@ -48,6 +48,12 @@ every interleaving.
 Base-kernel modules are resident: complete from the start, so they are never
 attached, produce no events, and satisfy any dependency on them immediately.
 
+A session reads the index's ``values`` column as it is, after checking that
+its ``names`` are the catalog's. stage1 sweeps the positions whose value is
+nonzero and that are not resident, ordered by one stable sort on the value:
+depth-major, then catalog position. A resident module never enters the
+sweep, whatever depth v1 gave it.
+
 Attaches run on a paced clock. ``simulate_load`` only prices an attach (its
 nominal cost in µs); the worker then sleeps it out in ``_pace``. A sleep
 always wakes late, so each worker keeps a lag slot on the session: how far
@@ -89,7 +95,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress
-from operator import itemgetter, not_
+from operator import mul, not_
 from typing import NamedTuple
 
 from .catalog import ModuleCatalog
@@ -302,13 +308,13 @@ class LoadSession:
             raise IndexMismatch(
                 f"{strategy} needs a {required} index, got {index.version}"
             )
-        if tuple(map(itemgetter(0), index.entries)) != catalog.names:
+        if index.names != catalog.names or len(index.values) != len(catalog):
             raise IndexMismatch("index entries do not line up with catalog positions")
 
         self._strategy = strategy
         self._catalog = catalog
         self._names = catalog.names
-        self._values = list(map(itemgetter(1), index.entries))
+        self._values = index.values
         self._inventory = inventory
         self._config = config
         self._t0 = None if config.instant else _clock_ns()
@@ -347,14 +353,10 @@ class LoadSession:
 
     def _sweep(self) -> Iterator[int | None]:
         """stage1: depth-major, then catalog position; depth 0 (not selected) is empty."""
-        base = self._catalog.base
-        buckets: list[list[int]] = [[] for _ in range(max(self._values, default=0) + 1)]
-        for pos, value in enumerate(self._values):
-            if value and not base[pos]:
-                buckets[value].append(pos)
-        for bucket in buckets:
-            for pos in bucket:
-                yield from self._load_one(pos, worker=0)
+        values = self._values
+        loadable = compress(range(len(values)), map(mul, values, map(not_, self._catalog.base)))
+        for pos in sorted(loadable, key=values.__getitem__):
+            yield from self._load_one(pos, worker=0)
 
     def _scan(
         self, worker: int, start: int, end: int, lock: threading.Lock | None = None

@@ -24,6 +24,13 @@ roots; they still receive depth values when a loadable module depends on
 them, which keeps the byte ordering rule (dependency value < dependent
 value) intact across the whole file.
 
+An ``IndexFile`` holds two columns: ``names``, the catalog's own ``names``
+tuple, and ``values``, one int per position. ``entries`` derives the
+``(name, value)`` pairs on each access; nothing in the package builds them.
+Registration computes the values with C-level passes over the catalog's
+columns, ``write_index`` formats the whole file with one ``%``-format, and
+``read_index`` returns the values with the catalog's ``names``.
+
 ``read_index`` reads an index in the shape ``write_index`` writes with a few
 whole-text string operations and no Python-level work per line. Any other
 text goes line by line through ``_read_lines``, which accepts the same
@@ -34,6 +41,8 @@ digits on either path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import mul, not_
 from typing import Iterable
 
 from .catalog import ModuleCatalog
@@ -57,7 +66,13 @@ class IndexFile:
     """Per-module registration outcome, aligned 1:1 with catalog positions."""
 
     version: str
-    entries: tuple[tuple[str, int], ...]
+    names: tuple[str, ...]
+    values: tuple[int, ...]
+
+    @property
+    def entries(self) -> tuple[tuple[str, int], ...]:
+        """The ``(name, value)`` pair of each position."""
+        return tuple(zip(self.names, self.values))
 
 
 def _selection(catalog: ModuleCatalog, selected: Iterable[str]) -> frozenset[str]:
@@ -73,9 +88,8 @@ def _selection(catalog: ModuleCatalog, selected: Iterable[str]) -> frozenset[str
 
 def register_v0(catalog: ModuleCatalog, selected: Iterable[str]) -> IndexFile:
     """Record the selected names as one flag bit per catalog position."""
-    selected = _selection(catalog, selected)
-    entries = tuple((name, 1 if name in selected else 0) for name in catalog.names)
-    return IndexFile("v0", entries)
+    flags = dict.fromkeys(_selection(catalog, selected), 1)
+    return IndexFile("v0", catalog.names, tuple(map(flags.get, catalog.names, repeat(0))))
 
 
 def register_v1(
@@ -86,19 +100,18 @@ def register_v1(
     """Assign dependency-depth bytes to every loadable, supported selection.
 
     The roots are the selected, non-base modules that pass the hardware
-    check. One walk over dependency positions from all roots collects their
-    transitive dependencies; every module it reaches gets its level from the
-    catalog, everything else stays 0.
+    check, which is asked of those candidates only. One walk over dependency
+    positions from all roots collects their transitive dependencies; every
+    module it reaches gets its level from the catalog, everything else stays 0.
     """
     selected = _selection(catalog, selected)
-    offsets, targets = catalog.dep_offsets, catalog.dep_targets
+    offsets, targets, hw_tags = catalog.dep_offsets, catalog.dep_targets, catalog.hw_tags
     reached = bytearray(len(catalog))
-    queue = []
-    roots = zip(catalog.names, catalog.base, catalog.hw_tags)
-    for position, (name, base, tags) in enumerate(roots):
-        if name in selected and not base and inventory.supports(tags):
-            reached[position] = 1
-            queue.append(position)
+    candidates = map(mul, map(selected.__contains__, catalog.names), map(not_, catalog.base))
+    queue = [pos for pos in compress(range(len(catalog)), candidates)
+             if inventory.supports(hw_tags[pos])]
+    for position in queue:
+        reached[position] = 1
     while queue:
         position = queue.pop()
         for dep in targets[offsets[position] : offsets[position + 1]]:
@@ -106,23 +119,22 @@ def register_v1(
                 reached[dep] = 1
                 queue.append(dep)
 
-    entries = []
-    for name, level, hit in zip(catalog.names, catalog.levels, reached):
-        depth = level if hit else 0
-        if depth > MAX_DEPTH_VALUE:
-            raise DepthOverflow(
-                f"module {name!r} sits at dependency depth {depth}; "
-                f"index values top out at {MAX_DEPTH_VALUE}"
-            )
-        entries.append((name, depth))
-    return IndexFile("v1", tuple(entries))
+    depths = tuple(map(mul, catalog.levels, reached))
+    if depths and max(depths) > MAX_DEPTH_VALUE:
+        position = next(i for i, depth in enumerate(depths) if depth > MAX_DEPTH_VALUE)
+        raise DepthOverflow(
+            f"module {catalog.names[position]!r} sits at dependency depth "
+            f"{depths[position]}; index values top out at {MAX_DEPTH_VALUE}"
+        )
+    return IndexFile("v1", catalog.names, depths)
 
 
 def write_index(index: IndexFile) -> str:
     """Render an index file: header plus one ``name value`` line per module."""
-    lines = [INDEX_HEADERS[index.version]]
-    lines.extend(f"{name} {value}" for name, value in index.entries)
-    return "\n".join(lines) + "\n"
+    # One C-level %-format of both columns, interleaved by slice assignment.
+    fields = [None] * (2 * len(index.names))
+    fields[0::2], fields[1::2] = index.names, index.values
+    return f"{INDEX_HEADERS[index.version]}\n" + ("%s %s\n" * len(index.names)) % tuple(fields)
 
 
 def read_index(text: str, catalog: ModuleCatalog) -> IndexFile:
@@ -160,10 +172,10 @@ def _read_canonical(text: str, catalog: ModuleCatalog) -> IndexFile | None:
     if tuple(fields[0::2]) != catalog.names:
         return None
     try:
-        values = list(map(_CANONICAL_VALUES[version].__getitem__, fields[1::2]))
+        values = tuple(map(_CANONICAL_VALUES[version].__getitem__, fields[1::2]))
     except KeyError:
         return None
-    return IndexFile(version, tuple(zip(catalog.names, values)))
+    return IndexFile(version, catalog.names, values)
 
 
 def _read_lines(text: str, catalog: ModuleCatalog) -> IndexFile:
@@ -180,7 +192,7 @@ def _read_lines(text: str, catalog: ModuleCatalog) -> IndexFile:
         )
 
     limit = _LIMITS[version]
-    entries = []
+    values = []
     for pos, (line, expected) in enumerate(zip(body, catalog.names)):
         parts = line.split()
         if len(parts) != 2:
@@ -202,5 +214,5 @@ def _read_lines(text: str, catalog: ModuleCatalog) -> IndexFile:
             raise ValueOutOfRange(
                 f"entry {pos}: value {value} outside [0, {limit}] for {version}"
             )
-        entries.append((name, value))
-    return IndexFile(version, tuple(entries))
+        values.append(value)
+    return IndexFile(version, catalog.names, tuple(values))

@@ -39,7 +39,7 @@ from kmodsim.loader import (
     run_strategy,
 )
 from kmodsim.metrics import check_trace
-from kmodsim.registry import register_v0, register_v1
+from kmodsim.registry import IndexFile, register_v0, register_v1
 
 from conftest import (
     LINE_BREAKS,
@@ -379,6 +379,15 @@ class TestStage1:
         assert load_events(trace) == ["app"]
         assert state.loaded() == {"app"}
 
+    def test_a_resident_module_deeper_than_one_is_not_swept(self):
+        # fs is @base at depth 2, and so is lib, its dependency: neither is
+        # swept, so no claim on a resident module records a DUP_ATTEMPT.
+        catalog = make_catalog("lib|1||", "fs|4|lib|@base", "app|1|fs|")
+        index = register_v1(catalog, catalog.names, NO_HW)
+        assert index.entries == (("app", 3), ("fs", 2), ("lib", 1))
+        _, trace = run_strategy(catalog, index, NO_HW, STAGE1)
+        assert trace == [LoadEvent(0, 0, LOAD, "app")]
+
 
 class TestStage2:
     def test_loaded_set_matches_stage0(self):
@@ -404,6 +413,22 @@ class TestStage2:
                 NO_HW,
                 StrategyConfig("stage2", workers=1),
             )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_an_index_of_another_catalog_is_rejected(strategy):
+    catalog = make_catalog("a|1||", "b|1|a|")
+    other = make_catalog("a|1||", "c|1|a|")
+    if strategy == "stage1":
+        index = register_v1(other, other.names, NO_HW)
+    else:
+        index = register_v0(other, other.names)
+    short = IndexFile(index.version, catalog.names, index.values[:1])
+    config = StrategyConfig(strategy, workers=1 if strategy in ("stage0", "stage1") else 3)
+    for wrong in (index, short):
+        with pytest.raises(IndexMismatch) as err:
+            run_strategy(catalog, wrong, NO_HW, config)
+        assert str(err.value) == "index entries do not line up with catalog positions"
 
 
 SHARED_DEP = ["b|1|a|", "c|1|a|", "a|1||"]

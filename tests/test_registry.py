@@ -215,6 +215,29 @@ class TestIndexFiles:
         index = register_v0(catalog, ["a"])
         assert read_index(write_index(index), catalog) == index
 
+    @pytest.mark.parametrize("version", ["v0", "v1"])
+    def test_columns_round_trip_and_derive_the_pairs(self, version):
+        catalog_text, inventory_text = generate_fixture(2000, 8, 21, 0.8)
+        catalog, inventory = parse_catalog(catalog_text), parse_inventory(inventory_text)
+        selected = catalog.names[::3]
+        if version == "v0":
+            index = register_v0(catalog, selected)
+        else:
+            index = register_v1(catalog, selected, inventory)
+        assert max(index.values) == (1 if version == "v0" else 8)
+        assert index.names is catalog.names
+        text = write_index(index)
+        # Both read paths: canonical text, and the same lines ending in "\r\n".
+        for read in (read_index(text, catalog), read_index(text.replace("\n", "\r\n"), catalog)):
+            assert read == index
+            assert read.names is catalog.names
+        assert type(index.values) is tuple and {type(v) for v in index.values} == {int}
+        entries = index.entries
+        assert type(entries) is tuple and len(entries) == len(catalog)
+        assert all(type(pair) is tuple for pair in entries)
+        assert entries == tuple((name, index.values[i]) for i, name in enumerate(catalog.names))
+        assert text == f"{INDEX_HEADERS[version]}\n" + "".join(f"{n} {v}\n" for n, v in entries)
+
     def test_value_above_byte_range_rejected(self):
         catalog = make_catalog("a|1||")
         with pytest.raises(ValueOutOfRange):
