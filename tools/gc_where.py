@@ -84,30 +84,32 @@ class Places:
 def locate(run, bench, passes: int) -> Places:
     """Run ``passes`` gauged pipeline passes, noting where each full collection starts."""
     places = Places()
-    where, last = [ELSEWHERE], ["start"]
+    where, last = ELSEWHERE, "start"
 
     def on_gc(phase: str, info: dict) -> None:
         if phase == "start" and info["generation"] == 2:
-            places.full[where[0]] = places.full.get(where[0], 0) + 1
+            places.full[where] = places.full.get(where, 0) + 1
 
     @contextlib.contextmanager
     def at(place: str):
+        nonlocal where
         places.order.setdefault(place)
-        where[0] = place
+        where = place
         try:
             yield
         finally:
-            where[0] = ELSEWHERE
+            where = ELSEWHERE
 
     command, reference_loop = bench.command, run.reference_loop
 
     def located_command(argv: list[str]):
-        last[0] = command_key(bench, argv)
-        with at(last[0]):
+        nonlocal last
+        last = command_key(bench, argv)
+        with at(last):
             return command(argv)
 
     def located_reference_loop(threads: int = 1) -> float:
-        place = f"gauge{threads} {'start' if last[0] == 'start' else 'after ' + last[0]}"
+        place = f"gauge{threads} {'start' if last == 'start' else 'after ' + last}"
         with at(place):
             seconds = reference_loop(threads)
         places.readings.setdefault(place, []).append(seconds)
@@ -118,7 +120,7 @@ def locate(run, bench, passes: int) -> Places:
         with mock.patch.object(bench, "command", located_command), \
                 mock.patch.object(run, "reference_loop", located_reference_loop):
             for _ in range(passes):
-                last[0] = "start"
+                last = "start"
                 places.passes.append(bench.pipeline_pass(gauge=True))
     finally:
         gc.callbacks.remove(on_gc)
