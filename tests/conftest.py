@@ -8,20 +8,29 @@ The oracles here deliberately avoid the production code paths they check:
 dependency depth is computed by enumerating every simple path, levels and
 the first cycle by a recursive walk over the record text, v1 index
 values by a memoised recursive longest path over a recursive closure, and
-expected stage0 load orders come from a standalone post-order walk.
+expected stage0 load orders come from a standalone post-order walk, and
+``generate_fixture``'s bytes from the generator as it was written before its
+draws were taken from ``getrandbits`` directly.
 """
 
 from __future__ import annotations
 
+import os
 import random
+from bisect import bisect_right
+from itertools import accumulate
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import strategies as st
 
+import kmodsim
 from kmodsim import metrics
-from kmodsim.catalog import ModuleCatalog, ModuleRecord, parse_catalog
-from kmodsim.hardware import parse_inventory
+from kmodsim.catalog import CATALOG_HEADER, ModuleCatalog, ModuleRecord, parse_catalog
+from kmodsim.errors import ConfigError
+from kmodsim.fixtures import _SUFFIXES, _SYLLABLES, _VENDORS, MAX_MODULES
+from kmodsim.hardware import INVENTORY_HEADER, parse_inventory
 from kmodsim.loader import LOAD
 
 # Every line break str.splitlines honours.
@@ -36,6 +45,14 @@ def make_catalog(*records: str) -> ModuleCatalog:
 
 def make_inventory(*devices: str):
     return parse_inventory("HWINV v1\n" + "\n".join(devices) + "\n")
+
+
+def src_env() -> dict[str, str]:
+    """The environment for a child ``python`` that imports this checkout's
+    ``kmodsim``: its ``src`` directory first on ``PYTHONPATH``."""
+    src = str(Path(kmodsim.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 def chain_records(names: list[str]) -> list[str]:
@@ -124,6 +141,104 @@ def reference_v1_values(catalog, selected, supported) -> dict[str, int]:
         if rec.name in selected and not rec.base_kernel_only and supported(rec):
             reach(rec.name)
     return {name: depth_of(name) if name in reached else 0 for name in by_name}
+
+
+def reference_fixture(
+    modules: int, max_depth: int, seed: int, hw_coverage: float
+) -> tuple[str, str]:
+    """``generate_fixture`` drawing through ``randint``, ``randrange``,
+    ``choice`` and ``sample``, as it was written before it drew from
+    ``getrandbits`` directly; every other line is as it was."""
+    if modules < 1:
+        raise ConfigError(f"module count must be at least 1, got {modules}")
+    if modules > MAX_MODULES:
+        raise ConfigError(
+            f"module count must be at most {MAX_MODULES} (distinct names), got {modules}"
+        )
+    if max_depth < 1:
+        raise ConfigError(f"max depth must be at least 1, got {max_depth}")
+    if not 0.0 <= hw_coverage <= 1.0:
+        raise ConfigError(f"hw coverage must be within [0, 1], got {hw_coverage}")
+
+    rng = random.Random(seed)
+    randint, randrange, sample = rng.randint, rng.randrange, rng.sample
+    names = _reference_names(rng, modules)
+
+    # Levels grow one at a time so a level-k module always has a level-(k-1)
+    # dependency available; that pins the longest chain to the deepest level,
+    # which therefore never exceeds the module count. Here levels count from
+    # 0, and a module takes a level below ``top``: one more than the number of
+    # levels in use, or max_depth when that is smaller.
+    buckets: list[list[str]] = [[] for _ in range(min(max_depth, modules))]
+    counts = [0] * len(buckets)
+    top = 1
+    catalog_lines = [
+        CATALOG_HEADER,
+        f"# modules={modules} max_depth={max_depth} seed={seed} hw_coverage={hw_coverage}",
+    ]
+    for name in names:
+        level = randint(1, top) - 1
+        if level == top - 1 and top < max_depth:
+            top += 1
+        if level:
+            # Draw positions in the lower levels, not names (the RNG use is
+            # the same, since sample picks indices by length alone), so the
+            # first dependency can be skipped without copying the levels.
+            # Per module that is constant Python work plus C-level passes
+            # over the ``level`` counts below it.
+            first = randrange(counts[level - 1])
+            below = sum(counts[: level - 1])
+            skip, others = below + first, below + counts[level - 1] - 1
+            extra = randint(0, min(2, others))
+            deps = buckets[level - 1][first]
+            if extra:
+                ends = list(accumulate(counts[:level]))
+                picked = [deps]
+                for i in sample(range(others), extra):
+                    i += i >= skip
+                    at = bisect_right(ends, i)
+                    picked.append(buckets[at][i - ends[at - 1] if at else i])
+                deps = ",".join(picked)
+        else:
+            deps = ""
+        buckets[level].append(name)
+        counts[level] += 1
+        catalog_lines.append(f"{name}|{randint(4, 96)}|{deps}|dev-{name}")
+    for name in names[:3]:
+        catalog_lines.append(f"{name}.symbols|1||")
+
+    draw = rng.random
+    matched = [name for name in names if draw() < hw_coverage]
+
+    inventory_lines = [
+        INVENTORY_HEADER,
+        f"# generated for seed={seed}",
+    ]
+    for name in matched:
+        vendor = rng.choice(_VENDORS)
+        suffix = rng.choice(_SUFFIXES)
+        inventory_lines.append(f"{vendor} dev-{name} {suffix}")
+    for _ in range(2):
+        inventory_lines.append(f"{rng.choice(_VENDORS)} decoy{rng.randint(100, 999)} hub")
+
+    return "\n".join(catalog_lines) + "\n", "\n".join(inventory_lines) + "\n"
+
+
+def _reference_names(rng: random.Random, count: int) -> list[str]:
+    # A dict keeps the names in draw order and answers "seen?" in one lookup.
+    choice, randint = rng.choice, rng.randint
+    names: dict[str, None] = {}
+    while len(names) < count:
+        if randint(2, 3) == 3:
+            name = choice(_SYLLABLES) + choice(_SYLLABLES) + choice(_SYLLABLES)
+        else:
+            name = choice(_SYLLABLES) + choice(_SYLLABLES)
+        if name in names:
+            name = f"{name}{randint(0, 99)}"
+            if name in names:
+                continue
+        names[name] = None
+    return list(names)
 
 
 def sequential_load_order(catalog, flags: dict[str, int], supported) -> list[str]:

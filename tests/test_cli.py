@@ -17,7 +17,7 @@ from kmodsim.cli import _build_parser, main
 from kmodsim.fixtures import generate_fixture
 from kmodsim.loader import parse_trace
 
-from conftest import IMPOSSIBLE_TRACE_CATALOG, IMPOSSIBLE_TRACES
+from conftest import IMPOSSIBLE_TRACE_CATALOG, IMPOSSIBLE_TRACES, src_env
 
 
 @pytest.fixture
@@ -561,7 +561,7 @@ def test_non_utf8_catalog_prints_no_traceback(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "kmodsim", "register", "--catalog", str(catalog),
          "--version", "v0", "--index", str(tmp_path / "i.txt"), "--policy", "all-load"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=30, env=src_env(),
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: io: {catalog}: ") and "Traceback" not in proc.stderr
@@ -569,7 +569,8 @@ def test_non_utf8_catalog_prints_no_traceback(tmp_path):
 
 def test_module_entry_point_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "kmodsim", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "kmodsim", "--help"],
+        capture_output=True, text=True, timeout=30, env=src_env(),
     )
     assert proc.returncode == 0
     assert "gen" in proc.stdout

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 import time
 import tracemalloc
 
@@ -15,11 +16,16 @@ from kmodsim.errors import ConfigError
 from kmodsim.fixtures import MAX_MODULES, generate_fixture
 from kmodsim.hardware import check_hardware_support, parse_inventory
 
+from conftest import reference_fixture
+
 # SHA-256 of catalog_text + inventory_text. The first nine are the benchmark
-# workloads' shapes; the next three have at most 21 lower-level modules, where
-# random.sample copies its population by iteration rather than by index. The
-# last two are deep: 40 and 55 levels, with extra dependencies that reach
-# down dozens of levels, so each dependency is looked up across many levels.
+# workloads' shapes; the next three sample extra dependencies from at most 21
+# other lower-level modules, where a second pick follows sample's pool rule,
+# not its set rule (see fixtures._sample). The next two are deep: 40 and 55
+# levels, with extra dependencies that reach down dozens of levels, so each
+# dependency is looked up across many levels. The last is the north star's
+# largest size and the one shape where most names take a numeric suffix, so
+# _unique_names' suffix and retry paths run in bulk.
 GOLDEN = {
     (1000, 8, 1, 0.8): "90a110f86f1e73d89f337180844db98f4beb7d5b08ad7074a563208fc7c6b270",
     (1000, 8, 2, 0.8): "f3d36a2590a88b287cd7b5e40b7dccfbd8df50748c4a13a7be43db37890402e1",
@@ -35,6 +41,7 @@ GOLDEN = {
     (50, 5, 7, 0.5): "3b1c2c8c29f65eaca42471c6d4b409c55fd1350d0be4a933946602739c4e9420",
     (3000, 40, 9, 0.3): "7031cfc3aad9f739d970ec46d8604109e8c23c33082716772d32f6d869401b2c",
     (2000, 255, 4, 0.6): "1318f2ecfc308c6a22185005087887adf705ad65ef7145883b34192919b5cde7",
+    (50000, 16, 1, 0.8): "b99c983fba762eed3a5c377f6dcd435e48fa0bb6c65119ac947abef052ce8fbc",
 }
 
 
@@ -43,6 +50,76 @@ def test_output_bytes_are_pinned(args):
     catalog_text, inventory_text = generate_fixture(*args)
     digest = hashlib.sha256((catalog_text + inventory_text).encode()).hexdigest()
     assert digest == GOLDEN[args]
+
+
+def test_output_matches_the_stdlib_draws_on_random_shapes():
+    shapes = random.Random(22)
+    mismatched = []
+    for seed in range(300):
+        args = (
+            shapes.randint(1, 400),
+            shapes.randint(1, 40),
+            seed,
+            shapes.choice((0.0, 0.3, 0.8, 1.0)),
+        )
+        if generate_fixture(*args) != reference_fixture(*args):
+            mismatched.append(args)
+    assert mismatched == []
+
+
+def test_a_module_with_no_other_lower_level_module_still_draws_no_extra():
+    # The second module depends on the first, the only level-0 module, so it
+    # drew randint(0, 0) for its extra dependencies: one draw, always 0.
+    args = (2, 2, 1, 1.0)
+    catalog_text, _ = generate_fixture(*args)
+    first, second = (line.split("|") for line in catalog_text.splitlines()[2:4])
+    assert second[2] == first[0]
+    assert generate_fixture(*args) == reference_fixture(*args)
+
+
+def test_two_extra_dependencies_across_samples_pool_to_set_switch(monkeypatch):
+    real, calls = fixtures._sample, []
+
+    def recording(getrandbits, n, k):
+        calls.append((n, k))
+        return real(getrandbits, n, k)
+
+    monkeypatch.setattr(fixtures, "_sample", recording)
+    args = (60, 2, 19, 0.8)
+    assert generate_fixture(*args) == reference_fixture(*args)
+    # Two picks from 19, 20 and 21 other lower-level modules (pool) and 22 (set).
+    assert {(n, 2) for n in (19, 20, 21, 22)} <= set(calls)
+
+
+def test_depth_255_matches_the_stdlib_draws():
+    args = (3000, 255, 11, 0.5)
+    assert generate_fixture(*args) == reference_fixture(*args)
+
+
+# Small n, and n = 2**j - 1, 2**j and 2**j + 1 up to 2**20: where the bit
+# count changes and where nearly half of all draws are redrawn.
+BELOW_NS = sorted({*range(1, 65), *(2**j + d for j in range(1, 21) for d in (-1, 0, 1))})
+
+
+def test_below_draws_what_randrange_draws_and_leaves_the_same_state():
+    for n in BELOW_NS:
+        for seed in range(8):
+            ours, stdlib = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                assert fixtures._below(ours.getrandbits, n) == stdlib.randrange(n), (n, seed)
+                assert ours.getstate() == stdlib.getstate(), (n, seed)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_sample_draws_what_random_sample_draws_and_leaves_the_same_state(k):
+    # 20..23 straddle sample's switch from its pool (n <= 21) to its set.
+    for n in range(k, 65):
+        for seed in range(16):
+            ours, stdlib = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                drawn = fixtures._sample(ours.getrandbits, n, k)
+                assert drawn == stdlib.sample(range(n), k), (n, seed)
+                assert ours.getstate() == stdlib.getstate(), (n, seed)
 
 
 def test_generation_time_grows_linearly():

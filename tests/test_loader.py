@@ -5,14 +5,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import os
 import random
 import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -50,6 +48,7 @@ from conftest import (
     make_catalog,
     make_inventory,
     sequential_load_order,
+    src_env,
 )
 
 NO_HW = HardwareInventory(())
@@ -813,8 +812,7 @@ def test_a_failing_attach_ends_the_session_with_its_error(strategy):
     # failed attach wakes the workers that lost the claim on ``a`` at once,
     # so no worker waits out the 120 s completion timeout, stage2's included,
     # which wait while holding the lock.
-    src = str(Path(loader.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = src_env()
     for workers in (3, 8):
         proc = subprocess.run(
             [sys.executable, "-c", FAILING_ATTACH, strategy, str(workers)],
