@@ -19,13 +19,14 @@ from kmodsim.hardware import check_hardware_support, parse_inventory
 from conftest import reference_fixture
 
 # SHA-256 of catalog_text + inventory_text. The first nine are the benchmark
-# workloads' shapes; the next three sample extra dependencies from at most 21
-# other lower-level modules, where a second pick follows sample's pool rule,
-# not its set rule (see fixtures._sample). The next two are deep: 40 and 55
-# levels, with extra dependencies that reach down dozens of levels, so each
-# dependency is looked up across many levels. The last is the north star's
-# largest size and the one shape where most names take a numeric suffix, so
-# _unique_names' suffix and retry paths run in bulk.
+# workloads' shapes; the next three are small. Of those, only (50, 5, 7, 0.5)
+# draws extra dependencies: its second picks follow sample's pool rule from up
+# to 21 other lower-level modules and its set rule from 22 to 39 (see
+# fixtures._sample). The next two are deep: 40 and 55 levels, with extra
+# dependencies that reach down dozens of levels, so each dependency is looked
+# up across many levels. The last is the north star's largest size and the
+# one shape where most names take a numeric suffix, so _unique_names' suffix
+# and retry paths run in bulk.
 GOLDEN = {
     (1000, 8, 1, 0.8): "90a110f86f1e73d89f337180844db98f4beb7d5b08ad7074a563208fc7c6b270",
     (1000, 8, 2, 0.8): "f3d36a2590a88b287cd7b5e40b7dccfbd8df50748c4a13a7be43db37890402e1",
