@@ -2,10 +2,11 @@
 
 Catalog files are newline-delimited records ``name|size_kb|deps|tags`` under
 a ``MODCAT v1`` header; ``#`` starts a comment line and empty fields are
-allowed. Entries named ``*.symbols`` are helper files, not modules, and are
-dropped before any validation. Surviving records are kept in bytewise
-alphabetical name order; a record's position in that order is the canonical
-index used by index files and partition plans.
+allowed. Entries named ``*.symbols`` are helper files, not modules: their
+lines are checked for line shape like any other and then dropped, before the
+duplicate, unknown-dependency and cycle checks. Surviving records are kept in
+bytewise alphabetical name order; a record's position in that order is the
+canonical index used by index files and partition plans.
 
 The reserved tag ``@base`` marks a module as part of the base kernel: it can
 never be attached dynamically. Because a non-isolatable region cannot depend
@@ -21,20 +22,25 @@ positions then computes the levels from scratch. The walk is the only search
 for cycles: it proves the graph acyclic or names its first cycle, so neither
 a level nor an error depends on the order of the records. A file whose
 record lines all have the canonical shape is scanned with one regular
-expression and split into columns in bulk, with no Python-level work per
-record beyond building its dependency tuple; any other file goes through
+expression and split into columns in bulk; any other file goes through
 ``_parse_record`` line by line, with the same result, and that parser is the
 only source of ``MalformedRecord`` messages. A size is unsigned ASCII digits
-on either path.
+on either path. Each record's dependencies stay one comma-joined text until
+all of them are resolved at once, so the scan builds no container per record
+but its tag tuple. A name repeated within one record's dependencies is found
+by the level pass, which reads every dependency anyway, and only that
+record's run is rebuilt to keep each name's first mention.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import accumulate, chain
-from typing import Iterable, Sequence
+from itertools import accumulate, compress
+from operator import add, sub
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CircularDependency,
@@ -55,14 +61,19 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 # no whitespace; or a comment; or an empty line. ``\s`` matches exactly what
 # str.isspace accepts, which covers every line break str.splitlines honours,
 # so a body of such lines splits the same way on "\n" alone, and
-# _parse_record would return the same fields for each record line.
+# _parse_record would return the same fields for each record line. The one
+# group captures a record line whose name does not end in ".symbols"; a
+# *.symbols record, a comment or an empty line matches with the group empty.
 _NAME = r"[A-Za-z0-9._-]+"
 _ITEM = r"[^\s|,]+"
+_REST = rf"\|[0-9]{{1,640}}\|(?:{_NAME}(?:,{_NAME})*)?\|(?:{_ITEM}(?:,{_ITEM})*)?"
 _CANONICAL_LINE_RE = re.compile(
-    rf"^(?:{_NAME}\|[0-9]{{1,640}}\|(?:{_NAME}(?:,{_NAME})*)?"
-    rf"\|(?:{_ITEM}(?:,{_ITEM})*)?|#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*|)$",
+    rf"^(?:({_NAME}(?<!{re.escape(SYMBOLS_SUFFIX)}){_REST})|{_NAME}{_REST}"
+    rf"|#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*|)$",
     re.MULTILINE,
 )
+# A str.translate table that deletes every character a name may hold.
+_NAME_CHARS = str.maketrans("", "", string.ascii_letters + string.digits + "._-")
 
 
 @dataclass(frozen=True)
@@ -92,12 +103,13 @@ class ModuleCatalog:
     The constructor accepts a record only when its catalog file line parses
     back to the same fields (lists read as tuples), so every catalog it
     builds can be written out and read again; ``MalformedRecord`` names the
-    record that cannot. ``parse_catalog`` and the constructor build the
-    columns in one place, ``_assemble``: records are sorted by name,
-    ``*.symbols`` entries are dropped, repeated dependencies are kept once,
-    ``@base`` propagates to every transitive dependency, and duplicates,
-    unknown dependencies and cycles raise. ``records`` builds one ``ModuleRecord`` per position from
-    the columns on first access; equality and hashing compare columns.
+    record that cannot. ``*.symbols`` records are dropped by whichever source
+    reads them. ``parse_catalog`` and the constructor build the columns in one
+    place, ``_assemble``: records are sorted by name, repeated dependencies
+    are kept once, ``@base`` propagates to every transitive dependency, and
+    duplicates, unknown dependencies and cycles raise. ``records`` builds one
+    ``ModuleRecord`` per position from the columns on first access; equality
+    and hashing compare columns.
     """
 
     names: tuple[str, ...]
@@ -110,8 +122,7 @@ class ModuleCatalog:
     levels: tuple[int, ...]
 
     def __init__(self, records: Iterable[ModuleRecord]):
-        fields = list(map(_record_fields, records))
-        vars(self).update(vars(_assemble(*(zip(*fields) if fields else [()] * 5))))
+        vars(self).update(vars(_assemble(*_columns(map(_record_fields, records)))))
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -148,16 +159,13 @@ class ModuleCatalog:
         )
         return tuple(map(ModuleRecord, names, self.sizes, deps, self.hw_tags, self.base))
 
-    def record(self, name: str) -> ModuleRecord:
-        return self.records[self.index_of[name]]
-
 
 def parse_catalog(text: str) -> ModuleCatalog:
     """Parse catalog text into a validated, alphabetically ordered catalog.
 
-    ``*.symbols`` entries are discarded first; duplicates, unknown
-    dependencies and dependency cycles are rejected. The result does not
-    depend on the order of records in the input.
+    ``*.symbols`` entries are discarded once their lines parse; duplicates,
+    unknown dependencies and dependency cycles are rejected. The result does
+    not depend on the order of records in the input.
     """
     columns = _scan_canonical(text)
     return _assemble(*(_scan_lines(text) if columns is None else columns))
@@ -181,11 +189,12 @@ def topo_levels(catalog: ModuleCatalog) -> dict[str, int]:
 
 # One parsed record's ModuleRecord fields, before @base status has propagated.
 _Fields = tuple[str, int, tuple[str, ...], tuple[str, ...], bool]
-# The same fields for every parsed record, one sequence per field, in file order.
+# The fields of every parsed record but the *.symbols ones, one sequence per
+# field, in file order; each record's dependencies are one comma-joined run.
 _Columns = tuple[
     Sequence[str],
     Sequence[int],
-    Sequence[tuple[str, ...]],
+    Sequence[str],
     Sequence[tuple[str, ...]],
     Sequence[bool],
 ]
@@ -208,7 +217,9 @@ def _record_fields(record: ModuleRecord) -> _Fields:
                 f"record {record!r}: {field} is a string, not a sequence of names"
             )
     line = _record_line(record)
-    fields = _parse_record(line, f"record {record!r}")
+    # A file splits at every line break, so a field holding one would read
+    # back cut short.
+    fields = _parse_record(line.splitlines()[0], f"record {record!r}")
     given = (
         record.name,
         record.size_kb,
@@ -231,21 +242,19 @@ def _scan_canonical(text: str) -> _Columns | None:
     lines = _CANONICAL_LINE_RE.findall(body)
     if len(lines) != body.count("\n") + 1:
         return None
-    # Each record line has exactly four fields, so the joined record lines
-    # split into four fields per record. Plain strings keep this scan from
-    # allocating a container per record that the garbage collector tracks.
-    records = [line for line in lines if line and line[0] != "#"]
-    fields = "|".join(records).split("|") if records else []
-    names, sizes, deps, tags = (fields[i::4] for i in range(4))
+    # Each captured record line has exactly four fields, so the joined
+    # records split into four fields per record. Plain strings keep this scan
+    # from allocating a container per record that the garbage collector tracks.
+    records = "|".join(filter(None, lines))
+    fields = records.split("|") if records else []
+    names, sizes, runs, tags = (fields[i::4] for i in range(4))
     hw_tags = [tuple(t.split(",")) if t else () for t in tags]
     base = [False] * len(hw_tags)
-    for i in [i for i, t in enumerate(tags) if BASE_TAG in t]:
-        hw_tags[i], base[i] = _tag_fields(hw_tags[i])
-    deps = [tuple(d.split(",")) if d else () for d in deps]
-    # A run that names a dependency twice keeps its first mention only.
-    for i in [i for i, run in enumerate(deps) if len(run) > 1 and len(set(run)) < len(run)]:
-        deps[i] = tuple(dict.fromkeys(deps[i]))
-    return names, list(map(int, sizes)), deps, hw_tags, base
+    # Only a tag can hold the "@" of the base tag.
+    if BASE_TAG in records:
+        for i in [i for i, t in enumerate(tags) if BASE_TAG in t]:
+            hw_tags[i], base[i] = _tag_fields(hw_tags[i])
+    return names, list(_ints(sizes)), runs, hw_tags, base
 
 
 def _scan_lines(text: str) -> _Columns:
@@ -259,7 +268,16 @@ def _scan_lines(text: str) -> _Columns:
         if not stripped or stripped.startswith("#"):
             continue
         rows.append(_parse_record(stripped, f"line {lineno}"))
-    return list(zip(*rows)) or [()] * 5
+    return _columns(rows)
+
+
+def _columns(rows: Iterable[_Fields]) -> _Columns:
+    """The columns of parsed records, ``*.symbols`` rows dropped and runs joined."""
+    rows = [row for row in rows if not row[0].endswith(SYMBOLS_SUFFIX)]
+    if not rows:
+        return [()] * 5
+    names, sizes, deps, hw_tags, base = zip(*rows)
+    return names, sizes, list(map(",".join, deps)), hw_tags, base
 
 
 def _parse_record(line: str, where: str) -> _Fields:
@@ -309,11 +327,16 @@ def _split_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _assemble(names, sizes, deps, hw_tags, base) -> ModuleCatalog:
+def _ints(texts: list[str]) -> Iterator[int]:
+    """The int of each text, converting each distinct text once."""
+    distinct = set(texts)
+    return map(dict(zip(distinct, map(int, distinct))).__getitem__, texts)
+
+
+def _assemble(names, sizes, runs, hw_tags, base) -> ModuleCatalog:
     """Validate parsed records and build the catalog with its graph facts."""
-    keep = [i for i, name in enumerate(names) if not name.endswith(SYMBOLS_SUFFIX)]
     # UTF-8 keeps code point order, so str order is the bytewise order.
-    keep.sort(key=names.__getitem__)
+    keep = sorted(range(len(names)), key=names.__getitem__)
     index_of = dict(zip(map(names.__getitem__, keep), range(len(keep))))
     if len(index_of) != len(keep):
         # The message names the first repeat in file order.
@@ -321,22 +344,29 @@ def _assemble(names, sizes, deps, hw_tags, base) -> ModuleCatalog:
         for name in names:
             if name in seen:
                 raise DuplicateModule(f"module {name!r} appears more than once")
-            if not name.endswith(SYMBOLS_SUFFIX):
-                seen.add(name)
+            seen.add(name)
 
-    # Positions in file order; a *.symbols entry has none.
-    order = map(index_of.get, names)
-    names, sizes, deps, hw_tags = (
-        tuple(map(column.__getitem__, keep)) for column in (names, sizes, deps, hw_tags)
+    # Positions in file order.
+    order = map(index_of.__getitem__, names)
+    names, sizes, runs, hw_tags = (
+        tuple(map(column.__getitem__, keep)) for column in (names, sizes, runs, hw_tags)
     )
     base = list(map(base.__getitem__, keep))
-    targets = _resolve(names, deps, index_of)
-    offsets = tuple(accumulate(map(len, deps), initial=0))
-    levels = _levels_in_order(order, offsets, targets, len(names))
-    if levels is None:
+    targets = _resolve(names, runs, index_of)
+    # A run of n names holds n - 1 commas; deleting every name character
+    # leaves each run's commas, which split apart at the runs' separators.
+    commas = "|".join(runs).translate(_NAME_CHARS).split("|")
+    offsets = tuple(accumulate(map(add, map(bool, runs), map(len, commas)), initial=0))
+    placed = _levels_in_order(order, offsets, targets, len(names))
+    if placed is None:
+        repeated = _repeated(offsets, targets, len(names))
         levels = _levels(names, offsets, targets)
+    else:
+        levels, repeated = placed
+    if repeated:
+        offsets, targets = _first_mentions(repeated, offsets, targets)
 
-    stack = [i for i, flag in enumerate(base) if flag]
+    stack = list(compress(range(len(base)), base))
     while stack:
         module = stack.pop()
         for dep in targets[offsets[module] : offsets[module + 1]]:
@@ -359,40 +389,79 @@ def _assemble(names, sizes, deps, hw_tags, base) -> ModuleCatalog:
     return catalog
 
 
-def _resolve(names, deps, index_of: dict[str, int]) -> tuple[int, ...]:
+def _resolve(names, runs, index_of: dict[str, int]) -> tuple[int, ...]:
+    joined = ",".join(filter(None, runs))
     try:
-        return tuple(map(index_of.__getitem__, chain.from_iterable(deps)))
+        return tuple(map(index_of.__getitem__, joined.split(","))) if joined else ()
     except KeyError as missing:
         # The first record holding the unknown name is the one that raised.
         dep = missing.args[0]
-        name = next(name for name, module_deps in zip(names, deps) if dep in module_deps)
+        name = next(name for name, run in zip(names, runs) if dep in run.split(","))
         raise UnknownDependency(
             f"module {name!r} depends on unknown module {dep!r}"
         ) from None
 
 
 def _levels_in_order(
-    order: Iterable[int | None], offsets: tuple[int, ...], targets: tuple[int, ...], count: int
-) -> tuple[int, ...] | None:
-    # One forward pass over the positions in file order, skipping the Nones of
-    # *.symbols entries. When the file lists every module after all of its
-    # dependencies, as every generated file does, that order is topological
-    # (Kahn 1962) and each level follows from levels already placed. At the
-    # first dependency not yet placed (level 0) the pass gives up and returns
-    # None: the file lists a dependent first, or the graph has a cycle.
+    order: Iterable[int], offsets: tuple[int, ...], targets: tuple[int, ...], count: int
+) -> tuple[tuple[int, ...], list[int]] | None:
+    # One forward pass over the positions in file order. When the file lists
+    # every module after all of its dependencies, as every generated file
+    # does, that order is topological (Kahn 1962) and each level follows from
+    # levels already placed. At the first dependency not yet placed (level 0)
+    # the pass gives up and returns None: the file lists a dependent first, or
+    # the graph has a cycle. Otherwise it returns the levels and the
+    # positions whose run names a dependency twice: ``seen[dep]`` holds the
+    # last position whose run named ``dep`` (-1 for none yet). A repeat never
+    # changes a level, so the pass notes it and goes on.
     levels = [0] * count
+    seen = [-1] * count
+    repeated = []
     for pos in order:
-        if pos is None:
-            continue
         deepest = 0
         for dep in targets[offsets[pos] : offsets[pos + 1]]:
             level = levels[dep]
-            if not level:
-                return None
             if level > deepest:
                 deepest = level
+            elif not level:
+                return None
+            if seen[dep] == pos:
+                repeated.append(pos)
+            seen[dep] = pos
         levels[pos] = deepest + 1
-    return tuple(levels)
+    return tuple(levels), repeated
+
+
+def _repeated(offsets: tuple[int, ...], targets: tuple[int, ...], count: int) -> list[int]:
+    # The positions whose run names a dependency twice, stamped as in
+    # _levels_in_order, for a file that pass gave up on.
+    seen = [-1] * count
+    repeated = []
+    for pos in range(count):
+        for dep in targets[offsets[pos] : offsets[pos + 1]]:
+            if seen[dep] == pos:
+                repeated.append(pos)
+            seen[dep] = pos
+    return repeated
+
+
+def _first_mentions(
+    repeated: list[int], offsets: tuple[int, ...], targets: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # The offsets and targets with the runs at the ``repeated`` positions
+    # keeping each dependency's first mention only; every other run's slice
+    # is copied whole.
+    lengths = list(map(sub, offsets[1:], offsets))
+    kept = []
+    start = 0
+    for pos in sorted(set(repeated)):
+        kept += targets[start : offsets[pos]]
+        run = dict.fromkeys(targets[offsets[pos] : offsets[pos + 1]])
+        kept += run
+        lengths[pos] = len(run)
+        start = offsets[pos + 1]
+    kept += targets[start:]
+    return tuple(accumulate(lengths, initial=0)), tuple(kept)
 
 
 def _levels(names, offsets: tuple[int, ...], targets: tuple[int, ...]) -> tuple[int, ...]:
@@ -403,9 +472,10 @@ def _levels(names, offsets: tuple[int, ...], targets: tuple[int, ...]) -> tuple[
     # are placed. The stack holds the path's positions; a position on it keeps
     # its next dependency entry in ``resume`` and its deepest placed dependency
     # so far in ``deepest``. A resumed position re-reads the dependency it
-    # descended into, which is placed by then. A dependency on the path closes
-    # a cycle: the first one found is reported, rotated so that the
-    # bytewise-smallest member leads, keeping the error deterministic.
+    # descended into, which is placed by then, as is a dependency that its
+    # run names a second time. A dependency on the path closes a cycle: the
+    # first one found is reported, rotated so that the bytewise-smallest
+    # member leads, keeping the error deterministic.
     levels = [0] * len(names)
     resume = list(offsets)
     deepest = [0] * len(names)

@@ -98,7 +98,7 @@ from itertools import chain, compress
 from operator import mul, not_
 from typing import NamedTuple
 
-from .catalog import ModuleCatalog
+from .catalog import ModuleCatalog, _ints
 from .errors import AttachFailed, ConfigError, IndexMismatch, LoadTimeout, MalformedTrace
 from .hardware import HardwareInventory
 from .registry import IndexFile
@@ -492,12 +492,6 @@ def _parse_canonical(text: str) -> list[LoadEvent] | None:
     fields = text.split()
     stamps, workers, kinds, modules = (fields[i::4] for i in range(4))
     return list(map(_new_event, zip(_ints(stamps), _ints(workers), kinds, modules)))
-
-
-def _ints(texts: list[str]) -> Iterator[int]:
-    """The int of each text, converting each distinct text once."""
-    distinct = set(texts)
-    return map(dict(zip(distinct, map(int, distinct))).__getitem__, texts)
 
 
 def _parse_lines(text: str) -> list[LoadEvent]:

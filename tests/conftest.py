@@ -69,7 +69,7 @@ def brute_force_levels(catalog: ModuleCatalog) -> dict[str, int]:
     """Dependency depth by exhaustive simple-path enumeration (small graphs)."""
 
     def paths(name: str) -> list[list[str]]:
-        deps = catalog.record(name).deps
+        deps = catalog.records[catalog.index_of[name]].deps
         if not deps:
             return [[name]]
         return [[name] + tail for dep in deps for tail in paths(dep)]
@@ -247,10 +247,10 @@ def sequential_load_order(catalog, flags: dict[str, int], supported) -> list[str
     done: set[str] = set()
 
     def visit(name: str) -> None:
-        if name in done or catalog.record(name).base_kernel_only:
+        if name in done or catalog.records[catalog.index_of[name]].base_kernel_only:
             return
         done.add(name)
-        for dep in catalog.record(name).deps:
+        for dep in catalog.records[catalog.index_of[name]].deps:
             visit(dep)
         order.append(name)
 

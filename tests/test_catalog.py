@@ -45,7 +45,7 @@ class TestParse:
     def test_records_sorted_regardless_of_file_order(self):
         catalog = make_catalog("b|10||", "a|5|b|")
         assert catalog.names == ("a", "b")
-        assert catalog.record("a").deps == ("b",)
+        assert catalog.records[catalog.index_of["a"]].deps == ("b",)
 
     def test_symbols_entries_are_dropped(self):
         catalog = make_catalog("a|5||", "a.symbols|1||")
@@ -125,14 +125,14 @@ class TestParse:
 
     def test_base_tag_sets_flag_and_leaves_hw_tags(self):
         catalog = make_catalog("a|1||e1000,@base")
-        rec = catalog.record("a")
+        rec = catalog.records[catalog.index_of["a"]]
         assert rec.base_kernel_only
         assert rec.hw_tags == ("e1000",)
 
     def test_base_status_propagates_to_dependencies(self):
         catalog = make_catalog("core|9|lib|@base", "lib|3||", "app|2|lib|")
-        assert catalog.record("lib").base_kernel_only
-        assert not catalog.record("app").base_kernel_only
+        assert catalog.records[catalog.index_of["lib"]].base_kernel_only
+        assert not catalog.records[catalog.index_of["app"]].base_kernel_only
 
 
 class TestTopoLevels:
@@ -240,7 +240,7 @@ class TestProperties:
         catalog = make_catalog("core|9|lib|@base", "lib|3||")
         again = parse_catalog(serialize_catalog(catalog))
         assert again == catalog
-        assert again.record("lib").base_kernel_only
+        assert again.records[again.index_of["lib"]].base_kernel_only
 
 
 def test_record_defaults():
@@ -364,7 +364,7 @@ class TestOnePassParse:
         assert len(catalog) == 5000 and catalog.levels
         assert record_count.n == 0
         # Built from the columns on first access, and only then.
-        assert catalog.record(catalog.names[-1]) is catalog.records[-1]
+        assert catalog.records[catalog.index_of[catalog.names[-1]]] is catalog.records[-1]
         assert record_count.n == 5000
         assert len(catalog.records) == 5000 and record_count.n == 5000
 
@@ -482,6 +482,109 @@ class TestLevelsInFileOrder:
         assert outcome(parse_catalog, shuffled) == outcome(parse_catalog, text)
 
 
+# -- dependency runs as text ---------------------------------------------
+
+
+def _direct_records(text: str) -> list[ModuleRecord]:
+    """The records that a plain catalog text's record lines spell, in file order."""
+    records = []
+    for line in text.splitlines()[1:]:
+        name, size, deps, tags = line.split("|")
+        records.append(ModuleRecord(name, int(size), tuple(filter(None, deps.split(","))), ()))
+    return records
+
+
+def _same_three_ways(text: str):
+    """The outcome of parsing ``text``, which the per-line path and the
+    constructor, given the same records, must both match."""
+    assert _scan_canonical(text) is not None
+    parsed = outcome(parse_catalog, text)
+    assert outcome(lambda t: _assemble(*_scan_lines(t)), text) == parsed
+    assert outcome(lambda t: ModuleCatalog(_direct_records(t)), text) == parsed
+    return parsed
+
+
+class TestRunsAsText:
+    @pytest.mark.parametrize(
+        "text, walks",
+        [("MODCAT v1\nb|1||\na|1|b|\n", 0), ("MODCAT v1\na|1|b|\nb|1||\n", 1)],
+        ids=["in-order", "dependent-first"],
+    )
+    def test_position_0_never_reads_as_a_repeat(self, text, walks, count_calls):
+        # "a" is catalog position 0 and has a dependency, so a stamp list
+        # that started at 0 would take its first dependency for a repeat.
+        calls = count_calls(catalog_module, "_levels", "_first_mentions")
+        catalog = parse_catalog(text)
+        assert calls == {"_levels": walks, "_first_mentions": 0}
+        assert catalog.dep_targets == (1,) and catalog.levels == (2, 1)
+        _same_three_ways(text)
+
+    @pytest.mark.parametrize(
+        "lines, deps, walks, rebuilds",
+        [
+            (["c|1||", "b|1|c,c|"], {"b": ("c",), "c": ()}, 0, 1),
+            (["c|1||", "d|1||", "b|1|c,d,c,d,c|"], {"b": ("c", "d"), "c": (), "d": ()}, 0, 1),
+            (["c|1||", "a|1|c|", "b|1|c|"], {"a": ("c",), "b": ("c",), "c": ()}, 0, 0),
+            (
+                ["b|1|c,d,c|", "c|1||", "d|1|c|", "e|1|d,d|"],
+                {"b": ("c", "d"), "c": (), "d": ("c",), "e": ("d",)},
+                1,
+                1,
+            ),
+        ],
+        ids=["adjacent", "non-adjacent", "shared-not-repeated", "dependent-first"],
+    )
+    def test_a_repeated_dependency_keeps_its_first_mention(
+        self, lines, deps, walks, rebuilds, count_calls
+    ):
+        text = "\n".join(["MODCAT v1", *lines]) + "\n"
+        calls = count_calls(catalog_module, "_levels", "_first_mentions")
+        catalog = parse_catalog(text)
+        assert calls == {"_levels": walks, "_first_mentions": rebuilds}
+        assert {r.name: r.deps for r in catalog.records} == deps
+        assert topo_levels(catalog) == brute_force_levels(catalog)
+        assert len(catalog.dep_targets) == catalog.dep_offsets[-1] == sum(map(len, deps.values()))
+        _same_three_ways(text)
+
+    def test_a_repeat_on_a_cycle_names_the_cycle(self):
+        text = "MODCAT v1\na|1|b,b|\nb|1|a|\n"
+        assert _same_three_ways(text) == (CircularDependency, "dependency cycle: a -> b")
+
+    def test_an_unknown_name_inside_another_runs_text_is_named(self):
+        # "a" is a substring of the run "ab", which names a known module.
+        text = "MODCAT v1\nb|1|ab|\nab|1||\nc|1|a|\n"
+        assert _same_three_ways(text) == (
+            UnknownDependency, "module 'c' depends on unknown module 'a'"
+        )
+
+    @pytest.mark.parametrize(
+        "lines, names",
+        [
+            (["a|1||", ".symbols|1||"], ("a",)),
+            (["a.symbolsx|1||", "a|1|a.symbolsx|"], ("a", "a.symbolsx")),
+            (["a.symbols|1|b|", "b|1||", "b.symbols|2|a|"], ("b",)),
+        ],
+        ids=["exactly-the-suffix", "suffix-inside-a-name", "with-dependencies"],
+    )
+    def test_symbols_records_are_dropped_by_name(self, lines, names):
+        text = "\n".join(["MODCAT v1", *lines]) + "\n"
+        _same_three_ways(text)
+        assert parse_catalog(text).names == names
+
+    def test_a_symbols_record_named_as_a_dependency_is_unknown(self):
+        text = "MODCAT v1\na|1|x.symbols|\nx.symbols|1||\n"
+        assert _same_three_ways(text) == (
+            UnknownDependency, "module 'a' depends on unknown module 'x.symbols'"
+        )
+
+    def test_a_symbols_line_is_still_checked_for_shape(self):
+        text = "MODCAT v1\na|1||\na.symbols|x||\n"
+        message = "line 3: size must be an integer, got 'x'"
+        for parse in (parse_catalog, lambda t: _assemble(*_scan_lines(t))):
+            assert outcome(parse, text) == (MalformedRecord, message)
+        with pytest.raises(MalformedRecord, match="size must be an integer, got 'x'$"):
+            ModuleCatalog([ModuleRecord("a", 1), ModuleRecord("a.symbols", "x")])
+
 
 # -- catalogs built directly from records -------------------------------
 
@@ -525,7 +628,7 @@ class TestDirectConstruction:
     def test_base_status_propagates_to_dependencies(self):
         catalog = ModuleCatalog(self.RECORDS)
         assert catalog.base == (True, True)
-        assert catalog.record("a").base_kernel_only
+        assert catalog.records[catalog.index_of["a"]].base_kernel_only
 
     def test_duplicate_records_are_rejected(self):
         with pytest.raises(DuplicateModule, match="module 'a' appears more than once"):
@@ -540,7 +643,7 @@ class TestDirectConstruction:
         again = parse_catalog(serialize_catalog(catalog))
         assert again == catalog and hash(again) == hash(catalog)
         assert catalog.names == ("a", "b", "c")
-        assert catalog.record("c").deps == ("b", "a")
+        assert catalog.records[catalog.index_of["c"]].deps == ("b", "a")
         assert catalog != ModuleCatalog(records[:3] + (ModuleRecord("d", 1),))
 
     @pytest.mark.parametrize(
@@ -571,7 +674,7 @@ class TestDirectConstruction:
         from_tuples = ModuleCatalog([ModuleRecord("a", 1, ("b",), ("dev-a",)), ModuleRecord("b", 1)])
         assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
         assert from_lists.hw_tags == (("dev-a",), ())
-        assert from_lists.record("a").deps == ("b",)
+        assert from_lists.records[from_lists.index_of["a"]].deps == ("b",)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(direct_records(), max_size=5, unique_by=lambda record: record.name))

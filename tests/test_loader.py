@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kmodsim.catalog import ModuleCatalog, ModuleRecord, parse_catalog
+from kmodsim.catalog import ModuleRecord, parse_catalog
 from kmodsim import loader
 from kmodsim.errors import AttachFailed, ConfigError, IndexMismatch, KmodsimError, LoadTimeout
 from kmodsim.fixtures import generate_fixture
@@ -988,7 +988,7 @@ def test_no_worker_attaches_faster_than_its_nominal_costs(monkeypatch, strategy,
         assert last_load_ns - first_start_ns >= nominal_ns, worker
 
 
-def test_stage0_reads_each_dependency_entry_at_most_once(monkeypatch):
+def test_stage0_reads_each_dependency_entry_at_most_once(record_count):
     # The attach walk stops at complete positions, so each module's run of
     # dependencies is read while it is being loaded and never again.
     catalog_text, inventory_text = generate_fixture(5000, 16, seed=1, hw_coverage=1.0)
@@ -997,19 +997,10 @@ def test_stage0_reads_each_dependency_entry_at_most_once(monkeypatch):
     index = register_v0(catalog, catalog.names)
     targets = CountingRuns(catalog.dep_targets)
     vars(catalog)["dep_targets"] = targets
-    record_calls = 0
-    real_record = ModuleCatalog.record
-
-    def counting_record(self, name):
-        nonlocal record_calls
-        record_calls += 1
-        return real_record(self, name)
-
-    monkeypatch.setattr(ModuleCatalog, "record", counting_record)
     state, _ = run_strategy(catalog, index, inventory, STAGE0)
     assert state.loaded()
     assert 0 < targets.reads <= len(targets), (targets.reads, len(targets))
-    assert record_calls == 0
+    assert record_count.n == 0
 
 
 # (modules, max depth, hardware coverage); each shape at seeds 1-3.

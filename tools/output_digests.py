@@ -9,8 +9,11 @@ For each workload and seed, this builds the benchmark's inputs as
 The outputs are the catalog and inventory as ``Bench.setup`` leaves them
 (``gen``'s files after the workload's rewrite), both index files, the stage0
 and stage1 traces, each strategy's loaded set and each strategy's ``report``.
-The catalog is also written out in name order, and the levels parsed from
-that file and the v1 index ``register`` writes from it are digested too.
+The catalog is also rewritten three ways: in name order; with every
+dependency run naming its first dependency once more at its end; and in name
+order with that repeat. For each, the levels parsed from the rewritten file,
+the v1 index ``register`` writes from it and ``serialize_catalog`` of it are
+digested too.
 Fields that depend on the clock or on thread scheduling are left out before
 hashing: trace timestamps and the report's ``*_us`` lines when the workload
 sleeps per attach, and the ``dup_attempts`` line of the stage2 and stage3
@@ -44,6 +47,8 @@ import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
+
+from scale_probe import repeat_first_dependency  # tools/scale_probe.py
 
 DEFAULT_ROOT = Path(__file__).resolve().parents[1]
 # Reports of the strategies whose workers race for claims.
@@ -82,7 +87,7 @@ def outputs(run, kmodsim, workload, seed: int) -> tuple[dict[str, str], int]:
         result = bench.pipeline_pass()
         timed = bool(workload.load_base_us or workload.load_per_kb_us)
         texts.update({f"index.{v}": bench.index[v].read_text() for v in ("v0", "v1")})
-        texts.update(name_order_outputs(kmodsim, bench, Path(work)))
+        texts.update(rewritten_outputs(kmodsim, bench, Path(work)))
         for s in ("stage0", "stage1"):
             trace = bench.trace[s].read_text()
             texts[f"trace.{s}"] = clock_free_trace(trace) if timed else trace
@@ -92,26 +97,39 @@ def outputs(run, kmodsim, workload, seed: int) -> tuple[dict[str, str], int]:
     return texts, bench.failed
 
 
-def name_order_outputs(kmodsim, bench, work: Path) -> dict[str, str]:
-    """The levels and the v1 index of the bench's catalog written in name order.
+def rewritten_outputs(kmodsim, bench, work: Path) -> dict[str, str]:
+    """The levels, v1 index and serialization of the bench's catalog rewritten.
 
     A generated file lists every module after its dependencies; in name order
-    a dependent usually comes first, so these outputs come from the parser's
-    other path to the levels, on the benchmark's own catalogs.
+    a dependent usually comes first, so the name-order outputs come from the
+    parser's other path to the levels, on the benchmark's own catalogs. The
+    repeat rewrites make every dependency run name a dependency twice, in
+    each of those two orders.
     """
     parse, serialize = kmodsim.catalog.parse_catalog, kmodsim.catalog.serialize_catalog
-    catalog = work / "catalog_name_order.txt"
-    catalog.write_text(serialize(parse(bench.catalog.read_text())))
-    by_name = parse(catalog.read_text())
-    index = work / "index_v1_name_order.txt"
-    bench.command([
-        "register", "--catalog", str(catalog), "--version", "v1",
-        "--inventory", str(bench.inventory), "--index", str(index), *bench.policy(),
-    ])
-    return {
-        "levels.name-order": "".join(f"{n} {v}\n" for n, v in zip(by_name.names, by_name.levels)),
-        "index.v1.name-order": index.read_text(),
-    }
+    file_order = bench.catalog.read_text()
+    name_order = serialize(parse(file_order))
+    texts = {}
+    for label, text in (
+        ("name-order", name_order),
+        ("repeat", repeat_first_dependency(file_order)),
+        ("repeat.name-order", repeat_first_dependency(name_order)),
+    ):
+        slug = label.replace("-", "_").replace(".", "_")
+        catalog = work / f"catalog_{slug}.txt"
+        catalog.write_text(text)
+        parsed = parse(catalog.read_text())
+        index = work / f"index_v1_{slug}.txt"
+        bench.command([
+            "register", "--catalog", str(catalog), "--version", "v1",
+            "--inventory", str(bench.inventory), "--index", str(index), *bench.policy(),
+        ])
+        texts[f"levels.{label}"] = "".join(
+            f"{n} {v}\n" for n, v in zip(parsed.names, parsed.levels)
+        )
+        texts[f"index.v1.{label}"] = index.read_text()
+        texts[f"serialized.{label}"] = serialize(parsed)
+    return texts
 
 
 CLI_CASES = {

@@ -1,0 +1,102 @@
+"""Median ``parse_catalog`` times at the north star's scale points.
+
+For each size n, this generates the catalog of ``generate_fixture(n, 16, 1, 0.8)``
+and times ``kmodsim.catalog.parse_catalog`` on three shapes of it:
+
+- ``file-order``: the generated file, which lists every module after its
+  dependencies, so one forward pass in file order gives the levels;
+- ``name-order``: the catalog as ``serialize_catalog`` writes it, in name
+  order, where a dependent usually comes first, so the levels come from the
+  depth-first walk (no benchmark workload times that walk);
+- ``repeat``: the generated file with every dependency run naming its first
+  dependency once more at its end, so every such run is rebuilt to keep each
+  name's first mention.
+
+It prints one row per size and shape, after a header line:
+
+    <modules> <shape> <median ms>
+
+All three shapes must parse to the same catalog; the exit status is 1 when
+one does not. ``kmodsim`` is imported from the checkout given by ``--root``
+(this checkout by default), so two checkouts compare with two runs:
+
+    python3 tools/scale_probe.py --root ../parent
+    python3 tools/scale_probe.py
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+DEFAULT_ROOT = Path(__file__).resolve().parents[1]
+SIZES = (1_000, 10_000, 50_000)
+
+
+def repeat_first_dependency(text: str) -> str:
+    """Catalog ``text`` with each dependency run naming its first name again at its end."""
+    lines = []
+    for line in text.splitlines():
+        fields = line.split("|")
+        if len(fields) == 4 and fields[2] and not line.startswith("#"):
+            fields[2] += "," + fields[2].split(",", 1)[0]
+        lines.append("|".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def shapes(catalog_module, text: str) -> dict[str, str]:
+    """The three texts that the probe parses, by shape name."""
+    name_order = catalog_module.serialize_catalog(catalog_module.parse_catalog(text))
+    return {"file-order": text, "name-order": name_order, "repeat": repeat_first_dependency(text)}
+
+
+def median_ms(parse, text: str, calls: int) -> float:
+    times = []
+    for _ in range(calls):
+        start = time.perf_counter()
+        parse(text)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e3
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=DEFAULT_ROOT,
+                        help="checkout whose src/ is timed")
+    parser.add_argument("--modules", action="append", type=int,
+                        help="catalog size, repeatable (default: 1000, 10000, 50000)")
+    parser.add_argument("--calls", type=int, default=7,
+                        help="parses per size and shape; the median is printed (default: 7)")
+    args = parser.parse_args(argv)
+    if args.calls < 1:
+        parser.error("--calls must be at least 1")
+
+    root = args.root.resolve()
+    sys.path.insert(0, str(root / "benchmarks"))
+    import run  # the checkout's benchmarks/run.py
+
+    kmodsim = run.load_program(root)
+    catalog_module = kmodsim.catalog
+    print(f"# parse_catalog medians of {args.calls} calls, ms; python "
+          f"{platform.python_version()}, {os.cpu_count()} CPUs")
+    failed = 0
+    for modules in args.modules or SIZES:
+        text, _ = kmodsim.fixtures.generate_fixture(modules, 16, 1, 0.8)
+        expected = catalog_module.parse_catalog(text)
+        for shape, shaped in shapes(catalog_module, text).items():
+            if catalog_module.parse_catalog(shaped) != expected:
+                print(f"error: {modules} {shape} parses to another catalog", file=sys.stderr)
+                failed += 1
+                continue
+            ms = median_ms(catalog_module.parse_catalog, shaped, args.calls)
+            print(f"{modules} {shape} {ms:.3f}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
