@@ -115,11 +115,10 @@ def rewritten_outputs(kmodsim, bench, work: Path) -> dict[str, str]:
         ("repeat", repeat_first_dependency(file_order)),
         ("repeat.name-order", repeat_first_dependency(name_order)),
     ):
-        slug = label.replace("-", "_").replace(".", "_")
-        catalog = work / f"catalog_{slug}.txt"
+        catalog = work / f"catalog.{label}.txt"
         catalog.write_text(text)
-        parsed = parse(catalog.read_text())
-        index = work / f"index_v1_{slug}.txt"
+        parsed = parse(text)
+        index = work / f"index.v1.{label}.txt"
         bench.command([
             "register", "--catalog", str(catalog), "--version", "v1",
             "--inventory", str(bench.inventory), "--index", str(index), *bench.policy(),
