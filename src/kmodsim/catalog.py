@@ -18,7 +18,9 @@ over the records in file order, which yields every module's level when the
 file lists each module after all of its dependencies (every generated file
 does). A file that lists a dependent first, or has a cycle, stops that pass at
 the first dependency not yet placed; one depth-first walk over dependency
-positions then computes the levels from scratch. The walk is the only search
+positions then lists each after its dependencies, and the pass runs again in
+that order. So the pass places every level and finds every repeated
+dependency on both paths, and the walk only orders. It is the only search
 for cycles: it proves the graph acyclic or names its first cycle, so neither
 a level nor an error depends on the order of the records. A file whose
 record lines all have the canonical shape is scanned with one regular
@@ -359,20 +361,12 @@ def _assemble(names, sizes, runs, hw_tags, base) -> ModuleCatalog:
     offsets = tuple(accumulate(map(add, map(bool, runs), map(len, commas)), initial=0))
     placed = _levels_in_order(order, offsets, targets, len(names))
     if placed is None:
-        repeated = _repeated(offsets, targets, len(names))
-        levels = _levels(names, offsets, targets)
-    else:
-        levels, repeated = placed
+        order = _walk_order(names, offsets, targets)
+        placed = _levels_in_order(order, offsets, targets, len(names))
+    levels, repeated = placed
     if repeated:
         offsets, targets = _first_mentions(repeated, offsets, targets)
-
-    stack = list(compress(range(len(base)), base))
-    while stack:
-        module = stack.pop()
-        for dep in targets[offsets[module] : offsets[module + 1]]:
-            if not base[dep]:
-                base[dep] = True
-                stack.append(dep)
+    _reach(base, compress(range(len(base)), base), offsets, targets)
 
     # The records are left to be built if ever read.
     catalog = ModuleCatalog.__new__(ModuleCatalog)
@@ -405,12 +399,13 @@ def _resolve(names, runs, index_of: dict[str, int]) -> tuple[int, ...]:
 def _levels_in_order(
     order: Iterable[int], offsets: tuple[int, ...], targets: tuple[int, ...], count: int
 ) -> tuple[tuple[int, ...], list[int]] | None:
-    # One forward pass over the positions in file order. When the file lists
-    # every module after all of its dependencies, as every generated file
-    # does, that order is topological (Kahn 1962) and each level follows from
-    # levels already placed. At the first dependency not yet placed (level 0)
-    # the pass gives up and returns None: the file lists a dependent first, or
-    # the graph has a cycle. Otherwise it returns the levels and the
+    # The only routine that computes a level: one forward pass over the
+    # positions in ``order``, file order or else the walk's. When the file
+    # lists every module after all of its dependencies, as every generated
+    # file does, that order is topological (Kahn 1962) and each level follows
+    # from levels already placed. At the first dependency not yet placed
+    # (level 0) the pass gives up and returns None: the file lists a dependent
+    # first, or the graph has a cycle. Otherwise it returns the levels and the
     # positions whose run names a dependency twice: ``seen[dep]`` holds the
     # last position whose run named ``dep`` (-1 for none yet). A repeat never
     # changes a level, so the pass notes it and goes on.
@@ -432,19 +427,6 @@ def _levels_in_order(
     return tuple(levels), repeated
 
 
-def _repeated(offsets: tuple[int, ...], targets: tuple[int, ...], count: int) -> list[int]:
-    # The positions whose run names a dependency twice, stamped as in
-    # _levels_in_order, for a file that pass gave up on.
-    seen = [-1] * count
-    repeated = []
-    for pos in range(count):
-        for dep in targets[offsets[pos] : offsets[pos + 1]]:
-            if seen[dep] == pos:
-                repeated.append(pos)
-            seen[dep] = pos
-    return repeated
-
-
 def _first_mentions(
     repeated: list[int], offsets: tuple[int, ...], targets: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -464,45 +446,55 @@ def _first_mentions(
     return tuple(accumulate(lengths, initial=0)), tuple(kept)
 
 
-def _levels(names, offsets: tuple[int, ...], targets: tuple[int, ...]) -> tuple[int, ...]:
-    # The fallback when _levels_in_order gives up, and the only cycle search.
-    # One depth-first walk (Tarjan 1972) from each position in order, taking
-    # dependencies in ``deps`` order. levels[m] is 0 until the walk reaches m,
-    # -1 while m is on the current path, and m's level once its dependencies
-    # are placed. The stack holds the path's positions; a position on it keeps
-    # its next dependency entry in ``resume`` and its deepest placed dependency
-    # so far in ``deepest``. A resumed position re-reads the dependency it
-    # descended into, which is placed by then, as is a dependency that its
-    # run names a second time. A dependency on the path closes a cycle: the
-    # first one found is reported, rotated so that the bytewise-smallest
-    # member leads, keeping the error deterministic.
-    levels = [0] * len(names)
+def _walk_order(names, offsets: tuple[int, ...], targets: tuple[int, ...]) -> list[int]:
+    # Every position listed after all of its dependencies, and the only cycle
+    # search: one depth-first walk (Tarjan 1972) from each position in order,
+    # taking dependencies in ``deps`` order. ``state`` is 0 until the walk
+    # reaches a position, 1 while it is on the path (the stack) and 2 once it
+    # is listed; ``resume`` keeps each path position's next dependency entry.
+    # The first cycle found is reported rotated so that its smallest name
+    # leads (names are ASCII, so str order is bytewise order).
+    state = bytearray(len(names))
     resume = list(offsets)
-    deepest = [0] * len(names)
+    order = []
     for root in range(len(names)):
-        if levels[root]:
+        if state[root]:
             continue
-        levels[root] = -1
+        state[root] = 1
         stack = [root]
         while stack:
             pos = stack[-1]
-            best = deepest[pos]
             for entry in range(resume[pos], offsets[pos + 1]):
                 dep = targets[entry]
-                level = levels[dep]
-                if level > best:
-                    best = level
-                elif not level:
-                    levels[dep] = -1
-                    resume[pos] = entry
-                    deepest[pos] = best
-                    stack.append(dep)
-                    break
-                elif level < 0:
+                mark = state[dep]
+                if mark == 2:
+                    continue
+                if mark:
                     cycle = [names[i] for i in stack[stack.index(dep) :]]
-                    pivot = min(range(len(cycle)), key=lambda i: cycle[i].encode("utf-8"))
+                    pivot = cycle.index(min(cycle))
                     raise CircularDependency(cycle[pivot:] + cycle[:pivot])
+                state[dep] = 1
+                resume[pos] = entry + 1
+                stack.append(dep)
+                break
             else:
-                levels[pos] = best + 1
+                state[pos] = 2
+                order.append(pos)
                 stack.pop()
-    return tuple(levels)
+    return order
+
+
+def _reach(
+    reached, roots: Iterable[int], offsets: tuple[int, ...], targets: tuple[int, ...]
+) -> None:
+    """Mark each root and each of its transitive dependencies in ``reached``, a
+    list of bools or a bytearray: the one closure walk, for ``@base`` and v1."""
+    stack = list(roots)
+    for pos in stack:
+        reached[pos] = True
+    while stack:
+        pos = stack.pop()
+        for dep in targets[offsets[pos] : offsets[pos + 1]]:
+            if not reached[dep]:
+                reached[dep] = True
+                stack.append(dep)

@@ -6,8 +6,8 @@ and on word boundaries, inside any device string. Modules without tags are
 not hardware-gated at all (filesystems, syscall shims) and always pass.
 
 ``_contains_word`` over the casefolded devices is the definition of a match.
-The gate reaches it through three structures, each built on the first query
-that needs it, so most tags cost one set lookup:
+The gate reaches it through two sets, each built on the first query that
+needs it, so most tags cost one set lookup:
 
 - ``_tokens``, the whitespace-delimited tokens of the devices. A tag that is
   a whole token matches, because whitespace is never a word character.
@@ -15,10 +15,11 @@ that needs it, so most tags cost one set lookup:
   and ``_``). A tag that starts and ends with a word character fails when
   one of its word runs is missing, and, when it is a single run, matches
   when that run is present.
-- ``_postings``, each word run mapped to the devices that hold it. What is
-  left of such tags is checked only against the devices that hold its
-  rarest word run. Any other tag, e.g. ``/8168``, is checked against every
-  device.
+
+Every other tag is checked against every casefolded device: one bounded by
+word characters whose several word runs are all present, e.g.
+``netxtreme ii``, and one that is not, e.g. ``/8168``. No generated tag
+reaches that scan.
 
 Sessions that never check a tag (stage1, untagged catalogs) build none of
 them, nor the casefolded copy of the devices they come from: building an
@@ -85,17 +86,6 @@ class HardwareInventory:
         # Word runs of the tokens, which are the word runs of the devices.
         return frozenset(_WORD_RUN.findall(" ".join(self._tokens)))
 
-    @cached_property
-    def _postings(self) -> dict[str, list[int]]:
-        # Word run -> positions of the devices containing it as a whole run.
-        # Built once per inventory; a concurrent double build is harmless
-        # because the result is deterministic.
-        postings: dict[str, list[int]] = {}
-        for pos, device in enumerate(self._folded):
-            for run in set(_WORD_RUN.findall(device)):
-                postings.setdefault(run, []).append(pos)
-        return postings
-
     def supports(self, tags: tuple[str, ...]) -> bool:
         """True when the inventory satisfies a module's device ``tags``.
 
@@ -104,8 +94,7 @@ class HardwareInventory:
         Each casefolded tag is decided by the first step that applies: a
         whole device token matches; a tag bounded by word characters fails
         when one of its word runs is in no device, and matches when it is a
-        single run that is; the rest is checked against the devices that
-        hold its rarest word run, or against every device.
+        single run that is; the rest is checked against every device.
         """
         return not tags or any(self._matches(tag.casefold()) for tag in tags)
 
@@ -113,18 +102,16 @@ class HardwareInventory:
         """True when ``_contains_word`` holds for some device and casefolded ``tag``."""
         if tag in self._tokens:
             return True
-        if not (tag and _is_word_char(tag[0]) and _is_word_char(tag[-1])):
-            return any(_contains_word(device, tag) for device in self._folded)
-        # A match is bounded by non-word characters on both sides, so every
-        # word run of such a tag is a whole word run of the matching device.
-        runs = _WORD_RUN.findall(tag)
-        if not self._runs.issuperset(runs):
-            return False
-        if len(runs) == 1:
-            # The one run spans the tag, and is a whole run of some device.
-            return True
-        candidates = min((self._postings[run] for run in runs), key=len)
-        return any(_contains_word(self._folded[pos], tag) for pos in candidates)
+        if tag and _is_word_char(tag[0]) and _is_word_char(tag[-1]):
+            # A match is bounded by non-word characters on both sides, so every
+            # word run of such a tag is a whole word run of the matching device.
+            runs = _WORD_RUN.findall(tag)
+            if not self._runs.issuperset(runs):
+                return False
+            if len(runs) == 1:
+                # The one run spans the tag, and is a whole run of some device.
+                return True
+        return any(_contains_word(device, tag) for device in self._folded)
 
 
 def parse_inventory(text: str) -> HardwareInventory:

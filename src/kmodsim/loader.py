@@ -269,8 +269,8 @@ def check_config(catalog: ModuleCatalog, config: StrategyConfig) -> None:
 
     The strategy must be known, the worker count within [1, MAX_WORKERS] (two
     or more for stage2 and stage3), both attach costs finite and
-    non-negative, and the largest non-base module's attach no longer than a
-    worker waits for a claim winner.
+    non-negative, and the largest non-base module's attach priceable as a
+    float and no longer than a worker waits for a claim winner.
     """
     strategy = config.strategy
     if strategy not in STRATEGIES:
@@ -282,7 +282,12 @@ def check_config(catalog: ModuleCatalog, config: StrategyConfig) -> None:
     if not all(0 <= cost < math.inf for cost in (config.load_base_us, config.load_per_kb_us)):
         raise ConfigError("load costs must be finite and non-negative")
     largest_kb = max(compress(catalog.sizes, map(not_, catalog.base)), default=0)
-    worst_us = config.load_base_us + largest_kb * config.load_per_kb_us
+    try:
+        worst_us = config.load_base_us + largest_kb * config.load_per_kb_us
+    except OverflowError:  # a size beyond float range, even at zero cost
+        raise ConfigError(
+            f"a {len(str(largest_kb))}-digit module size is too large to price an attach"
+        ) from None
     if worst_us > _COMPLETION_TIMEOUT_S * 1_000_000:
         raise ConfigError(
             f"one attach would take {worst_us:g} us, longer than the "

@@ -8,10 +8,11 @@ passes the hardware check receives its dependency depth (1 = independent,
 2-255 = dependent), and every module reachable through its dependencies is
 depth-tagged as well, whether or not it was selected itself. Modules that
 stay unselected or fail the hardware check keep value 0 and are never swept
-in at load time. Registration walks the dependency closure of all roots at
-once and reads each reached module's depth from the levels the catalog
-computed when it was parsed, since a module's depth does not depend on which
-root reaches it.
+in at load time. Registration marks the dependency closure of all roots at
+once, with the catalog's own closure walk (``catalog._reach``, which also
+propagates ``@base``), and reads each reached module's depth from the levels
+the catalog computed when it was parsed, since a module's depth does not
+depend on which root reaches it.
 
 The user's selection is any iterable of module names: ``catalog.names`` to
 load everything, ``()`` for nothing, the names from a file, or a generator
@@ -45,7 +46,7 @@ from itertools import compress, repeat
 from operator import mul, not_
 from typing import Iterable
 
-from .catalog import ModuleCatalog
+from .catalog import ModuleCatalog, _reach
 from .errors import (
     DepthOverflow,
     PositionMismatch,
@@ -101,23 +102,16 @@ def register_v1(
 
     The roots are the selected, non-base modules that pass the hardware
     check, which is asked of those candidates only. One walk over dependency
-    positions from all roots collects their transitive dependencies; every
+    positions from all roots marks their transitive dependencies; every
     module it reaches gets its level from the catalog, everything else stays 0.
     """
     selected = _selection(catalog, selected)
-    offsets, targets, hw_tags = catalog.dep_offsets, catalog.dep_targets, catalog.hw_tags
-    reached = bytearray(len(catalog))
+    hw_tags = catalog.hw_tags
     candidates = map(mul, map(selected.__contains__, catalog.names), map(not_, catalog.base))
-    queue = [pos for pos in compress(range(len(catalog)), candidates)
+    roots = [pos for pos in compress(range(len(catalog)), candidates)
              if inventory.supports(hw_tags[pos])]
-    for position in queue:
-        reached[position] = 1
-    while queue:
-        position = queue.pop()
-        for dep in targets[offsets[position] : offsets[position + 1]]:
-            if not reached[dep]:
-                reached[dep] = 1
-                queue.append(dep)
+    reached = bytearray(len(catalog))
+    _reach(reached, roots, catalog.dep_offsets, catalog.dep_targets)
 
     depths = tuple(map(mul, catalog.levels, reached))
     if depths and max(depths) > MAX_DEPTH_VALUE:

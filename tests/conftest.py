@@ -6,9 +6,10 @@ check per-worker clocks.
 
 The oracles here deliberately avoid the production code paths they check:
 dependency depth is computed by enumerating every simple path, levels and
-the first cycle by a recursive walk over the record text, v1 index
-values by a memoised recursive longest path over a recursive closure, and
-expected stage0 load orders come from a standalone post-order walk, and
+the first cycle by a recursive walk over the record text, base status by a
+recursive closure over the record text, v1 index values by a memoised
+recursive longest path over a recursive closure, and expected stage0 load
+orders come from a standalone post-order walk, and
 ``generate_fixture``'s bytes from the generator as it was written before its
 draws were taken from ``getrandbits`` directly.
 """
@@ -113,6 +114,32 @@ def reference_levels_or_cycle(text: str) -> dict[str, int] | list[str]:
                 first = cycle.index(min(cycle, key=str.encode))
                 return cycle[first:] + cycle[:first]
     return levels
+
+
+def reference_base(text: str) -> dict[str, bool]:
+    """Every module's base status from the record text (small catalogs): the
+    modules tagged ``@base`` and every module that their raw dependency names
+    reach, by a recursive closure."""
+    deps: dict[str, list[str]] = {}
+    roots = []
+    for line in text.splitlines()[1:]:
+        if line and not line.startswith("#"):
+            name, _, dep_field, tag_field = line.split("|")
+            if not name.endswith(".symbols"):
+                deps[name] = [d for d in dep_field.split(",") if d]
+                if "@base" in tag_field.split(","):
+                    roots.append(name)
+    reached: set[str] = set()
+
+    def reach(name: str) -> None:
+        if name not in reached:
+            reached.add(name)
+            for dep in deps[name]:
+                reach(dep)
+
+    for root in roots:
+        reach(root)
+    return {name: name in reached for name in deps}
 
 
 def reference_v1_values(catalog, selected, supported) -> dict[str, int]:
@@ -338,8 +365,8 @@ def count_calls(monkeypatch):
 # -- random catalog generation (test-side, seeded) ----------------------
 
 
-def random_catalog_pair(rng: random.Random, max_modules=200, max_depth=8):
-    """One random acyclic catalog + inventory, built through the text parsers.
+def random_catalog_texts(rng: random.Random, max_modules=200, max_depth=8) -> tuple[str, str]:
+    """One random acyclic catalog text and its inventory text.
 
     The name<->structure mapping is shuffled so alphabetical order carries no
     information about dependency order. Roughly half the modules are
@@ -373,9 +400,7 @@ def random_catalog_pair(rng: random.Random, max_modules=200, max_depth=8):
         records.append(f"{name}|{rng.randint(1, 64)}|{dep_names}|{','.join(tags)}")
 
     rng.shuffle(records)
-    catalog = parse_catalog("MODCAT v1\n" + "\n".join(records) + "\n")
-    inventory = parse_inventory("HWINV v1\n" + "\n".join(devices) + "\n")
-    return catalog, inventory
+    return "MODCAT v1\n" + "\n".join(records) + "\n", "HWINV v1\n" + "\n".join(devices) + "\n"
 
 
 @pytest.fixture
@@ -395,12 +420,19 @@ def drifting_bench(monkeypatch):
 
 
 @pytest.fixture(scope="session")
-def random_cases():
-    """500 seeded random catalog/inventory pairs shared by the acceptance suite."""
+def random_case_texts():
+    """The catalog and inventory texts of the 500 seeded ``random_cases``."""
     return [
-        random_catalog_pair(random.Random(1000 + i), max_modules=200, max_depth=8)
+        random_catalog_texts(random.Random(1000 + i), max_modules=200, max_depth=8)
         for i in range(500)
     ]
+
+
+@pytest.fixture(scope="session")
+def random_cases(random_case_texts):
+    """500 seeded random catalog/inventory pairs shared by the acceptance suite,
+    built through the text parsers."""
+    return [(parse_catalog(c), parse_inventory(i)) for c, i in random_case_texts]
 
 
 # -- hypothesis building blocks ------------------------------------------

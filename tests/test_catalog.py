@@ -37,6 +37,7 @@ from conftest import (
     catalog_texts,
     make_catalog,
     maybe_cyclic_catalog_texts,
+    reference_base,
     reference_levels_or_cycle,
 )
 
@@ -133,6 +134,36 @@ class TestParse:
         catalog = make_catalog("core|9|lib|@base", "lib|3||", "app|2|lib|")
         assert catalog.records[catalog.index_of["lib"]].base_kernel_only
         assert not catalog.records[catalog.index_of["app"]].base_kernel_only
+
+
+@st.composite
+def base_tagged_texts(draw) -> tuple[str, str]:
+    """A ``catalog_texts`` catalog with a few records tagged ``@base``, and the
+    same records in a random order."""
+    header, *lines = draw(catalog_texts()).splitlines()
+    for i in draw(st.sets(st.integers(0, len(lines) - 1), max_size=3)):
+        lines[i] += ",@base" if lines[i].split("|")[3] else "@base"
+    shuffled = draw(st.permutations(lines))
+    return "\n".join([header, *lines]) + "\n", "\n".join([header, *shuffled]) + "\n"
+
+
+class TestBaseClosure:
+    """``base`` against a closure over the raw record text, not one-hop examples."""
+
+    def test_random_cases_match_the_reference(self, random_case_texts, random_cases):
+        propagated = 0
+        for (text, _), (catalog, _) in zip(random_case_texts, random_cases):
+            assert dict(zip(catalog.names, catalog.base)) == reference_base(text)
+            propagated += sum(catalog.base) > text.count("@base")
+        # Most cases have a base module that is not tagged itself.
+        assert propagated > 400, propagated
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=base_tagged_texts())
+    def test_file_order_and_shuffled_match_the_reference(self, case):
+        for text in case:
+            catalog = parse_catalog(text)
+            assert dict(zip(catalog.names, catalog.base)) == reference_base(text)
 
 
 class TestTopoLevels:
@@ -419,10 +450,10 @@ class TestOnePassParse:
         # A generated file lists every module after its dependencies, so one
         # pass in file order gives the levels and the walk, the only cycle
         # search, never runs.
-        calls = count_calls(catalog_module, "_parse_record", "_levels_in_order", "_levels")
+        calls = count_calls(catalog_module, "_parse_record", "_levels_in_order", "_walk_order")
         catalog_text, _ = generate_fixture(20_000, 16, 1, 1.0)
         assert len(parse_catalog(catalog_text)) == 20_000
-        assert calls == {"_parse_record": 0, "_levels_in_order": 1, "_levels": 0}
+        assert calls == {"_parse_record": 0, "_levels_in_order": 1, "_walk_order": 0}
 
 
 def _late_dependency(text: str) -> str:
@@ -467,11 +498,11 @@ class TestLevelsInFileOrder:
         catalog_text, _ = generate_fixture(2000, 8, 3, 0.8)
         text = reorder(catalog_text)
         assert text != catalog_text
-        calls = count_calls(catalog_module, "_levels_in_order", "_levels")
+        calls = count_calls(catalog_module, "_levels_in_order", "_walk_order")
         in_file_order = parse_catalog(catalog_text)
-        assert calls == {"_levels_in_order": 1, "_levels": 0}
+        assert calls == {"_levels_in_order": 1, "_walk_order": 0}
         reordered = parse_catalog(text)
-        assert calls == {"_levels_in_order": 2, "_levels": 1}
+        assert calls == {"_levels_in_order": 3, "_walk_order": 1}
         for column in COLUMNS:
             assert getattr(reordered, column) == getattr(in_file_order, column), column
 
@@ -513,9 +544,9 @@ class TestRunsAsText:
     def test_position_0_never_reads_as_a_repeat(self, text, walks, count_calls):
         # "a" is catalog position 0 and has a dependency, so a stamp list
         # that started at 0 would take its first dependency for a repeat.
-        calls = count_calls(catalog_module, "_levels", "_first_mentions")
+        calls = count_calls(catalog_module, "_walk_order", "_first_mentions")
         catalog = parse_catalog(text)
-        assert calls == {"_levels": walks, "_first_mentions": 0}
+        assert calls == {"_walk_order": walks, "_first_mentions": 0}
         assert catalog.dep_targets == (1,) and catalog.levels == (2, 1)
         _same_three_ways(text)
 
@@ -538,9 +569,9 @@ class TestRunsAsText:
         self, lines, deps, walks, rebuilds, count_calls
     ):
         text = "\n".join(["MODCAT v1", *lines]) + "\n"
-        calls = count_calls(catalog_module, "_levels", "_first_mentions")
+        calls = count_calls(catalog_module, "_walk_order", "_first_mentions")
         catalog = parse_catalog(text)
-        assert calls == {"_levels": walks, "_first_mentions": rebuilds}
+        assert calls == {"_walk_order": walks, "_first_mentions": rebuilds}
         assert {r.name: r.deps for r in catalog.records} == deps
         assert topo_levels(catalog) == brute_force_levels(catalog)
         assert len(catalog.dep_targets) == catalog.dep_offsets[-1] == sum(map(len, deps.values()))

@@ -327,6 +327,24 @@ class TestLoad:
         assert capsys.readouterr().err.startswith("error: config: ")
 
 
+@pytest.mark.parametrize("command", ["load", "bench"])
+def test_a_size_beyond_float_range_is_one_config_error_line(workdir, capsys, command):
+    (workdir / "catalog.txt").write_text(f"MODCAT v1\na|1{'0' * 309}||\nb|1||\n")
+    (workdir / "inventory.txt").write_text("HWINV v1\n")
+    assert run_register(workdir) == 0
+    inputs = ["--index", str(workdir / "index.txt")] if command == "load" else [
+        "--policy", "all-load"
+    ]
+    rc = main([
+        command, "--catalog", str(workdir / "catalog.txt"), *inputs,
+        "--inventory", str(workdir / "inventory.txt"), "--strategy", "stage0",
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: config: a 310-digit module size is too large to price an attach\n"
+    )
+
+
 def prompts(out: str) -> list[str]:
     """The module names an interactive selection asked about, in order."""
     return re.findall(r"load (\S+)\? \[y/n\] ", out)

@@ -123,7 +123,7 @@ def oracle(tags, devices) -> bool:
     return any(_contains_word(d.casefold(), t.casefold()) for d in devices for t in tags)
 
 
-GATE_STRUCTURES = ("_tokens", "_runs", "_postings")
+GATE_STRUCTURES = ("_tokens", "_runs")
 
 
 def built(inventory: HardwareInventory) -> set[str]:
@@ -187,9 +187,9 @@ class TestIndexedGate:
             (["Intel dev-foo adapter"], "dev-foo", True, "tokens"),
             (["Intel dev-foo adapter", "dev-bar"], "dev-foobar", False, "runs"),
             (["Intel dev-foo adapter"], "nowhere", False, "runs"),
-            (["Broadcom NetXtreme II controller"], "NetXtreme II", True, "postings"),
-            (["ab ab"], "ab ab", True, "postings"),
-            (["ab", "ab x"], "ab ab", False, "postings"),
+            (["Broadcom NetXtreme II controller"], "NetXtreme II", True, "runs-then-scan"),
+            (["ab ab"], "ab ab", True, "runs-then-scan"),
+            (["ab", "ab x"], "ab ab", False, "runs-then-scan"),
             (["STRASSE"], "Straße", True, "tokens"),
             (["ΟΔΟΣ"], "οδος", True, "tokens"),
             (["port ٣"], "٣", True, "tokens"),
@@ -210,7 +210,7 @@ class TestIndexedGate:
             "tokens": {"_folded", "_tokens"},
             "scan": {"_folded", "_tokens"},
             "runs": {"_folded", "_tokens", "_runs"},
-            "postings": {"_folded", "_tokens", "_runs", "_postings"},
+            "runs-then-scan": {"_folded", "_tokens", "_runs"},
         }[decided_by]
         assert (tag.casefold() in inventory._tokens) is (decided_by == "tokens")
 

@@ -261,6 +261,13 @@ class TestLoadCosts:
         with pytest.raises(ConfigError, match="longer than"):
             run_strategy(catalog, flags_index(catalog, ["a"]), NO_HW, config)
 
+    def test_a_size_beyond_float_range_is_rejected_at_zero_cost(self):
+        # 10**309 kB cannot become a float, whatever it is multiplied by.
+        catalog = make_catalog(f"a|1{'0' * 309}||", "b|1||")
+        with pytest.raises(ConfigError) as err:
+            loader.check_config(catalog, StrategyConfig("stage0"))
+        assert str(err.value) == "a 310-digit module size is too large to price an attach"
+
     def test_the_largest_module_sets_the_limit(self, monkeypatch):
         monkeypatch.setattr(loader, "_COMPLETION_TIMEOUT_S", 0.05)  # 50,000 us
         catalog = make_catalog("a|10||", "b|1000||", "fs|9999||@base")

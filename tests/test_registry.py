@@ -187,21 +187,22 @@ class TestRegisterV1:
         assert 0 < targets.reads <= len(catalog), (targets.reads, len(catalog))
 
     def test_levels_are_computed_once_per_catalog(self, count_calls):
-        calls = count_calls(catalog_module, "_levels_in_order", "_levels")
+        calls = count_calls(catalog_module, "_levels_in_order", "_walk_order")
         catalog_text, inventory_text = generate_fixture(500, 8, seed=1, hw_coverage=1.0)
         inventory = parse_inventory(inventory_text)
         # Each catalog computes its levels once, when it is built: the parsed
         # one by the pass in file order, the one built from its records (in
-        # name order, which lists a dependent first) by the walk.
+        # name order, which lists a dependent first) by the pass in the
+        # walk's order, after the pass in file order gave up.
         parsed = parse_catalog(catalog_text)
-        assert calls == {"_levels_in_order": 1, "_levels": 0}
+        assert calls == {"_levels_in_order": 1, "_walk_order": 0}
         direct = ModuleCatalog(parsed.records)
-        assert calls == {"_levels_in_order": 2, "_levels": 1}
+        assert calls == {"_levels_in_order": 3, "_walk_order": 1}
         for catalog in (parsed, direct):
             first = register_v1(catalog, catalog.names, inventory)
             assert topo_levels(catalog) == dict(zip(catalog.names, catalog.levels))
             assert register_v1(catalog, catalog.names, inventory) == first
-        assert calls == {"_levels_in_order": 2, "_levels": 1}
+        assert calls == {"_levels_in_order": 3, "_walk_order": 1}
 
 
 class TestIndexFiles:

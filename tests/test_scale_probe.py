@@ -1,4 +1,4 @@
-"""tools/scale_probe.py: parse times for three shapes of one catalog."""
+"""tools/scale_probe.py: parse times for four shapes of one catalog."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ def test_every_shape_is_timed_at_200_modules(monkeypatch, capsys):
     assert out[0].startswith("# parse_catalog medians of 3 calls, ms;")
     rows = [line.split() for line in out[1:]]
     assert [row[:2] for row in rows] == [
-        ["200", "file-order"], ["200", "name-order"], ["200", "repeat"]
+        ["200", "file-order"], ["200", "name-order"], ["200", "reversed"], ["200", "repeat"]
     ]
     assert all(float(row[2]) > 0 for row in rows)
 

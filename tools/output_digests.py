@@ -9,7 +9,9 @@ For each workload and seed, this builds the benchmark's inputs as
 The outputs are the catalog and inventory as ``Bench.setup`` leaves them
 (``gen``'s files after the workload's rewrite), both index files, the stage0
 and stage1 traces, each strategy's loaded set and each strategy's ``report``.
-The catalog is also rewritten three ways: in name order; with every
+The catalog is also rewritten four ways: in name order; with its record
+lines reversed, so that every dependent comes before its dependencies and the
+parser's depth-first walk goes as deep as the catalog does; with every
 dependency run naming its first dependency once more at its end; and in name
 order with that repeat. For each, the levels parsed from the rewritten file,
 the v1 index ``register`` writes from it and ``serialize_catalog`` of it are
@@ -48,7 +50,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from scale_probe import repeat_first_dependency  # tools/scale_probe.py
+from scale_probe import repeat_first_dependency, reverse_records  # tools/scale_probe.py
 
 DEFAULT_ROOT = Path(__file__).resolve().parents[1]
 # Reports of the strategies whose workers race for claims.
@@ -102,9 +104,9 @@ def rewritten_outputs(kmodsim, bench, work: Path) -> dict[str, str]:
 
     A generated file lists every module after its dependencies; in name order
     a dependent usually comes first, so the name-order outputs come from the
-    parser's other path to the levels, on the benchmark's own catalogs. The
-    repeat rewrites make every dependency run name a dependency twice, in
-    each of those two orders.
+    parser's other path to the levels, on the benchmark's own catalogs; the
+    reversed file lists every dependent first. The repeat rewrites make every
+    dependency run name a dependency twice, in file and in name order.
     """
     parse, serialize = kmodsim.catalog.parse_catalog, kmodsim.catalog.serialize_catalog
     file_order = bench.catalog.read_text()
@@ -112,6 +114,7 @@ def rewritten_outputs(kmodsim, bench, work: Path) -> dict[str, str]:
     texts = {}
     for label, text in (
         ("name-order", name_order),
+        ("reversed", reverse_records(file_order)),
         ("repeat", repeat_first_dependency(file_order)),
         ("repeat.name-order", repeat_first_dependency(name_order)),
     ):

@@ -1,13 +1,17 @@
 """Median ``parse_catalog`` times at the north star's scale points.
 
 For each size n, this generates the catalog of ``generate_fixture(n, 16, 1, 0.8)``
-and times ``kmodsim.catalog.parse_catalog`` on three shapes of it:
+and times ``kmodsim.catalog.parse_catalog`` on four shapes of it:
 
 - ``file-order``: the generated file, which lists every module after its
   dependencies, so one forward pass in file order gives the levels;
 - ``name-order``: the catalog as ``serialize_catalog`` writes it, in name
-  order, where a dependent usually comes first, so the levels come from the
-  depth-first walk (no benchmark workload times that walk);
+  order, where a dependent usually comes first, so the pass in file order
+  gives up and the levels come from the pass in the depth-first walk's order
+  (no benchmark workload times that walk);
+- ``reversed``: the generated file with its record lines in reverse order, so
+  every dependent comes before its dependencies and the walk descends as
+  deep as the catalog goes;
 - ``repeat``: the generated file with every dependency run naming its first
   dependency once more at its end, so every such run is rebuilt to keep each
   name's first mention.
@@ -16,7 +20,7 @@ It prints one row per size and shape, after a header line:
 
     <modules> <shape> <median ms>
 
-All three shapes must parse to the same catalog; the exit status is 1 when
+All four shapes must parse to the same catalog; the exit status is 1 when
 one does not. ``kmodsim`` is imported from the checkout given by ``--root``
 (this checkout by default), so two checkouts compare with two runs:
 
@@ -49,10 +53,21 @@ def repeat_first_dependency(text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reverse_records(text: str) -> str:
+    """Catalog ``text`` with every line after the header in reverse order."""
+    header, *lines = text.splitlines()
+    return "\n".join([header, *reversed(lines)]) + "\n"
+
+
 def shapes(catalog_module, text: str) -> dict[str, str]:
-    """The three texts that the probe parses, by shape name."""
+    """The four texts that the probe parses, by shape name."""
     name_order = catalog_module.serialize_catalog(catalog_module.parse_catalog(text))
-    return {"file-order": text, "name-order": name_order, "repeat": repeat_first_dependency(text)}
+    return {
+        "file-order": text,
+        "name-order": name_order,
+        "reversed": reverse_records(text),
+        "repeat": repeat_first_dependency(text),
+    }
 
 
 def median_ms(parse, text: str, calls: int) -> float:
