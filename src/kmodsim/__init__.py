@@ -12,7 +12,6 @@ from .catalog import (
     ModuleRecord,
     parse_catalog,
     serialize_catalog,
-    topo_levels,
 )
 from .errors import (
     AttachFailed,
@@ -42,7 +41,6 @@ from .loader import (
     SKIP_HW,
     LoadEvent,
     LoadState,
-    PartitionPlan,
     StrategyConfig,
     STRATEGIES,
     format_trace,

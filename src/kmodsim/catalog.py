@@ -148,9 +148,6 @@ class ModuleCatalog:
     def __len__(self) -> int:
         return len(self.names)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.index_of
-
     @cached_property
     def records(self) -> tuple[ModuleRecord, ...]:
         """One record per position, built from the columns."""
@@ -178,15 +175,6 @@ def serialize_catalog(catalog: ModuleCatalog) -> str:
     lines = [CATALOG_HEADER]
     lines.extend(map(_record_line, catalog.records))
     return "\n".join(lines) + "\n"
-
-
-def topo_levels(catalog: ModuleCatalog) -> dict[str, int]:
-    """Dependency depth of every module, 1-based.
-
-    A module without dependencies sits at level 1; otherwise its level is one
-    more than its deepest dependency. Lower levels must attach first.
-    """
-    return dict(zip(catalog.names, catalog.levels))
 
 
 # One parsed record's ModuleRecord fields, before @base status has propagated.

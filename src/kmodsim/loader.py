@@ -145,20 +145,9 @@ class StrategyConfig:
         return self.load_base_us == 0 and self.load_per_kb_us == 0
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
-    """Contiguous per-worker index ranges covering the whole catalog."""
-
-    step: int
-    ranges: tuple[tuple[int, int], ...]
-
-    @property
-    def workers(self) -> int:
-        return len(self.ranges)
-
-
-def plan_partitions(n_modules: int, workers: int) -> PartitionPlan:
-    """Split ``[0, n_modules)`` among ``workers - 1`` loading workers.
+def plan_partitions(n_modules: int, workers: int) -> tuple[tuple[int, int], ...]:
+    """Split ``[0, n_modules)`` into one ``(start, end)`` range per loading
+    worker, ``workers - 1`` of them.
 
     The step is the ceiling of n/(workers-1) so no tail of the catalog is
     left unowned; the trailing ranges are clamped and may be empty.
@@ -169,11 +158,10 @@ def plan_partitions(n_modules: int, workers: int) -> PartitionPlan:
         raise ConfigError(f"negative module count {n_modules}")
     loading = workers - 1
     step = -(-n_modules // loading) if n_modules else 0
-    ranges = tuple(
+    return tuple(
         (min(k * step, n_modules), min((k + 1) * step, n_modules))
         for k in range(loading)
     )
-    return PartitionPlan(step=step, ranges=ranges)
 
 
 def simulate_load(size_kb: int, config: StrategyConfig) -> float:
@@ -353,7 +341,7 @@ class LoadSession:
         if self._strategy == "stage2":
             lock = threading.Lock()  # stage2's single exclusion region
             return [self._scan(w, 0, n, lock) for w in range(workers)]
-        ranges = plan_partitions(n, workers).ranges
+        ranges = plan_partitions(n, workers)
         return [self._scan(w, start, end) for w, (start, end) in enumerate(ranges)]
 
     def _sweep(self) -> Iterator[int | None]:

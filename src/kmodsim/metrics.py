@@ -52,7 +52,6 @@ class SpaceReport:
 @dataclass(frozen=True)
 class StrategyResult:
     strategy: str
-    reps: int
     median_wall_us: float
     normalized: float | None
     loads: int
@@ -183,11 +182,15 @@ def bench(
     Scores are normalized to stage0's median (1.0 by construction) when
     stage0 is among the strategies; otherwise they are omitted. The composite
     registration+4-loads metric for the v0 and v1 pipelines is always
-    included. Every strategy's ``check_config`` runs before anything else, and
-    ``selected`` is read once, after those checks.
+    included. A strategy may be named once. Every strategy's ``check_config``
+    runs before anything else, and ``selected`` is read once, after those
+    checks.
     """
     if repetitions < 1:
         raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
+    repeated = next((s for i, s in enumerate(strategies) if s in strategies[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"strategy {repeated!r} is named more than once")
     configs = [
         StrategyConfig(strategy, workers, load_base_us, load_per_kb_us) for strategy in strategies
     ]
@@ -223,7 +226,6 @@ def bench(
     results = tuple(
         StrategyResult(
             strategy=strategy,
-            reps=repetitions,
             median_wall_us=wall,
             normalized=_normalize(wall, base),
             loads=loads,
@@ -275,7 +277,7 @@ def render_bench_csv(report: BenchReport) -> str:
     for r in report.results:
         normalized = "" if r.normalized is None else f"{r.normalized:.3f}"
         lines.append(
-            f"{r.strategy},{report.workers},{r.reps},"
+            f"{r.strategy},{report.workers},{report.repetitions},"
             f"{r.median_wall_us:.1f},{normalized},{r.loads},{r.dup_attempts}"
         )
     return "\n".join(lines) + "\n"

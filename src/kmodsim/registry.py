@@ -26,11 +26,10 @@ them, which keeps the byte ordering rule (dependency value < dependent
 value) intact across the whole file.
 
 An ``IndexFile`` holds two columns: ``names``, the catalog's own ``names``
-tuple, and ``values``, one int per position. ``entries`` derives the
-``(name, value)`` pairs on each access; nothing in the package builds them.
-Registration computes the values with C-level passes over the catalog's
-columns, ``write_index`` formats the whole file with one ``%``-format, and
-``read_index`` returns the values with the catalog's ``names``.
+tuple, and ``values``, one int per position. Registration computes the
+values with C-level passes over the catalog's columns, ``write_index``
+formats the whole file with one ``%``-format, and ``read_index`` returns the
+values with the catalog's ``names``.
 
 ``read_index`` reads an index in the shape ``write_index`` writes with a few
 whole-text string operations and no Python-level work per line. Any other
@@ -69,11 +68,6 @@ class IndexFile:
     version: str
     names: tuple[str, ...]
     values: tuple[int, ...]
-
-    @property
-    def entries(self) -> tuple[tuple[str, int], ...]:
-        """The ``(name, value)`` pair of each position."""
-        return tuple(zip(self.names, self.values))
 
 
 def _selection(catalog: ModuleCatalog, selected: Iterable[str]) -> frozenset[str]:

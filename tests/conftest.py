@@ -66,8 +66,9 @@ def chain_records(names: list[str]) -> list[str]:
 # -- oracles ------------------------------------------------------------
 
 
-def brute_force_levels(catalog: ModuleCatalog) -> dict[str, int]:
-    """Dependency depth by exhaustive simple-path enumeration (small graphs)."""
+def brute_force_levels(catalog: ModuleCatalog) -> tuple[int, ...]:
+    """Dependency depth of each position by exhaustive simple-path
+    enumeration (small graphs)."""
 
     def paths(name: str) -> list[list[str]]:
         deps = catalog.records[catalog.index_of[name]].deps
@@ -75,12 +76,13 @@ def brute_force_levels(catalog: ModuleCatalog) -> dict[str, int]:
             return [[name]]
         return [[name] + tail for dep in deps for tail in paths(dep)]
 
-    return {rec.name: max(len(p) for p in paths(rec.name)) for rec in catalog.records}
+    return tuple(max(len(p) for p in paths(name)) for name in catalog.names)
 
 
-def reference_levels_or_cycle(text: str) -> dict[str, int] | list[str]:
-    """Every module's level, or else the first dependency cycle, from the
-    record text by a recursive DFS (small catalogs).
+def reference_levels_or_cycle(text: str) -> tuple[int, ...] | list[str]:
+    """Every module's level, in bytewise name order, or else the first
+    dependency cycle, from the record text by a recursive DFS (small
+    catalogs).
 
     Roots are taken in bytewise name order and dependencies in ``deps``
     order; the cycle is rotated so that its bytewise-smallest name leads.
@@ -107,13 +109,14 @@ def reference_levels_or_cycle(text: str) -> dict[str, int] | list[str]:
         levels[name] = 1 + max((levels[dep] for dep in deps[name]), default=0)
         return None
 
-    for name in sorted(deps, key=str.encode):
+    order = sorted(deps, key=str.encode)
+    for name in order:
         if name not in levels:
             cycle = visit(name)
             if cycle:
                 first = cycle.index(min(cycle, key=str.encode))
                 return cycle[first:] + cycle[:first]
-    return levels
+    return tuple(map(levels.__getitem__, order))
 
 
 def reference_base(text: str) -> dict[str, bool]:
@@ -142,8 +145,9 @@ def reference_base(text: str) -> dict[str, bool]:
     return {name: name in reached for name in deps}
 
 
-def reference_v1_values(catalog, selected, supported) -> dict[str, int]:
-    """v1 index values from a recursive closure and a memoised longest path.
+def reference_v1_values(catalog, selected, supported) -> tuple[int, ...]:
+    """v1 index values, one per position, from a recursive closure and a
+    memoised longest path.
 
     Roots are the ``selected`` non-base modules for which ``supported(rec)``
     holds; every module in their dependency closure gets its depth, every
@@ -167,7 +171,7 @@ def reference_v1_values(catalog, selected, supported) -> dict[str, int]:
     for rec in catalog.records:
         if rec.name in selected and not rec.base_kernel_only and supported(rec):
             reach(rec.name)
-    return {name: depth_of(name) if name in reached else 0 for name in by_name}
+    return tuple(depth_of(name) if name in reached else 0 for name in catalog.names)
 
 
 def reference_fixture(
@@ -268,8 +272,9 @@ def _reference_names(rng: random.Random, count: int) -> list[str]:
     return list(names)
 
 
-def sequential_load_order(catalog, flags: dict[str, int], supported) -> list[str]:
-    """Standalone post-order oracle for the sequential strategy's LOAD order."""
+def sequential_load_order(catalog, flags: tuple[int, ...], supported) -> list[str]:
+    """Standalone post-order oracle for the sequential strategy's LOAD order,
+    given one selection flag per position."""
     order: list[str] = []
     done: set[str] = set()
 
@@ -281,8 +286,8 @@ def sequential_load_order(catalog, flags: dict[str, int], supported) -> list[str
             visit(dep)
         order.append(name)
 
-    for rec in catalog.records:
-        if rec.base_kernel_only or not flags.get(rec.name, 0):
+    for rec, flag in zip(catalog.records, flags):
+        if rec.base_kernel_only or not flag:
             continue
         if supported(rec):
             visit(rec.name)

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from kmodsim.catalog import parse_catalog, topo_levels
+from kmodsim.catalog import parse_catalog
 from kmodsim.errors import DepthOverflow
 from kmodsim.fixtures import generate_fixture
 from kmodsim.hardware import HardwareInventory, check_hardware_support, parse_inventory
@@ -43,20 +43,18 @@ def _passed(number: int, label: str, detail: str = "") -> None:
 
 
 def test_criterion_1_registry_levels_match_the_depth_oracle(random_cases):
-    # topo_levels agrees with exhaustive path enumeration (test_catalog.py),
-    # but register_v1 reads its depths from it, so the whole entry map is
-    # also checked against reference_v1_values, which shares no code with
-    # either.
+    # catalog.levels agrees with exhaustive path enumeration (test_catalog.py),
+    # but register_v1 reads its depths from it, so every value is also
+    # checked against reference_v1_values, which shares no code with either.
     started = time.perf_counter()
     checked = 0
     for catalog, inventory in random_cases:
         index = register_v1(catalog, catalog.names, inventory)
-        oracle = topo_levels(catalog)
-        for name, value in index.entries:
+        for name, value, level in zip(index.names, index.values, catalog.levels):
             if value:
-                assert value == oracle[name], (name, value, oracle[name])
+                assert value == level, (name, value, level)
                 checked += 1
-        assert dict(index.entries) == reference_v1_values(
+        assert index.values == reference_v1_values(
             catalog,
             frozenset(catalog.names),
             lambda rec: check_hardware_support(rec, inventory),
@@ -121,15 +119,15 @@ def test_criterion_4_strategy_equivalence(random_cases):
 def test_criterion_5_count_byte_semantics():
     unsupported = make_catalog("a|1||dev-a")
     index = register_v1(unsupported, unsupported.names, make_inventory("other hw"))
-    assert dict(index.entries)["a"] == 0
+    assert index.values[unsupported.index_of["a"]] == 0
 
     leaf = make_catalog("a|1||dev-a")
     index = register_v1(leaf, leaf.names, make_inventory("Vendor dev-a card"))
-    assert dict(index.entries)["a"] == 1
+    assert index.values[leaf.index_of["a"]] == 1
 
     fits = make_catalog(*chain_records([f"c{i:03d}" for i in range(255)]))
     index = register_v1(fits, fits.names, NO_HW)
-    assert max(value for _, value in index.entries) == 255
+    assert max(index.values) == 255
 
     overflows = make_catalog(*chain_records([f"c{i:03d}" for i in range(256)]))
     with pytest.raises(DepthOverflow):
@@ -184,8 +182,7 @@ def test_criterion_7_directional_performance_reported_not_enforced():
 
 def test_criterion_8_registration_plus_four_loads_composite():
     catalog, inventory = _bench_fixture()
-    levels = topo_levels(catalog)
-    average_depth = sum(levels.values()) / len(levels)
+    average_depth = sum(catalog.levels) / len(catalog.levels)
     assert average_depth >= 2, f"fixture too shallow: {average_depth:.2f}"
 
     report = bench(
@@ -202,14 +199,12 @@ def test_criterion_8_registration_plus_four_loads_composite():
 
 
 def test_criterion_9_partition_sweep():
-    plan = plan_partitions(8, 5)
-    assert plan.step == 2
-    assert plan.ranges == ((0, 2), (2, 4), (4, 6), (6, 8))
+    assert plan_partitions(8, 5) == ((0, 2), (2, 4), (4, 6), (6, 8))
 
     started = time.perf_counter()
     for workers in range(2, 65):
         for n in range(0, 10_001):
-            ranges = plan_partitions(n, workers).ranges
+            ranges = plan_partitions(n, workers)
             prev = 0
             total = 0
             for start, end in ranges:

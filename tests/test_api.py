@@ -15,13 +15,13 @@ EXPORTED = (
     "DepthOverflow", "DuplicateModule", "HardwareInventory", "IndexFile", "IndexMismatch",
     "KmodsimError", "LOAD", "LoadEvent", "LoadSetMismatch", "LoadState", "LoadTimeout",
     "MalformedInventory", "MalformedRecord", "MalformedTrace", "ModuleCatalog",
-    "ModuleRecord", "PartitionPlan", "PositionMismatch", "SKIP_FLAG", "SKIP_HW",
+    "ModuleRecord", "PositionMismatch", "SKIP_FLAG", "SKIP_HW",
     "STRATEGIES", "SessionTiming", "SpaceReport", "StrategyConfig", "UnknownDependency",
     "UnknownSelection", "ValueOutOfRange", "VersionMismatch", "bench",
     "check_hardware_support", "check_trace", "format_trace", "generate_fixture", "parse_catalog",
     "parse_inventory", "parse_trace", "plan_partitions", "read_index", "register_v0",
     "register_v1", "run_strategy", "serialize_catalog", "simulate_load", "space_report",
-    "timing_from_trace", "topo_levels", "write_index",
+    "timing_from_trace", "write_index",
 )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,7 +18,6 @@ from kmodsim.catalog import (
     _scan_lines,
     parse_catalog,
     serialize_catalog,
-    topo_levels,
 )
 from kmodsim.errors import (
     CircularDependency,
@@ -117,7 +117,7 @@ class TestParse:
     )
     def test_catalog_without_modules_is_empty(self, text):
         catalog = parse_catalog(text)
-        assert catalog.records == () and topo_levels(catalog) == {}
+        assert catalog.records == () and catalog.levels == ()
 
     def test_sort_is_bytewise(self):
         # 'B' (0x42) sorts before 'a' (0x61); a locale-aware sort would not.
@@ -169,33 +169,33 @@ class TestBaseClosure:
 class TestTopoLevels:
     def test_leaf_module(self):
         catalog = make_catalog("a|1||")
-        assert topo_levels(catalog) == {"a": 1}
+        assert catalog.levels == (1,)
 
     def test_chain_matches_path_enumeration(self):
         catalog = make_catalog("c|1|b|", "b|1|a|", "a|1||")
-        expected = {"a": 1, "b": 2, "c": 3}  # frozen from brute_force_levels
+        expected = (1, 2, 3)  # a, b, c; frozen from brute_force_levels
         assert brute_force_levels(catalog) == expected
-        assert topo_levels(catalog) == expected
+        assert catalog.levels == expected
 
     def test_diamond_matches_path_enumeration(self):
         catalog = make_catalog("d|1|b,c|", "b|1|a|", "c|1|a|", "a|1||")
-        expected = {"a": 1, "b": 2, "c": 2, "d": 3}  # frozen from brute_force_levels
+        expected = (1, 2, 2, 3)  # a, b, c, d; frozen from brute_force_levels
         assert brute_force_levels(catalog) == expected
-        assert topo_levels(catalog) == expected
+        assert catalog.levels == expected
 
     def test_long_chain_does_not_recurse(self):
         names = [f"c{i:04d}" for i in range(2000)]
         lines = [f"{names[0]}|1||"]
         lines.extend(f"{n}|1|{p}|" for p, n in zip(names, names[1:]))
         catalog = make_catalog(*lines)
-        assert topo_levels(catalog)[names[-1]] == 2000
+        assert catalog.levels[catalog.index_of[names[-1]]] == 2000
 
     @settings(max_examples=100, deadline=None)
     @given(text=catalog_texts(max_modules=10))
     def test_agrees_with_brute_force(self, text):
         catalog = parse_catalog(text)
-        assert topo_levels(catalog) == brute_force_levels(catalog)
-        assert topo_levels(ModuleCatalog(catalog.records)) == brute_force_levels(catalog)
+        assert catalog.levels == brute_force_levels(catalog)
+        assert ModuleCatalog(catalog.records).levels == brute_force_levels(catalog)
 
     @settings(max_examples=300, deadline=None)
     @given(text=maybe_cyclic_catalog_texts())
@@ -206,7 +206,7 @@ class TestTopoLevels:
                 parse_catalog(text)
             assert err.value.cycle == expected
         else:
-            assert topo_levels(parse_catalog(text)) == expected
+            assert parse_catalog(text).levels == expected
 
     def test_long_cycle_is_named_without_recursion(self):
         names = [f"c{i:04d}" for i in range(2000)]
@@ -227,22 +227,21 @@ class TestTopoLevels:
     )
     def test_cycle_in_a_directly_built_catalog_is_rejected(self, records, cycle):
         with pytest.raises(CircularDependency) as err:
-            topo_levels(ModuleCatalog(records))
+            ModuleCatalog(records)
         assert err.value.cycle == cycle
 
     def test_unknown_dependency_in_a_directly_built_catalog_is_rejected(self):
         with pytest.raises(UnknownDependency, match="module 'a' depends on unknown module 'ghost'"):
-            catalog = ModuleCatalog((ModuleRecord("a", 1, ("ghost",)),))
-            topo_levels(catalog)
+            ModuleCatalog((ModuleRecord("a", 1, ("ghost",)),))
 
     @settings(max_examples=100, deadline=None)
     @given(text=catalog_texts())
     def test_every_dependency_sits_strictly_lower(self, text):
         catalog = parse_catalog(text)
-        levels = topo_levels(catalog)
-        for rec in catalog.records:
+        levels = catalog.levels
+        for rec, level in zip(catalog.records, levels):
             for dep in rec.deps:
-                assert levels[dep] < levels[rec.name]
+                assert levels[catalog.index_of[dep]] < level
 
 
 class TestProperties:
@@ -573,7 +572,7 @@ class TestRunsAsText:
         catalog = parse_catalog(text)
         assert calls == {"_walk_order": walks, "_first_mentions": rebuilds}
         assert {r.name: r.deps for r in catalog.records} == deps
-        assert topo_levels(catalog) == brute_force_levels(catalog)
+        assert catalog.levels == brute_force_levels(catalog)
         assert len(catalog.dep_targets) == catalog.dep_offsets[-1] == sum(map(len, deps.values()))
         _same_three_ways(text)
 
@@ -676,6 +675,13 @@ class TestDirectConstruction:
         assert catalog.names == ("a", "b", "c")
         assert catalog.records[catalog.index_of["c"]].deps == ("b", "a")
         assert catalog != ModuleCatalog(records[:3] + (ModuleRecord("d", 1),))
+        assert (catalog == object()) is False
+
+    def test_fields_cannot_be_assigned(self):
+        catalog = ModuleCatalog(self.RECORDS)
+        with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'levels'$"):
+            catalog.levels = (1, 1)
+        assert catalog.levels == (1, 2)
 
     @pytest.mark.parametrize(
         "record, problem",

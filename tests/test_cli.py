@@ -121,6 +121,31 @@ class TestRegister:
         assert body[0] == "MODINDEX v0"
         assert all(line.endswith(" 1") for line in body[1:])
 
+    def test_v0_all_skip_is_all_zeros(self, workdir):
+        run_gen(workdir)
+        assert run_register(workdir, "v0", "all-skip") == 0
+        body = (workdir / "index.txt").read_text().splitlines()
+        assert body[0] == "MODINDEX v0" and len(body) == 21
+        assert all(line.endswith(" 0") for line in body[1:])
+
+    @pytest.mark.parametrize("flags, err", [
+        (["--policy", "bogus"], "unknown policy 'bogus'"),
+        ([], "pick a policy: --policy, --interactive, or --assume-yes"),
+        (["--interactive"], "interactive selection ended before all modules were answered"),
+    ], ids=["unknown-policy", "no-policy", "interactive-at-end-of-input"])
+    def test_a_selection_that_cannot_be_read_is_one_config_error_line(
+        self, workdir, monkeypatch, capsys, flags, err
+    ):
+        run_gen(workdir)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("y\n"))
+        rc = main([
+            "register", "--catalog", str(workdir / "catalog.txt"),
+            "--version", "v0", "--index", str(workdir / "index.txt"), *flags,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: config: {err}\n"
+        assert not (workdir / "index.txt").exists()
+
     def test_v1_without_inventory_is_a_usage_error(self, workdir, capsys):
         run_gen(workdir)
         rc = main([
@@ -384,6 +409,9 @@ class TestInteractiveSelection:
     @pytest.mark.parametrize("flags, err", [
         (["--workers", "1"], "error: config: stage2 needs at least 2 workers, got 1\n"),
         (["--load-base-us", "nan"], "error: config: load costs must be finite and non-negative\n"),
+        (["--strategy", "stage0,stage0"],
+         "error: config: strategy 'stage0' is named more than once\n"),
+        (["--strategy", " , "], "error: config: no strategies given\n"),
     ])
     def test_bench_rejects_a_session_config_before_asking(self, inputs, capsys, flags, err):
         assert self.bench(inputs, "--reps", "1", *flags) == 1

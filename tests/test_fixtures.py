@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 from kmodsim import fixtures
-from kmodsim.catalog import parse_catalog, topo_levels
+from kmodsim.catalog import parse_catalog
 from kmodsim.errors import ConfigError
 from kmodsim.fixtures import MAX_MODULES, generate_fixture
 from kmodsim.hardware import check_hardware_support, parse_inventory
@@ -150,7 +150,7 @@ def test_generated_catalog_parses_within_depth_bound():
     catalog = parse_catalog(catalog_text)
     parse_inventory(inventory_text)
     assert len(catalog) == 50
-    assert max(topo_levels(catalog).values()) <= 5
+    assert max(catalog.levels) <= 5
 
 
 def test_smallest_fixture_is_gated_with_no_matching_device():

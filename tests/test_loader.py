@@ -66,34 +66,31 @@ def kinds(trace):
 
 class TestPlanPartitions:
     def test_worked_example(self):
-        plan = plan_partitions(8, 5)
-        assert plan.step == 2
-        assert plan.ranges == ((0, 2), (2, 4), (4, 6), (6, 8))
+        assert plan_partitions(8, 5) == ((0, 2), (2, 4), (4, 6), (6, 8))
 
     def test_tail_is_clamped(self):
-        plan = plan_partitions(7, 5)
-        assert plan.step == 2
-        assert plan.ranges == ((0, 2), (2, 4), (4, 6), (6, 7))
+        assert plan_partitions(7, 5) == ((0, 2), (2, 4), (4, 6), (6, 7))
 
     def test_zero_modules_gives_empty_ranges(self):
-        plan = plan_partitions(0, 4)
-        assert plan.ranges == ((0, 0), (0, 0), (0, 0))
+        assert plan_partitions(0, 4) == ((0, 0), (0, 0), (0, 0))
 
     def test_more_workers_than_modules(self):
-        plan = plan_partitions(2, 5)
-        assert plan.ranges == ((0, 1), (1, 2), (2, 2), (2, 2))
+        assert plan_partitions(2, 5) == ((0, 1), (1, 2), (2, 2), (2, 2))
 
     def test_single_worker_rejected(self):
         with pytest.raises(ConfigError):
             plan_partitions(8, 1)
 
+    def test_negative_module_count_rejected(self):
+        with pytest.raises(ConfigError, match="^negative module count -1$"):
+            plan_partitions(-1, 3)
+
     @pytest.mark.parametrize("workers", [2, 3, 8, 64])
     @pytest.mark.parametrize("n", [0, 1, 2, 17, 100, 101])
     def test_disjoint_cover(self, n, workers):
-        plan = plan_partitions(n, workers)
         prev = 0
         total = 0
-        for start, end in plan.ranges:
+        for start, end in plan_partitions(n, workers):
             assert prev <= start <= end <= n
             total += end - start
             prev = end
@@ -301,7 +298,7 @@ class TestStage0:
         catalog = make_catalog(*chain_records(["a", "b", "c"]))
         index = flags_index(catalog, ["c"])
         state, trace = run_strategy(catalog, index, NO_HW, STAGE0)
-        expected = sequential_load_order(catalog, {"c": 1}, lambda rec: True)
+        expected = sequential_load_order(catalog, (0, 0, 1), lambda rec: True)
         assert expected == ["a", "b", "c"]  # frozen from the post-order oracle
         assert load_events(trace) == expected
         assert state.loaded() == {"a", "b", "c"}
@@ -380,7 +377,7 @@ class TestStage1:
     def test_leveled_base_dependency_is_not_swept(self):
         catalog = make_catalog("fs|4||@base", "app|1|fs|")
         index = register_v1(catalog, catalog.names, NO_HW)
-        assert dict(index.entries)["fs"] == 1
+        assert index.values[catalog.index_of["fs"]] == 1
         state, trace = run_strategy(catalog, index, NO_HW, STAGE1)
         assert load_events(trace) == ["app"]
         assert state.loaded() == {"app"}
@@ -390,7 +387,7 @@ class TestStage1:
         # swept, so no claim on a resident module records a DUP_ATTEMPT.
         catalog = make_catalog("lib|1||", "fs|4|lib|@base", "app|1|fs|")
         index = register_v1(catalog, catalog.names, NO_HW)
-        assert index.entries == (("app", 3), ("fs", 2), ("lib", 1))
+        assert index.names == ("app", "fs", "lib") and index.values == (3, 2, 1)
         _, trace = run_strategy(catalog, index, NO_HW, STAGE1)
         assert trace == [LoadEvent(0, 0, LOAD, "app")]
 
@@ -760,9 +757,9 @@ def append_fixture():
     catalog_text, inventory_text = generate_fixture(2000, 8, 5, 1.0)
     catalog, inventory = parse_catalog(catalog_text), parse_inventory(inventory_text)
     index = flags_index(catalog, [n for i, n in enumerate(catalog.names) if i % 7])
-    unselected = sum(1 for (_, flag), base in zip(index.entries, catalog.base) if not (flag or base))
+    unselected = sum(1 for flag, base in zip(index.values, catalog.base) if not (flag or base))
     expected = sequential_load_order(
-        catalog, dict(index.entries), lambda rec: inventory.supports(rec.hw_tags)
+        catalog, index.values, lambda rec: inventory.supports(rec.hw_tags)
     )
     return catalog, inventory, index, unselected, sorted(expected)
 

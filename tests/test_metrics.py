@@ -26,6 +26,7 @@ from kmodsim.loader import (
     run_strategy,
 )
 from kmodsim.metrics import (
+    CompositeResult,
     bench,
     check_trace,
     render_bench_csv,
@@ -251,6 +252,9 @@ class TestBench:
         assert report.composite.v0_us > 0 and report.composite.v1_us > 0
         assert report.results[0].normalized is None  # no stage0 baseline
 
+    def test_improvement_is_zero_when_the_v1_pipeline_took_no_time(self):
+        assert CompositeResult(5.0, 0.0).improvement_pct == 0.0
+
     def test_zero_reps_rejected(self):
         with pytest.raises(ConfigError):
             bench(self.catalog, self.catalog.names, self.inventory,
@@ -266,6 +270,7 @@ class TestBench:
         (["stage0", "stage1", "stage2"], 1, 0.0, "stage2 needs at least 2 workers, got 1"),
         (["stage0", "stage3"], 2, float("nan"), "load costs must be finite"),
         (["stage0"], 1, 1e15, "one attach would take"),
+        (["stage0", "stage1", "stage0"], 1, 0.0, "^strategy 'stage0' is named more than once$"),
     ])
     def test_session_config_is_checked_before_the_selection_is_read(
         self, strategies, workers, base_us, match

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kmodsim import catalog as catalog_module
 from kmodsim import registry as registry_module
-from kmodsim.catalog import ModuleCatalog, parse_catalog, topo_levels
+from kmodsim.catalog import ModuleCatalog, parse_catalog
 from kmodsim.errors import (
     DepthOverflow,
     KmodsimError,
@@ -40,25 +40,21 @@ from conftest import (
 NO_HW = HardwareInventory(())
 
 
-def values_of(index) -> dict[str, int]:
-    return dict(index.entries)
-
-
 class TestRegisterV0:
     def test_all_load_flags_everything(self):
         catalog = make_catalog("a|1||", "b|1||")
         index = register_v0(catalog, catalog.names)
-        assert index.entries == (("a", 1), ("b", 1))
+        assert index.values == (1, 1)
 
     def test_single_selection(self):
         catalog = make_catalog("a|1||", "b|1||")
         index = register_v0(catalog, ["b"])
-        assert index.entries == (("a", 0), ("b", 1))
+        assert index.values == (0, 1)
 
     def test_all_skip_is_all_zeros(self):
         catalog = make_catalog("a|1||", "b|1||", "c|1||")
         index = register_v0(catalog, ())
-        assert values_of(index) == {"a": 0, "b": 0, "c": 0}
+        assert index.values == (0, 0, 0)
 
     def test_unknown_selection(self):
         catalog = make_catalog("a|1||")
@@ -81,48 +77,48 @@ class TestRegisterV0:
 
         index = register_v0(catalog, (name for name in catalog.names if ask(name)))
         assert asked == ["a", "b", "c"]
-        assert values_of(index) == {"a": 1, "b": 0, "c": 1}
+        assert index.values == (1, 0, 1)
 
 
 class TestRegisterV1:
     def test_chain_levels_match_the_oracle(self):
         catalog = make_catalog(*chain_records(["a", "b", "c"]))
         index = register_v1(catalog, ["c"], NO_HW)
-        assert values_of(index) == {"a": 1, "b": 2, "c": 3}
-        assert values_of(index) == topo_levels(catalog)
+        assert index.values == (1, 2, 3)
+        assert index.values == catalog.levels
 
     def test_unsupported_selected_module_stays_zero(self):
         catalog = make_catalog("a|1||ath9k")
         inv = make_inventory("Intel e1000 Gigabit")
         index = register_v1(catalog, catalog.names, inv)
-        assert values_of(index) == {"a": 0}
+        assert index.values == (0,)
 
     def test_diamond_levels_match_the_oracle(self):
         catalog = make_catalog("d|1|b,c|", "b|1|a|", "c|1|a|", "a|1||")
         index = register_v1(catalog, ["d"], NO_HW)
-        assert values_of(index) == {"a": 1, "b": 2, "c": 2, "d": 3}
+        assert index.values == (1, 2, 2, 3)
 
     def test_dependencies_inherit_loadability(self):
         # b is gated on absent hardware, but as a dependency of a selected,
         # supported module it must still receive its depth.
         catalog = make_catalog("top|1|b|", "b|1||dev-b")
         index = register_v1(catalog, ["top"], NO_HW)
-        assert values_of(index) == {"b": 1, "top": 2}
+        assert index.values == (1, 2)
 
     def test_unselected_roots_stay_zero(self):
         catalog = make_catalog("a|1||", "b|1||")
         index = register_v1(catalog, ["a"], NO_HW)
-        assert values_of(index) == {"a": 1, "b": 0}
+        assert index.values == (1, 0)
 
     def test_all_skip_is_all_zeros(self):
         catalog = make_catalog(*chain_records(["a", "b", "c"]))
         index = register_v1(catalog, (), NO_HW)
-        assert set(values_of(index).values()) == {0}
+        assert set(index.values) == {0}
 
     def test_255_chain_fits_exactly(self):
         catalog = make_catalog(*chain_records([f"c{i:03d}" for i in range(255)]))
         index = register_v1(catalog, catalog.names, NO_HW)
-        assert max(values_of(index).values()) == 255
+        assert max(index.values) == 255
 
     def test_256_chain_overflows(self):
         catalog = make_catalog(*chain_records([f"c{i:03d}" for i in range(256)]))
@@ -132,14 +128,14 @@ class TestRegisterV1:
     def test_base_modules_are_not_leveled_as_roots(self):
         catalog = make_catalog("fs|4||@base", "app|1||")
         index = register_v1(catalog, catalog.names, NO_HW)
-        assert values_of(index) == {"app": 1, "fs": 0}
+        assert index.values == (1, 0)
 
     def test_base_dependency_still_receives_its_depth(self):
         # Keeps the byte ordering rule intact: every dependency of a nonzero
         # module is itself nonzero and strictly smaller.
         catalog = make_catalog("fs|4||@base", "app|1|fs|")
         index = register_v1(catalog, catalog.names, NO_HW)
-        assert values_of(index) == {"app": 2, "fs": 1}
+        assert index.values == (2, 1)
 
     def test_registration_is_deterministic(self):
         catalog = make_catalog("d|1|b,c|", "b|1|a|", "c|1|a|", "a|1||")
@@ -155,11 +151,10 @@ class TestRegisterV1:
             *(f"Vendor dev-{r.name} adapter" for i, r in enumerate(catalog.records) if i % 2)
         )
         index = register_v1(catalog, catalog.names, inv)
-        oracle = topo_levels(catalog)
-        for name, value in index.entries:
+        for value, level in zip(index.values, catalog.levels):
             if value:
-                assert value == oracle[name]
-        assert values_of(index) == reference_v1_values(
+                assert value == level
+        assert index.values == reference_v1_values(
             catalog, frozenset(catalog.names), lambda rec: check_hardware_support(rec, inv)
         )
 
@@ -168,11 +163,11 @@ class TestRegisterV1:
     def test_dependency_values_sit_strictly_below(self, text):
         catalog = parse_catalog(text)
         index = register_v1(catalog, catalog.names, NO_HW)
-        values = values_of(index)
-        for rec in catalog.records:
-            if values[rec.name] >= 2:
+        values = index.values
+        for rec, value in zip(catalog.records, values):
+            if value >= 2:
                 for dep in rec.deps:
-                    assert 0 < values[dep] < values[rec.name]
+                    assert 0 < values[catalog.index_of[dep]] < value
 
     def test_one_closure_walk_reads_each_dependency_run_once(self):
         # One shared closure walk slices each reached module's dependency run
@@ -183,7 +178,7 @@ class TestRegisterV1:
         targets = CountingRuns(catalog.dep_targets)
         vars(catalog)["dep_targets"] = targets
         index = register_v1(catalog, catalog.names, inventory)
-        assert any(value for _, value in index.entries)
+        assert any(index.values)
         assert 0 < targets.reads <= len(catalog), (targets.reads, len(catalog))
 
     def test_levels_are_computed_once_per_catalog(self, count_calls):
@@ -200,7 +195,7 @@ class TestRegisterV1:
         assert calls == {"_levels_in_order": 3, "_walk_order": 1}
         for catalog in (parsed, direct):
             first = register_v1(catalog, catalog.names, inventory)
-            assert topo_levels(catalog) == dict(zip(catalog.names, catalog.levels))
+            assert catalog.levels == parsed.levels
             assert register_v1(catalog, catalog.names, inventory) == first
         assert calls == {"_levels_in_order": 3, "_walk_order": 1}
 
@@ -217,7 +212,7 @@ class TestIndexFiles:
         assert read_index(write_index(index), catalog) == index
 
     @pytest.mark.parametrize("version", ["v0", "v1"])
-    def test_columns_round_trip_and_derive_the_pairs(self, version):
+    def test_columns_round_trip_and_write_each_pair(self, version):
         catalog_text, inventory_text = generate_fixture(2000, 8, 21, 0.8)
         catalog, inventory = parse_catalog(catalog_text), parse_inventory(inventory_text)
         selected = catalog.names[::3]
@@ -233,11 +228,9 @@ class TestIndexFiles:
             assert read == index
             assert read.names is catalog.names
         assert type(index.values) is tuple and {type(v) for v in index.values} == {int}
-        entries = index.entries
-        assert type(entries) is tuple and len(entries) == len(catalog)
-        assert all(type(pair) is tuple for pair in entries)
-        assert entries == tuple((name, index.values[i]) for i, name in enumerate(catalog.names))
-        assert text == f"{INDEX_HEADERS[version]}\n" + "".join(f"{n} {v}\n" for n, v in entries)
+        assert len(index.values) == len(catalog)
+        pairs = zip(catalog.names, index.values)
+        assert text == f"{INDEX_HEADERS[version]}\n" + "".join(f"{n} {v}\n" for n, v in pairs)
 
     def test_value_above_byte_range_rejected(self):
         catalog = make_catalog("a|1||")
@@ -253,6 +246,13 @@ class TestIndexFiles:
         catalog = make_catalog("a|1||")
         with pytest.raises(ValueOutOfRange):
             read_index("MODINDEX v0\na yes\n", catalog)
+
+    def test_value_longer_than_int_conversion_allows_rejected(self):
+        # int() refuses more digits than int_max_str_digits (4300 by default).
+        catalog = make_catalog("a|1||")
+        raw = "1" * 5000
+        with pytest.raises(ValueOutOfRange, match=rf"^entry 0: value '{raw}' is not an integer$"):
+            read_index(f"MODINDEX v1\na {raw}\n", catalog)
 
     def test_names_out_of_catalog_order_rejected(self):
         catalog = make_catalog("a|1||", "b|1||")
@@ -284,7 +284,7 @@ class TestIndexFiles:
 
     def test_leading_zeros_are_still_digits(self):
         catalog = make_catalog("a|1||", "b|1||")
-        assert read_index("MODINDEX v1\na 001\nb 0\n", catalog).entries == (("a", 1), ("b", 0))
+        assert read_index("MODINDEX v1\na 001\nb 0\n", catalog).values == (1, 0)
 
     def test_headers_are_bit_exact(self):
         catalog = make_catalog("a|1||")
@@ -407,7 +407,7 @@ class TestIndexParsing:
         indexes = [
             register_v0(catalog, catalog.names), register_v1(catalog, catalog.names, inventory)
         ]
-        assert max(value for _, value in indexes[1].entries) > 1
+        assert max(indexes[1].values) > 1
 
         def per_line(text, catalog):
             raise AssertionError("a canonical index reached the line-by-line parser")
