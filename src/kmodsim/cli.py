@@ -199,14 +199,11 @@ def _cmd_load(args) -> int:
 def _cmd_bench(args) -> int:
     catalog = parse_catalog(_read(args.catalog))
     inventory = parse_inventory(_read(args.inventory))
-    strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
-    if not strategies:
-        raise ConfigError("no strategies given")
     report = bench(
         catalog,
         _selection(args, catalog),
         inventory,
-        strategies,
+        [s.strip() for s in args.strategy.split(",") if s.strip()],
         workers=args.workers,
         repetitions=args.reps,
         load_base_us=args.load_base_us,

@@ -28,20 +28,22 @@ has settled by then, so a lost wakeup is reported, not slept through. A
 winner whose attach raises marks the position failed, which wakes its waiters
 at once with ``AttachFailed``; the session then raises the attach's own error.
 
-The scan and the dependency walk read the state bytes directly. The walk
-keeps one stack entry per position on the current dependency path: the
-position and its next dependency entry to read. It passes over complete
-dependencies in place and pushes only an incomplete one, so each entry of a
-module's dependency run is read at most once per walk.
+Each worker is one generator, ``_attach_loop``, over its candidate roots.
+It walks each root depth-first and reads the state bytes directly. It passes
+over complete dependencies in place and descends into an incomplete one,
+pushing the dependent and its next dependency entry to read, so each entry
+of a module's dependency run is read at most once per walk. stage0, stage2 and stage3 take
+their roots from ``_scan``, which records SKIP_FLAG and SKIP_HW on the way.
+stage1 takes its sorted list, and each of its dependency cursors starts at
+the end of its run, so it reads no dependency.
 
-Each worker is a generator. Its only scheduling points are the three
-shared-state steps in ``_load_one``: it yields before the claim, while a
-claimed load is in flight (before its LOAD is emitted), and, after losing a
-claim, the position it is about to wait on. The wait (``wait_complete``)
-stays in the generator after that yield, so a failure, ``LoadTimeout``
-included, is raised in the worker and releases stage2's lock. Two runners
-drive ``LoadSession._jobs()``, one generator per worker: ``run`` exhausts
-each one, stage0 and stage1 on the calling thread and stage2 and stage3 on a
+The worker's only scheduling points are its three shared-state steps: it
+yields before the claim, while a claimed load is in flight (before its LOAD
+is emitted), and, after losing a claim, the position it is about to wait on.
+The wait (``wait_complete``) stays in the generator after that yield, so a
+failure, ``LoadTimeout`` included, is raised in the worker and releases
+stage2's lock. ``run`` exhausts each generator that ``LoadSession._jobs()``
+returns, stage0 and stage1 on the calling thread and stage2 and stage3 on a
 thread pool, and ``tests/test_schedules.py`` steps stage3's jobs through
 every interleaving.
 
@@ -90,7 +92,8 @@ import math
 import re
 import threading
 import time
-from collections.abc import Iterator
+from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -317,13 +320,13 @@ class LoadSession:
         self._events = [] if events is None else events
 
     def run(self) -> tuple[LoadState, list[LoadEvent]]:
+        # deque(job, 0) runs a job to its end and keeps none of its yields.
         jobs = self._jobs()
         if self._strategy in ("stage0", "stage1"):
-            for job in jobs:  # one job, on the calling thread
-                _exhaust(job)
+            deque(jobs[0], 0)  # one job, on the calling thread
         else:
             with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-                futures = [pool.submit(_exhaust, job) for job in jobs]
+                futures = [pool.submit(deque, job, 0) for job in jobs]
             # Every worker has ended. A worker that waited on a failed attach
             # raised AttachFailed; report the attach's own error instead.
             errors = [e for e in (f.exception() for f in futures) if e is not None]
@@ -335,25 +338,22 @@ class LoadSession:
         """One generator per worker; see the module docstring for what they yield."""
         n, workers = len(self._catalog), self._config.workers
         if self._strategy == "stage1":
-            return [self._sweep()]
+            # Depth-major, then catalog position; depth 0 (not selected) is empty.
+            values = self._values
+            loadable = compress(range(n), map(mul, values, map(not_, self._catalog.base)))
+            roots = sorted(loadable, key=values.__getitem__)
+            return [self._attach_loop(0, roots, self._catalog.dep_offsets[1:])]
         if self._strategy == "stage0":
-            return [self._scan(0, 0, n)]
+            return [self._attach_loop(0, self._scan(0, 0, n))]
         if self._strategy == "stage2":
             lock = threading.Lock()  # stage2's single exclusion region
-            return [self._scan(w, 0, n, lock) for w in range(workers)]
+            return [self._attach_loop(w, self._scan(w, 0, n), lock=lock) for w in range(workers)]
         ranges = plan_partitions(n, workers)
-        return [self._scan(w, start, end) for w, (start, end) in enumerate(ranges)]
+        return [self._attach_loop(w, self._scan(w, *span)) for w, span in enumerate(ranges)]
 
-    def _sweep(self) -> Iterator[int | None]:
-        """stage1: depth-major, then catalog position; depth 0 (not selected) is empty."""
-        values = self._values
-        loadable = compress(range(len(values)), map(mul, values, map(not_, self._catalog.base)))
-        for pos in sorted(loadable, key=values.__getitem__):
-            yield from self._load_one(pos, worker=0)
-
-    def _scan(
-        self, worker: int, start: int, end: int, lock: threading.Lock | None = None
-    ) -> Iterator[int | None]:
+    def _scan(self, worker: int, start: int, end: int) -> Iterator[int]:
+        """The candidate roots of ``[start, end)``: flagged, supported and not
+        yet complete. Records SKIP_FLAG and SKIP_HW for the others."""
         base, hw_tags = self._catalog.base, self._catalog.hw_tags
         values, supports, states = self._values, self._inventory.supports, self.state._states
         for pos in range(start, end):
@@ -361,60 +361,61 @@ class LoadSession:
                 continue  # resident; not a dynamic-load candidate
             if not values[pos]:
                 self._emit(worker, SKIP_FLAG, pos)
-                continue
-            if not supports(hw_tags[pos]):
+            elif not supports(hw_tags[pos]):
                 self._emit(worker, SKIP_HW, pos)
-                continue
-            if states[pos] >= _DONE:
-                continue  # same silent fast-path _attach would take
-            if lock is not None:
-                with lock:
-                    yield from self._attach(pos, worker)
-            else:
-                yield from self._attach(pos, worker)
+            elif states[pos] < _DONE:
+                yield pos
 
-    def _attach(self, root: int, worker: int) -> Iterator[int | None]:
-        """Depth-first idempotent attach: dependencies complete before the claim.
+    def _attach_loop(
+        self, worker: int, roots: Iterable[int], first_dep: Sequence[int] | None = None,
+        lock: threading.Lock | None = None,
+    ) -> Iterator[int | None]:
+        """Attach each root, dependencies first; ``lock`` is held over each root's walk.
 
-        A stack entry is a position and the next of its dependency entries to
-        read. Complete dependencies are passed over in place; only an
-        incomplete one is pushed, above its dependent.
+        A position's dependency cursor starts at ``first_dep[pos]``, by default
+        ``dep_offsets[pos]``, the start of its run.
         """
         offsets, targets = self._catalog.dep_offsets, self._catalog.dep_targets
-        states = self.state._states
-        stack = [(root, offsets[root])]
-        while stack:
-            pos, next_dep = stack.pop()
-            if states[pos] >= _DONE:
-                continue
-            end = offsets[pos + 1]
-            while next_dep < end:
-                dep = targets[next_dep]
-                next_dep += 1
-                if states[dep] < _DONE:
-                    stack.append((pos, next_dep))
-                    stack.append((dep, offsets[dep]))
-                    break
-            else:
-                yield from self._load_one(pos, worker)
-
-    def _load_one(self, pos: int, worker: int) -> Iterator[int | None]:
-        yield  # about to claim
-        if self.state.try_claim(pos):
+        first = offsets if first_dep is None else first_dep
+        sizes, config, state = self._catalog.sizes, self._config, self.state
+        states = state._states
+        stack = []  # the dependents below pos on its path, each with its next entry
+        for root in roots:
+            if lock is not None:
+                lock.acquire()
             try:
-                yield  # claimed: the load is in flight, its LOAD not yet emitted
-                cost_us = simulate_load(self._catalog.sizes[pos], self._config)
-                if cost_us:
-                    self._pace(worker, cost_us)
-                self._emit(worker, LOAD, pos)
-            except BaseException:
-                self.state.mark_failed(pos)  # wakes the workers waiting on it
-                raise
-            self.state.mark_complete(pos)
-        else:
-            self._emit(worker, DUP_ATTEMPT, pos)
-            yield pos  # about to wait for the claim winner
-            self.state.wait_complete(pos)
+                pos, next_dep = root, first[root]
+                while True:
+                    if states[pos] < _DONE:
+                        end = offsets[pos + 1]
+                        while next_dep < end and states[dep := targets[next_dep]] >= _DONE:
+                            next_dep += 1
+                        if next_dep < end:  # walk the incomplete dependency first
+                            stack.append((pos, next_dep + 1))
+                            pos, next_dep = dep, first[dep]
+                            continue
+                        yield  # about to claim
+                        if state.try_claim(pos):
+                            try:
+                                yield  # claimed: the load is in flight, its LOAD not yet emitted
+                                cost_us = simulate_load(sizes[pos], config)
+                                if cost_us:
+                                    self._pace(worker, cost_us)
+                                self._emit(worker, LOAD, pos)
+                            except BaseException:
+                                state.mark_failed(pos)  # wakes the workers waiting on it
+                                raise
+                            state.mark_complete(pos)
+                        else:
+                            self._emit(worker, DUP_ATTEMPT, pos)
+                            yield pos  # about to wait for the claim winner
+                            state.wait_complete(pos)
+                    if not stack:
+                        break
+                    pos, next_dep = stack.pop()
+            finally:
+                if lock is not None:
+                    lock.release()
 
     def _pace(self, worker: int, cost_us: float) -> None:
         """Sleep out one attach of ``cost_us``, less ``worker``'s carried lag."""
@@ -444,11 +445,6 @@ def run_strategy(
     it; so the caller keeps what a session recorded before it raised.
     """
     return LoadSession(catalog, index, inventory, config, events).run()
-
-
-def _exhaust(job: Iterator[int | None]) -> None:
-    for _ in job:
-        pass
 
 
 def format_trace(events) -> str:

@@ -182,10 +182,12 @@ def bench(
     Scores are normalized to stage0's median (1.0 by construction) when
     stage0 is among the strategies; otherwise they are omitted. The composite
     registration+4-loads metric for the v0 and v1 pipelines is always
-    included. A strategy may be named once. Every strategy's ``check_config``
-    runs before anything else, and ``selected`` is read once, after those
-    checks.
+    included. At least one strategy must be named, and none twice. Every
+    strategy's ``check_config`` runs before anything else, and ``selected`` is
+    read once, after those checks.
     """
+    if not strategies:
+        raise ConfigError("no strategies given")
     if repetitions < 1:
         raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
     repeated = next((s for i, s in enumerate(strategies) if s in strategies[:i]), None)
@@ -276,8 +278,9 @@ def render_bench_csv(report: BenchReport) -> str:
     lines = [CSV_HEADER]
     for r in report.results:
         normalized = "" if r.normalized is None else f"{r.normalized:.3f}"
+        workers = 1 if r.strategy in ("stage0", "stage1") else report.workers
         lines.append(
-            f"{r.strategy},{report.workers},{report.repetitions},"
+            f"{r.strategy},{workers},{report.repetitions},"
             f"{r.median_wall_us:.1f},{normalized},{r.loads},{r.dup_attempts}"
         )
     return "\n".join(lines) + "\n"

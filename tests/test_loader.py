@@ -1007,6 +1007,20 @@ def test_stage0_reads_each_dependency_entry_at_most_once(record_count):
     assert record_count.n == 0
 
 
+
+def test_stage1_reads_no_dependency_entry():
+    # v1 settled the dependency walk at registration, so a stage1 boot reads
+    # no entry of any module's dependency run.
+    catalog_text, inventory_text = generate_fixture(5000, 16, seed=1, hw_coverage=1.0)
+    catalog = parse_catalog(catalog_text)
+    inventory = parse_inventory(inventory_text)
+    index = register_v1(catalog, catalog.names, inventory)
+    targets = CountingRuns(catalog.dep_targets)
+    vars(catalog)["dep_targets"] = targets
+    state, _ = run_strategy(catalog, index, inventory, STAGE1)
+    assert state.loaded()
+    assert targets.reads == 0
+
 # (modules, max depth, hardware coverage); each shape at seeds 1-3.
 IDENTITY_SHAPES = ((1000, 8, 0.8), (5000, 16, 1.0), (600, 8, 0.8))
 

@@ -281,6 +281,12 @@ class TestBench:
                   workers=workers, repetitions=1, load_base_us=base_us)
         assert list(names) == list(self.catalog.names)
 
+    def test_an_empty_strategy_list_is_rejected_before_the_selection_is_read(self):
+        names = iter(self.catalog.names)
+        with pytest.raises(ConfigError, match="^no strategies given$"):
+            bench(self.catalog, names, self.inventory, [], workers=1, repetitions=1)
+        assert list(names) == list(self.catalog.names)
+
     def test_changing_loaded_set_is_a_coded_error(self, drifting_bench):
         with pytest.raises(LoadSetMismatch) as info:
             bench(self.catalog, self.catalog.names, self.inventory,
@@ -297,6 +303,16 @@ class TestBench:
         assert lines[0].startswith("strategy,workers,reps,")
         row = lines[1].split(",")
         assert row[0] == "stage0" and float(row[4]) == 1.0
+
+    def test_csv_workers_column_is_the_count_each_strategy_ran_with(self):
+        report = bench(
+            self.catalog, self.catalog.names, self.inventory,
+            ["stage0", "stage1", "stage2", "stage3"], workers=4, repetitions=1,
+        )
+        rows = [line.split(",") for line in render_bench_csv(report).splitlines()[1:]]
+        assert [(row[0], row[1]) for row in rows] == [
+            ("stage0", "1"), ("stage1", "1"), ("stage2", "4"), ("stage3", "4"),
+        ]
 
     def test_text_report_names_the_normalization_base(self):
         report = bench(

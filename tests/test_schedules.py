@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from kmodsim.hardware import HardwareInventory
-from kmodsim.loader import DUP_ATTEMPT, LOAD, LoadSession, StrategyConfig
+from kmodsim.loader import DUP_ATTEMPT, LOAD, LoadSession, LoadState, StrategyConfig
 from kmodsim.registry import register_v0
 
 from conftest import make_catalog
@@ -112,21 +112,19 @@ def test_all_interleavings_load_each_module_exactly_once():
 
 
 def test_explorer_catches_completion_before_the_load_event(monkeypatch):
-    # The shipped attach with one fault: a won claim is marked complete while
-    # its load is still in flight, before its LOAD is in the trace. Some
-    # schedule then lets a dependent load first, and the explorer must see it.
-    shipped = LoadSession._load_one
+    # The shipped claim with one fault: a won claim also marks its position
+    # complete while its load is still in flight, before its LOAD is in the
+    # trace. Some schedule then lets a dependent load first, and the explorer
+    # must see it.
+    shipped = LoadState.try_claim
 
-    def completes_early(self, pos, worker):
-        steps = shipped(self, pos, worker)
-        yield next(steps)  # about to claim
-        waits_on = next(steps)
-        if waits_on is None:  # the claim was won
-            self.state.mark_complete(pos)
-        yield waits_on
-        yield from steps
+    def completes_early(self, pos):
+        won = shipped(self, pos)
+        if won:
+            self.mark_complete(pos)
+        return won
 
-    monkeypatch.setattr(LoadSession, "_load_one", completes_early)
+    monkeypatch.setattr(LoadState, "try_claim", completes_early)
     with pytest.raises(AssertionError):
         _check_every_schedule()
 
