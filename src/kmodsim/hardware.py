@@ -7,19 +7,23 @@ not hardware-gated at all (filesystems, syscall shims) and always pass.
 
 ``_contains_word`` over the casefolded devices is the definition of a match.
 The gate reaches it through two sets, each built on the first query that
-needs it, so most tags cost one set lookup:
+needs it:
 
 - ``_tokens``, the whitespace-delimited tokens of the devices. A tag that is
   a whole token matches, because whitespace is never a word character.
+  ``supports`` looks each casefolded tag up here in its own frame, so a
+  whole-token tag (about four in five generated tags) costs one call and
+  one set lookup.
 - ``_runs``, the word runs of those tokens (maximal runs of letters, digits
   and ``_``). A tag that starts and ends with a word character fails when
   one of its word runs is missing, and, when it is a single run, matches
-  when that run is present.
+  when that run is present. ``_matches`` takes this step, in a frame of its
+  own, for a tag that is not a token.
 
-Every other tag is checked against every casefolded device: one bounded by
-word characters whose several word runs are all present, e.g.
-``netxtreme ii``, and one that is not, e.g. ``/8168``. No generated tag
-reaches that scan.
+Every other tag is checked against every casefolded device, also in
+``_matches``: one bounded by word characters whose several word runs are all
+present, e.g. ``netxtreme ii``, and one that is not, e.g. ``/8168``. No
+generated tag reaches that scan.
 
 Sessions that never check a tag (stage1, untagged catalogs) build none of
 them, nor the casefolded copy of the devices they come from: building an
@@ -92,16 +96,22 @@ class HardwareInventory:
         An untagged module matches unconditionally; adding devices can
         therefore never turn a supported module into an unsupported one.
         Each casefolded tag is decided by the first step that applies: a
-        whole device token matches; a tag bounded by word characters fails
-        when one of its word runs is in no device, and matches when it is a
-        single run that is; the rest is checked against every device.
+        whole device token matches, looked up here; in ``_matches``, a tag
+        bounded by word characters fails when one of its word runs is in no
+        device, and matches when it is a single run that is, and the rest is
+        checked against every device.
         """
-        return not tags or any(self._matches(tag.casefold()) for tag in tags)
+        for tag in tags:
+            tag = tag.casefold()
+            if tag in self._tokens or self._matches(tag):
+                return True
+        return not tags
 
     def _matches(self, tag: str) -> bool:
-        """True when ``_contains_word`` holds for some device and casefolded ``tag``."""
-        if tag in self._tokens:
-            return True
+        """True when ``_contains_word`` holds for some device and casefolded ``tag``.
+
+        ``supports`` calls it only for a tag that is not a whole token.
+        """
         if tag and _is_word_char(tag[0]) and _is_word_char(tag[-1]):
             # A match is bounded by non-word characters on both sides, so every
             # word run of such a tag is a whole word run of the matching device.

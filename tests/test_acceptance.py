@@ -198,6 +198,33 @@ def test_criterion_8_registration_plus_four_loads_composite():
             f"improvement={composite.improvement_pct:.0f}%")
 
 
+def test_criterion_8_gate_calls_per_composite(monkeypatch):
+    # The host-independent side of criterion 8: each v0 load asks the gate
+    # about every selected module, while v1 asks once, at registration.
+    catalog, inventory = _bench_fixture()
+    calls = 0
+    supports = HardwareInventory.supports
+
+    def counting(self, tags):
+        nonlocal calls
+        calls += 1
+        return supports(self, tags)
+
+    monkeypatch.setattr(HardwareInventory, "supports", counting)
+    counts = {}
+    for pipeline, register, strategy in (
+        ("v0", lambda: register_v0(catalog, catalog.names), "stage0"),
+        ("v1", lambda: register_v1(catalog, catalog.names, inventory), "stage1"),
+    ):
+        calls = 0
+        index = register()
+        for _ in range(4):
+            run_strategy(catalog, index, inventory, StrategyConfig(strategy))
+        counts[pipeline] = calls
+    assert counts == {"v0": 800, "v1": 200}
+    _passed(8, "composite gate calls", f"v0={counts['v0']} v1={counts['v1']}")
+
+
 def test_criterion_9_partition_sweep():
     assert plan_partitions(8, 5) == ((0, 2), (2, 4), (4, 6), (6, 8))
 

@@ -131,6 +131,19 @@ def built(inventory: HardwareInventory) -> set[str]:
     return {name for name in ("_folded",) + GATE_STRUCTURES if name in vars(inventory)}
 
 
+def spy_on_matches(monkeypatch) -> list[str]:
+    """The tags that reach ``HardwareInventory._matches`` from now on, in order."""
+    entered = []
+    matches = HardwareInventory._matches
+
+    def spy(self, tag):
+        entered.append(tag)
+        return matches(self, tag)
+
+    monkeypatch.setattr(HardwareInventory, "_matches", spy)
+    return entered
+
+
 # Word characters whose casefolding is not one-to-one or not ASCII: sharp s
 # folds to "ss", dotted capital I to "i" plus a combining dot (not a word
 # character), final sigma to sigma, the fi ligature to "fi"; Arabic-Indic
@@ -201,9 +214,12 @@ class TestIndexedGate:
             (["a-b"], "b", True, "runs"),
         ],
     )
-    def test_path_and_result(self, devices, tag, expected, decided_by):
+    def test_path_and_result(self, devices, tag, expected, decided_by, monkeypatch):
+        entered = spy_on_matches(monkeypatch)
         inventory = HardwareInventory(tuple(devices))
         assert check_hardware_support(module(tag), inventory) is expected
+        # ``supports`` decides a whole-token tag in its own frame.
+        assert entered == ([] if decided_by == "tokens" else [tag.casefold()])
         assert oracle([tag], devices) is expected
         # Each step builds what it reads; every tag tries the tokens first.
         assert built(inventory) == {
@@ -213,6 +229,23 @@ class TestIndexedGate:
             "runs-then-scan": {"_folded", "_tokens", "_runs"},
         }[decided_by]
         assert (tag.casefold() in inventory._tokens) is (decided_by == "tokens")
+
+    @pytest.mark.parametrize(
+        "tags, expected, entered",
+        [
+            ((), True, []),
+            (("E1000",), True, []),
+            (("nowhere", "e1000"), True, ["nowhere"]),
+            (("e1000", "nowhere"), True, []),
+            (("nowhere", "intel e1000"), True, ["nowhere", "intel e1000"]),
+            (("nowhere", "e100"), False, ["nowhere", "e100"]),
+        ],
+    )
+    def test_only_a_tag_that_is_not_a_token_enters_matches(self, tags, expected, entered,
+                                                           monkeypatch):
+        seen = spy_on_matches(monkeypatch)
+        assert make_inventory("Intel e1000 Gigabit").supports(tags) is expected
+        assert seen == entered
 
     def test_each_structure_is_built_once(self):
         inventory = make_inventory("Intel dev-foo adapter", "Realtek dev-bar PHY")

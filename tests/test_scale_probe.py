@@ -1,4 +1,4 @@
-"""tools/scale_probe.py: parse times for four shapes of one catalog."""
+"""tools/scale_probe.py: parse times for four shapes of one catalog, and the gate's time."""
 
 from __future__ import annotations
 
@@ -19,10 +19,11 @@ def test_every_shape_is_timed_at_200_modules(monkeypatch, capsys):
     status = scale_probe.main(["--modules", "200", "--calls", "3"])
     out = capsys.readouterr().out.splitlines()
     assert status == 0
-    assert out[0].startswith("# parse_catalog medians of 3 calls, ms;")
+    assert out[0].startswith("# medians of 3 calls, ms;")
     rows = [line.split() for line in out[1:]]
     assert [row[:2] for row in rows] == [
-        ["200", "file-order"], ["200", "name-order"], ["200", "reversed"], ["200", "repeat"]
+        ["200", "file-order"], ["200", "name-order"], ["200", "reversed"], ["200", "repeat"],
+        ["200", "gate"],
     ]
     assert all(float(row[2]) > 0 for row in rows)
 

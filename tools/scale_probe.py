@@ -1,7 +1,8 @@
-"""Median ``parse_catalog`` times at the north star's scale points.
+"""Median ``parse_catalog`` and hardware-gate times at the north star's scale points.
 
-For each size n, this generates the catalog of ``generate_fixture(n, 16, 1, 0.8)``
-and times ``kmodsim.catalog.parse_catalog`` on four shapes of it:
+For each size n, this generates the catalog and inventory of
+``generate_fixture(n, 16, 1, 0.8)`` and times ``kmodsim.catalog.parse_catalog``
+on four shapes of the catalog:
 
 - ``file-order``: the generated file, which lists every module after its
   dependencies, so one forward pass in file order gives the levels;
@@ -16,7 +17,12 @@ and times ``kmodsim.catalog.parse_catalog`` on four shapes of it:
   dependency once more at its end, so every such run is rebuilt to keep each
   name's first mention.
 
-It prints one row per size and shape, after a header line:
+Then it times what one gated command pays for the gate, as a ``gate`` row: a
+fresh ``parse_inventory`` of the inventory, then ``supports`` for every
+module's tags, so the gate's sets are built once within each call.
+
+It prints one row per size and shape, and the ``gate`` row, after a header
+line:
 
     <modules> <shape> <median ms>
 
@@ -70,11 +76,17 @@ def shapes(catalog_module, text: str) -> dict[str, str]:
     }
 
 
-def median_ms(parse, text: str, calls: int) -> float:
+def check_every_module(hardware_module, inventory_text: str, hw_tags) -> list[bool]:
+    """A fresh inventory's ``supports`` answer for each module's tag tuple."""
+    supports = hardware_module.parse_inventory(inventory_text).supports
+    return [supports(tags) for tags in hw_tags]
+
+
+def median_ms(call, text: str, calls: int) -> float:
     times = []
     for _ in range(calls):
         start = time.perf_counter()
-        parse(text)
+        call(text)
         times.append(time.perf_counter() - start)
     return statistics.median(times) * 1e3
 
@@ -86,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--modules", action="append", type=int,
                         help="catalog size, repeatable (default: 1000, 10000, 50000)")
     parser.add_argument("--calls", type=int, default=7,
-                        help="parses per size and shape; the median is printed (default: 7)")
+                        help="calls per row; the median is printed (default: 7)")
     args = parser.parse_args(argv)
     if args.calls < 1:
         parser.error("--calls must be at least 1")
@@ -97,11 +109,11 @@ def main(argv: list[str] | None = None) -> int:
 
     kmodsim = run.load_program(root)
     catalog_module = kmodsim.catalog
-    print(f"# parse_catalog medians of {args.calls} calls, ms; python "
+    print(f"# medians of {args.calls} calls, ms; python "
           f"{platform.python_version()}, {os.cpu_count()} CPUs")
     failed = 0
     for modules in args.modules or SIZES:
-        text, _ = kmodsim.fixtures.generate_fixture(modules, 16, 1, 0.8)
+        text, inventory_text = kmodsim.fixtures.generate_fixture(modules, 16, 1, 0.8)
         expected = catalog_module.parse_catalog(text)
         for shape, shaped in shapes(catalog_module, text).items():
             if catalog_module.parse_catalog(shaped) != expected:
@@ -110,6 +122,11 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             ms = median_ms(catalog_module.parse_catalog, shaped, args.calls)
             print(f"{modules} {shape} {ms:.3f}")
+        ms = median_ms(
+            lambda inventory: check_every_module(kmodsim.hardware, inventory, expected.hw_tags),
+            inventory_text, args.calls,
+        )
+        print(f"{modules} gate {ms:.3f}")
     return 1 if failed else 0
 
 
