@@ -55,27 +55,31 @@ CATALOG_HEADER = "MODCAT v1"
 BASE_TAG = "@base"
 SYMBOLS_SUFFIX = ".symbols"
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+# The characters a module name may hold, spelled once: the name pattern, the
+# name check and the comma count in _assemble are built from them.
+_NAME_CHARS = string.ascii_letters + string.digits + "._-"
+_NAME = f"[{re.escape(_NAME_CHARS)}]+"
+_NAME_RE = re.compile(rf"^{_NAME}$")
+_DELETE_NAME_CHARS = str.maketrans("", "", _NAME_CHARS)
+# A size, or a trace's timestamp or worker, in canonical form: at most 640
+# ASCII digits, which int() converts under any int_max_str_digits setting.
+_DIGITS = r"[0-9]{1,640}"
 
-# A body line in canonical form: a record whose name and dependencies match
-# _NAME_RE, whose size is at most 640 ASCII digits (int() converts that many
-# under any int_max_str_digits setting) and whose lists have no empty item and
-# no whitespace; or a comment; or an empty line. ``\s`` matches exactly what
+# A body line in canonical form: a record whose name and dependencies are
+# _NAMEs, whose size is _DIGITS and whose lists have no empty item and no
+# whitespace; or a comment; or an empty line. ``\s`` matches exactly what
 # str.isspace accepts, which covers every line break str.splitlines honours,
 # so a body of such lines splits the same way on "\n" alone, and
 # _parse_record would return the same fields for each record line. The one
 # group captures a record line whose name does not end in ".symbols"; a
 # *.symbols record, a comment or an empty line matches with the group empty.
-_NAME = r"[A-Za-z0-9._-]+"
 _ITEM = r"[^\s|,]+"
-_REST = rf"\|[0-9]{{1,640}}\|(?:{_NAME}(?:,{_NAME})*)?\|(?:{_ITEM}(?:,{_ITEM})*)?"
+_REST = rf"\|{_DIGITS}\|(?:{_NAME}(?:,{_NAME})*)?\|(?:{_ITEM}(?:,{_ITEM})*)?"
 _CANONICAL_LINE_RE = re.compile(
     rf"^(?:({_NAME}(?<!{re.escape(SYMBOLS_SUFFIX)}){_REST})|{_NAME}{_REST}"
     rf"|#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*|)$",
     re.MULTILINE,
 )
-# A str.translate table that deletes every character a name may hold.
-_NAME_CHARS = str.maketrans("", "", string.ascii_letters + string.digits + "._-")
 
 
 @dataclass(frozen=True)
@@ -345,7 +349,7 @@ def _assemble(names, sizes, runs, hw_tags, base) -> ModuleCatalog:
     targets = _resolve(names, runs, index_of)
     # A run of n names holds n - 1 commas; deleting every name character
     # leaves each run's commas, which split apart at the runs' separators.
-    commas = "|".join(runs).translate(_NAME_CHARS).split("|")
+    commas = "|".join(runs).translate(_DELETE_NAME_CHARS).split("|")
     offsets = tuple(accumulate(map(add, map(bool, runs), map(len, commas)), initial=0))
     placed = _levels_in_order(order, offsets, targets, len(names))
     if placed is None:

@@ -162,7 +162,7 @@ def _cmd_register(args) -> int:
         index = register_v1(catalog, selected, inventory)
     else:
         index = register_v0(catalog, selected)
-    Path(args.index).write_text(write_index(index))
+    Path(args.index).write_text(write_index(index), encoding="utf-8")
     return 0
 
 
@@ -186,7 +186,7 @@ def _cmd_load(args) -> int:
         _, events = run_strategy(catalog, index, inventory, config, events)
     finally:
         if args.trace:
-            Path(args.trace).write_text(format_trace(events))
+            Path(args.trace).write_text(format_trace(events), encoding="utf-8")
     timing = timing_from_trace(events)
     # Each attached module has exactly one LOAD event.
     print(

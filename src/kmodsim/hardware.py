@@ -1,29 +1,30 @@
-"""Device inventory and the hardware-support gate for module loading.
+r"""Device inventory and the hardware-support gate for module loading.
 
 Inventory files carry one device description per line under a ``HWINV v1``
 header. A module is supported when any of its tags occurs, case-insensitively
 and on word boundaries, inside any device string. Modules without tags are
 not hardware-gated at all (filesystems, syscall shims) and always pass.
 
-``_contains_word`` over the casefolded devices is the definition of a match.
-The gate reaches it through two sets, each built on the first query that
-needs it:
+A match is the pattern ``(?<!\w)<tag>(?!\w)``, the escaped casefolded tag
+with no word character (``\w``: a letter, a digit or ``_``) on either side,
+found in a casefolded device. The gate reaches it through two sets, each
+built on the first query that needs it:
 
 - ``_tokens``, the whitespace-delimited tokens of the devices. A tag that is
   a whole token matches, because whitespace is never a word character.
   ``supports`` looks each casefolded tag up here in its own frame, so a
   whole-token tag (about four in five generated tags) costs one call and
   one set lookup.
-- ``_runs``, the word runs of those tokens (maximal runs of letters, digits
-  and ``_``). A tag that starts and ends with a word character fails when
-  one of its word runs is missing, and, when it is a single run, matches
-  when that run is present. ``_matches`` takes this step, in a frame of its
-  own, for a tag that is not a token.
+- ``_runs``, the word runs of those tokens (maximal runs of ``\w``). A tag
+  that starts and ends with a word character fails when one of its word
+  runs is missing, and, when it is a single run, matches when that run is
+  present. ``_matches`` takes this step, in a frame of its own, for a tag
+  that is not a token.
 
-Every other tag is checked against every casefolded device, also in
-``_matches``: one bounded by word characters whose several word runs are all
-present, e.g. ``netxtreme ii``, and one that is not, e.g. ``/8168``. No
-generated tag reaches that scan.
+Every other tag is searched for by its pattern in each casefolded device,
+also in ``_matches``: one bounded by word characters whose several word runs
+are all present, e.g. ``netxtreme ii``, and one that is not, e.g. ``/8168``.
+No generated tag reaches that scan.
 
 Sessions that never check a tag (stage1, untagged catalogs) build none of
 them, nor the casefolded copy of the devices they come from: building an
@@ -41,8 +42,6 @@ from .errors import MalformedInventory
 
 INVENTORY_HEADER = "HWINV v1"
 
-# Maximal runs of ``_is_word_char`` characters: for str patterns, ``\w`` is
-# exactly ``isalnum() or "_"``.
 _WORD_RUN = re.compile(r"\w+")
 
 
@@ -108,20 +107,25 @@ class HardwareInventory:
         return not tags
 
     def _matches(self, tag: str) -> bool:
-        """True when ``_contains_word`` holds for some device and casefolded ``tag``.
+        """True when some device holds the casefolded ``tag`` on word boundaries.
 
         ``supports`` calls it only for a tag that is not a whole token.
         """
-        if tag and _is_word_char(tag[0]) and _is_word_char(tag[-1]):
-            # A match is bounded by non-word characters on both sides, so every
-            # word run of such a tag is a whole word run of the matching device.
+        if not tag:
+            return False
+        if _WORD_RUN.fullmatch(tag[0] + tag[-1]):
+            # The tag starts and ends with a word character, and a match is
+            # bounded by non-word characters on both sides, so every word run
+            # of the tag is a whole word run of the matching device.
             runs = _WORD_RUN.findall(tag)
             if not self._runs.issuperset(runs):
                 return False
             if len(runs) == 1:
                 # The one run spans the tag, and is a whole run of some device.
                 return True
-        return any(_contains_word(device, tag) for device in self._folded)
+        # Each device on its own, so no match spans two of them.
+        word = re.compile(rf"(?<!\w){re.escape(tag)}(?!\w)")
+        return any(map(word.search, self._folded))
 
 
 def parse_inventory(text: str) -> HardwareInventory:
@@ -138,25 +142,3 @@ def parse_inventory(text: str) -> HardwareInventory:
 def check_hardware_support(module: ModuleRecord, inventory: HardwareInventory) -> bool:
     """True when the inventory satisfies the module's device tags (``supports``)."""
     return inventory.supports(module.hw_tags)
-
-
-def _contains_word(haystack: str, needle: str) -> bool:
-    # Containment with word boundaries on both ends of the match window;
-    # word characters are alphanumerics and underscore.
-    if not needle:
-        return False
-    start = 0
-    while True:
-        i = haystack.find(needle, start)
-        if i < 0:
-            return False
-        end = i + len(needle)
-        before_ok = i == 0 or not _is_word_char(haystack[i - 1])
-        after_ok = end == len(haystack) or not _is_word_char(haystack[end])
-        if before_ok and after_ok:
-            return True
-        start = i + 1
-
-
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"

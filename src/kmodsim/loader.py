@@ -58,14 +58,14 @@ sweep, whatever depth v1 gave it.
 
 Attaches run on a paced clock. ``simulate_load`` only prices an attach (its
 nominal cost in µs); the worker then sleeps it out in ``_pace``. A sleep
-always wakes late, so each worker keeps a lag slot on the session: how far
-its sleeps have overrun their nominal costs so far. An attach that starts at
+always wakes late, so each worker's generator keeps a local lag: how far its
+sleeps have overrun their nominal costs so far. An attach that starts at
 ``now`` sleeps until ``due = now - lag + cost``, or not at all if ``due`` has
-passed, and stores ``lag = wake - due``. A worker's attaches therefore take
-their nominal total plus at most one overshoot, and never less: each deadline
-is at least the previous one plus its own cost. No attach sleeps longer than
-its own cost. Every session starts at lag 0, and instant mode (both costs
-zero) never reads the clock.
+passed, and carries ``lag = wake - due`` to the next. A worker's attaches
+therefore take their nominal total plus at most one overshoot, and never
+less: each deadline is at least the previous one plus its own cost. No attach
+sleeps longer than its own cost. Every worker starts at lag 0, and instant
+mode (both costs zero) never reads the clock.
 
 Event timestamps are monotonic microseconds since session start. In instant
 mode every timestamp is 0, so that single-threaded runs are
@@ -101,7 +101,7 @@ from itertools import chain, compress
 from operator import mul, not_
 from typing import NamedTuple
 
-from .catalog import ModuleCatalog, _ints
+from .catalog import _DIGITS, ModuleCatalog, _ints
 from .errors import AttachFailed, ConfigError, IndexMismatch, LoadTimeout, MalformedTrace
 from .hardware import HardwareInventory
 from .registry import IndexFile
@@ -113,6 +113,9 @@ DUP_ATTEMPT = "DUP_ATTEMPT"
 EVENT_KINDS = frozenset({LOAD, SKIP_HW, SKIP_FLAG, DUP_ATTEMPT})
 
 STRATEGIES = ("stage0", "stage1", "stage2", "stage3")
+# The strategies that run one job on the calling thread; the others run one
+# job per worker on a thread pool and need at least two workers.
+_ONE_JOB = ("stage0", "stage1")
 
 _COMPLETION_TIMEOUT_S = 120.0
 # Each worker is an OS thread; a session asking for more fails before any starts.
@@ -171,7 +174,7 @@ def simulate_load(size_kb: int, config: StrategyConfig) -> float:
     """Return the nominal attach latency (µs) of a ``size_kb`` module.
 
     It does not sleep: the attaching worker sleeps the cost out on its paced
-    clock (``LoadSession._pace``).
+    clock (``_pace``).
     """
     return config.load_base_us + size_kb * config.load_per_kb_us
 
@@ -180,6 +183,17 @@ def simulate_load(size_kb: int, config: StrategyConfig) -> float:
 # clock can stand in for both.
 _clock_ns = time.monotonic_ns
 _sleep = time.sleep
+
+
+def _pace(lag_ns: int, cost_us: float) -> int:
+    """Sleep out one attach of ``cost_us``, less ``lag_ns``; return the new lag."""
+    now = _clock_ns()
+    due = now - lag_ns + round(cost_us * 1000)
+    if due > now:
+        _sleep((due - now) / 1e9)
+        now = _clock_ns()
+    # Never negative, so no later attach sleeps longer than its own cost.
+    return max(now - due, 0)
 
 
 # Complete is _DONE or above: attached this session, or resident from the start.
@@ -268,7 +282,7 @@ def check_config(catalog: ModuleCatalog, config: StrategyConfig) -> None:
         raise ConfigError(f"unknown strategy {strategy!r}")
     if not 1 <= config.workers <= MAX_WORKERS:
         raise ConfigError(f"workers must be within [1, {MAX_WORKERS}], got {config.workers}")
-    if strategy in ("stage2", "stage3") and config.workers < 2:
+    if strategy not in _ONE_JOB and config.workers < 2:
         raise ConfigError(f"{strategy} needs at least 2 workers, got {config.workers}")
     if not all(0 <= cost < math.inf for cost in (config.load_base_us, config.load_per_kb_us)):
         raise ConfigError("load costs must be finite and non-negative")
@@ -314,15 +328,13 @@ class LoadSession:
         self._inventory = inventory
         self._config = config
         self._t0 = None if config.instant else _clock_ns()
-        # Per worker: how far its attach sleeps have overrun their costs (ns).
-        self._lag_ns = [0] * config.workers
         self.state = LoadState(catalog)
         self._events = [] if events is None else events
 
     def run(self) -> tuple[LoadState, list[LoadEvent]]:
         # deque(job, 0) runs a job to its end and keeps none of its yields.
         jobs = self._jobs()
-        if self._strategy in ("stage0", "stage1"):
+        if self._strategy in _ONE_JOB:
             deque(jobs[0], 0)  # one job, on the calling thread
         else:
             with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
@@ -379,6 +391,7 @@ class LoadSession:
         first = offsets if first_dep is None else first_dep
         sizes, config, state = self._catalog.sizes, self._config, self.state
         states = state._states
+        lag_ns = 0  # how far this worker's attach sleeps have overrun their costs
         stack = []  # the dependents below pos on its path, each with its next entry
         for root in roots:
             if lock is not None:
@@ -400,7 +413,7 @@ class LoadSession:
                                 yield  # claimed: the load is in flight, its LOAD not yet emitted
                                 cost_us = simulate_load(sizes[pos], config)
                                 if cost_us:
-                                    self._pace(worker, cost_us)
+                                    lag_ns = _pace(lag_ns, cost_us)
                                 self._emit(worker, LOAD, pos)
                             except BaseException:
                                 state.mark_failed(pos)  # wakes the workers waiting on it
@@ -416,16 +429,6 @@ class LoadSession:
             finally:
                 if lock is not None:
                     lock.release()
-
-    def _pace(self, worker: int, cost_us: float) -> None:
-        """Sleep out one attach of ``cost_us``, less ``worker``'s carried lag."""
-        now = _clock_ns()
-        due = now - self._lag_ns[worker] + round(cost_us * 1000)
-        if due > now:
-            _sleep((due - now) / 1e9)
-            now = _clock_ns()
-        # Never negative, so no later attach sleeps longer than its own cost.
-        self._lag_ns[worker] = max(now - due, 0)
 
     def _emit(self, worker: int, kind: str, pos: int) -> None:
         stamp = 0 if self._t0 is None else (_clock_ns() - self._t0) // 1000
@@ -460,15 +463,14 @@ def parse_trace(text: str) -> list[LoadEvent]:
     return _parse_lines(text) if events is None else events
 
 
-# A trace line in canonical form: a timestamp and a worker id of at most 640
-# ASCII digits each (int() converts that many under any int_max_str_digits
-# setting), a known kind and a module with no whitespace, separated by single
-# spaces; or an empty line. ``\S`` excludes every character str.isspace
-# accepts, which covers every line break str.splitlines honours, so a text of
-# such lines splits the same way on "\n" alone, and _parse_lines would return
-# the same event for each line.
+# A trace line in canonical form: a timestamp and a worker id of _DIGITS each,
+# a known kind and a module with no whitespace, separated by single spaces; or
+# an empty line. ``\S`` excludes every character str.isspace accepts, which
+# covers every line break str.splitlines honours, so a text of such lines
+# splits the same way on "\n" alone, and _parse_lines would return the same
+# event for each line.
 _CANONICAL_LINE_RE = re.compile(
-    rf"^(?:[0-9]{{1,640}} [0-9]{{1,640}} (?:{'|'.join(sorted(EVENT_KINDS))}) \S+|)$",
+    rf"^(?:{_DIGITS} {_DIGITS} (?:{'|'.join(sorted(EVENT_KINDS))}) \S+|)$",
     re.MULTILINE,
 )
 

@@ -18,6 +18,7 @@ from .loader import (
     LOAD,
     SKIP_FLAG,
     SKIP_HW,
+    _ONE_JOB,
     LoadEvent,
     StrategyConfig,
     check_config,
@@ -278,7 +279,7 @@ def render_bench_csv(report: BenchReport) -> str:
     lines = [CSV_HEADER]
     for r in report.results:
         normalized = "" if r.normalized is None else f"{r.normalized:.3f}"
-        workers = 1 if r.strategy in ("stage0", "stage1") else report.workers
+        workers = 1 if r.strategy in _ONE_JOB else report.workers
         lines.append(
             f"{r.strategy},{workers},{report.repetitions},"
             f"{r.median_wall_us:.1f},{normalized},{r.loads},{r.dup_attempts}"

@@ -561,8 +561,20 @@ class TestRunsAsText:
                 1,
                 1,
             ),
+            (
+                # Capitals, digits, ".", "_" and "-" inside dependency runs.
+                ["Z_9.x-y|1||", "a.B-c_0|1||", "Q|1|Z_9.x-y,a.B-c_0,Z_9.x-y|",
+                 "m|1|Q,a.B-c_0|"],
+                {"Z_9.x-y": (), "a.B-c_0": (), "Q": ("Z_9.x-y", "a.B-c_0"),
+                 "m": ("Q", "a.B-c_0")},
+                0,
+                1,
+            ),
         ],
-        ids=["adjacent", "non-adjacent", "shared-not-repeated", "dependent-first"],
+        ids=[
+            "adjacent", "non-adjacent", "shared-not-repeated", "dependent-first",
+            "every-name-character",
+        ],
     )
     def test_a_repeated_dependency_keeps_its_first_mention(
         self, lines, deps, walks, rebuilds, count_calls

@@ -613,6 +613,27 @@ def test_non_utf8_catalog_prints_no_traceback(tmp_path):
     assert proc.stderr.startswith(f"error: io: {catalog}: ") and "Traceback" not in proc.stderr
 
 
+def test_the_pipeline_names_the_encoding_of_every_file_it_writes(tmp_path):
+    # With a warning on every text file opened at the locale's default
+    # encoding, raised as an error, each command still ends cleanly.
+    catalog, inventory = str(tmp_path / "c.txt"), str(tmp_path / "i.txt")
+    index, trace = str(tmp_path / "x.txt"), str(tmp_path / "t.txt")
+    for argv in (
+        ["gen", "--modules", "20", "--catalog", catalog, "--inventory", inventory],
+        ["register", "--catalog", catalog, "--version", "v0", "--index", index,
+         "--policy", "all-load"],
+        ["load", "--catalog", catalog, "--index", index, "--inventory", inventory,
+         "--strategy", "stage0", "--trace", trace],
+        ["report", "--trace", trace, "--catalog", catalog],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "kmodsim", *argv],
+            capture_output=True, encoding="utf-8", timeout=30, env=src_env(),
+        )
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "kmodsim", "--help"],

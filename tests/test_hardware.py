@@ -11,13 +11,7 @@ from hypothesis import strategies as st
 from kmodsim.catalog import ModuleRecord, parse_catalog
 from kmodsim.errors import MalformedInventory
 from kmodsim.fixtures import generate_fixture
-from kmodsim.hardware import (
-    HardwareInventory,
-    _contains_word,
-    _is_word_char,
-    check_hardware_support,
-    parse_inventory,
-)
+from kmodsim.hardware import HardwareInventory, check_hardware_support, parse_inventory
 from kmodsim.loader import StrategyConfig, run_strategy
 from kmodsim.registry import register_v0, register_v1
 
@@ -114,6 +108,29 @@ class TestProperties:
             HardwareInventory(tuple(d.upper() for d in devices)),
         )
         assert plain == upper
+
+
+def _contains_word(haystack: str, needle: str) -> bool:
+    # Containment with word boundaries on both ends of the match window;
+    # word characters are alphanumerics and underscore. A hand-written
+    # reference for the gate's ``(?<!\w)<tag>(?!\w)`` pattern, without ``re``.
+    if not needle:
+        return False
+    start = 0
+    while True:
+        i = haystack.find(needle, start)
+        if i < 0:
+            return False
+        end = i + len(needle)
+        before_ok = i == 0 or not _is_word_char(haystack[i - 1])
+        after_ok = end == len(haystack) or not _is_word_char(haystack[end])
+        if before_ok and after_ok:
+            return True
+        start = i + 1
+
+
+def _is_word_char(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
 
 
 def oracle(tags, devices) -> bool:
