@@ -217,7 +217,7 @@ def _record_fields(record: ModuleRecord) -> _Fields:
     given = (
         record.name,
         record.size_kb,
-        tuple(dict.fromkeys(record.deps)),
+        tuple(record.deps),
         tuple(record.hw_tags),
         record.base_kernel_only,
     )
@@ -301,13 +301,12 @@ def _parse_record(line: str, where: str) -> _Fields:
             f"{where}: size must be an integer, got {size_text!r}"
         ) from None
 
-    deps = []
-    for dep in _split_list(parts[2]):
+    deps = tuple(_split_list(parts[2]))
+    for dep in deps:
         if not _NAME_RE.match(dep):
             raise MalformedRecord(f"{where}: bad dependency name {dep!r}")
-        deps.append(dep)
 
-    return (name, size_kb, tuple(dict.fromkeys(deps)), *_tag_fields(_split_list(parts[3])))
+    return (name, size_kb, deps, *_tag_fields(_split_list(parts[3])))
 
 
 def _tag_fields(tags: list[str]) -> tuple[tuple[str, ...], bool]:

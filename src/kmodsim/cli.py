@@ -182,11 +182,19 @@ def _cmd_load(args) -> int:
         load_per_kb_us=args.load_per_kb_us,
     )
     events = []  # filled as the session runs, so a failed one keeps its trace
-    try:
-        _, events = run_strategy(catalog, index, inventory, config, events)
-    finally:
+
+    def write_trace() -> None:
         if args.trace:
             Path(args.trace).write_text(format_trace(events), encoding="utf-8")
+
+    try:
+        run_strategy(catalog, index, inventory, config, events)
+    except BaseException:
+        # A failed session reports its own error, not a failed trace write's.
+        with contextlib.suppress(OSError):
+            write_trace()
+        raise
+    write_trace()
     timing = timing_from_trace(events)
     # Each attached module has exactly one LOAD event.
     print(

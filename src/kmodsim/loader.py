@@ -7,9 +7,9 @@ stage3  lock-free: disjoint catalog partitions, one per loading worker
 
 Workers address modules by catalog position, walk dependencies over the
 catalog's flat ``dep_offsets``/``dep_targets``, and use names only in events.
-stage0, stage2 and stage3 run one scan as different jobs: one on the calling
-thread, one full scan per worker under one shared lock, or one partition per
-loading worker.
+stage0, stage2 and stage3 run one scan as different jobs: stage0 scans the
+single range ``(0, n)`` on the calling thread, stage2 one full scan per worker
+under one shared lock, and stage3 one partition per loading worker.
 
 All strategies share a per-session ``LoadState``: one state byte per position
 (free, claimed, failed, done, resident) under one ``threading.Lock`` for the
@@ -355,12 +355,10 @@ class LoadSession:
             loadable = compress(range(n), map(mul, values, map(not_, self._catalog.base)))
             roots = sorted(loadable, key=values.__getitem__)
             return [self._attach_loop(0, roots, self._catalog.dep_offsets[1:])]
-        if self._strategy == "stage0":
-            return [self._attach_loop(0, self._scan(0, 0, n))]
         if self._strategy == "stage2":
             lock = threading.Lock()  # stage2's single exclusion region
             return [self._attach_loop(w, self._scan(w, 0, n), lock=lock) for w in range(workers)]
-        ranges = plan_partitions(n, workers)
+        ranges = [(0, n)] if self._strategy == "stage0" else plan_partitions(n, workers)
         return [self._attach_loop(w, self._scan(w, *span)) for w, span in enumerate(ranges)]
 
     def _scan(self, worker: int, start: int, end: int) -> Iterator[int]:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass
-from itertools import compress
+from functools import partial
+from itertools import chain, compress
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -206,40 +207,35 @@ def bench(
     index_v0 = register_v0(catalog, selected)
     index_v1 = register_v1(catalog, selected, inventory)
 
-    rows = []
+    results = []
     for config in configs:
         strategy = config.strategy
         index = index_v1 if strategy == "stage1" else index_v0
-        walls, loads, dups = [], 0, 0
+        walls = []
         loaded: frozenset[str] | None = None
         for _ in range(repetitions):
             state, trace = run_strategy(catalog, index, inventory, config)
             timing = timing_from_trace(trace)
             walls.append(timing.wall_us)
-            loads, dups = timing.loads, timing.dup_attempts
             if loaded is None:
                 loaded = state.loaded()
             elif state.loaded() != loaded:
                 raise LoadSetMismatch(
                     f"{strategy}: loaded set changed between repetitions"
                 )
-        rows.append((strategy, statistics.median(walls), loads, dups, loaded or frozenset()))
-
-    base = next((wall for strategy, wall, *_ in rows if strategy == "stage0"), None)
-    results = tuple(
-        StrategyResult(
-            strategy=strategy,
-            median_wall_us=wall,
-            normalized=_normalize(wall, base),
-            loads=loads,
-            dup_attempts=dups,
-            loaded=loaded,
+        # The counts are the last repetition's.
+        median = statistics.median(walls)
+        results.append(
+            StrategyResult(strategy, median, None, timing.loads, timing.dup_attempts, loaded)
         )
-        for strategy, wall, loads, dups, loaded in rows
-    )
+
+    base = next((r.median_wall_us for r in results if r.strategy == "stage0"), None)
+    for r in results:
+        # No caller holds a result yet, so its frozen field can still be set.
+        object.__setattr__(r, "normalized", _normalize(r.median_wall_us, base))
     composite = _composite(catalog, selected, inventory, repetitions)
     return BenchReport(
-        workers=workers, repetitions=repetitions, results=results, composite=composite
+        workers=workers, repetitions=repetitions, results=tuple(results), composite=composite
     )
 
 
@@ -252,24 +248,20 @@ def _normalize(wall: float, base: float | None) -> float | None:
 
 
 def _composite(catalog, selected, inventory, repetitions) -> CompositeResult:
-    v0_samples, v1_samples = [], []
-    instant0 = StrategyConfig("stage0")
-    instant1 = StrategyConfig("stage1")
-    for _ in range(repetitions):
-        t0 = time.perf_counter_ns()
-        index = register_v0(catalog, selected)
-        for _ in range(4):
-            run_strategy(catalog, index, inventory, instant0)
-        v0_samples.append((time.perf_counter_ns() - t0) / 1000)
-
-        t0 = time.perf_counter_ns()
-        index = register_v1(catalog, selected, inventory)
-        for _ in range(4):
-            run_strategy(catalog, index, inventory, instant1)
-        v1_samples.append((time.perf_counter_ns() - t0) / 1000)
-    return CompositeResult(
-        v0_us=statistics.median(v0_samples), v1_us=statistics.median(v1_samples)
+    # Each repetition times v0's pipeline, then v1's.
+    pipelines = (
+        (partial(register_v0, catalog, selected), StrategyConfig("stage0")),
+        (partial(register_v1, catalog, selected, inventory), StrategyConfig("stage1")),
     )
+    samples = ([], [])
+    for _ in range(repetitions):
+        for (register, instant), times in zip(pipelines, samples):
+            t0 = time.perf_counter_ns()
+            index = register()
+            for _ in range(4):
+                run_strategy(catalog, index, inventory, instant)
+            times.append((time.perf_counter_ns() - t0) / 1000)
+    return CompositeResult(*map(statistics.median, samples))
 
 
 CSV_HEADER = "strategy,workers,reps,median_wall_us,normalized_to_stage0,loads,dup_attempts"
@@ -307,30 +299,26 @@ def render_bench_text(report: BenchReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ``report``'s fields in output order, in three groups: the counts, the
+# times and the sizes. The text form pads each name to the width of its
+# group's longest name plus 2.
+_SESSION_FIELDS = (
+    ("loads", "skips_hw", "skips_flag", "dup_attempts"),
+    ("first_load_us", "last_load_us", "wall_us"),
+    ("total_kb", "loaded_kb", "saved_kb", "base_only_kb"),
+)
+
+
 def render_session_text(timing: SessionTiming, space: SpaceReport) -> str:
-    return (
-        f"loads:        {timing.loads}\n"
-        f"skips_hw:     {timing.skips_hw}\n"
-        f"skips_flag:   {timing.skips_flag}\n"
-        f"dup_attempts: {timing.dup_attempts}\n"
-        f"first_load_us: {timing.first_load_us}\n"
-        f"last_load_us:  {timing.last_load_us}\n"
-        f"wall_us:       {timing.wall_us}\n"
-        f"total_kb:     {space.total_kb}\n"
-        f"loaded_kb:    {space.loaded_kb}\n"
-        f"saved_kb:     {space.saved_kb}\n"
-        f"base_only_kb: {space.base_only_kb}\n"
-    )
+    values = {**vars(timing), **vars(space)}
+    lines = []
+    for group in _SESSION_FIELDS:
+        width = max(map(len, group)) + 2
+        lines += (f"{name + ':':<{width}}{values[name]}\n" for name in group)
+    return "".join(lines)
 
 
 def render_session_csv(timing: SessionTiming, space: SpaceReport) -> str:
-    header = (
-        "loads,skips_hw,skips_flag,dup_attempts,first_load_us,last_load_us,wall_us,"
-        "total_kb,loaded_kb,saved_kb,base_only_kb"
-    )
-    row = (
-        f"{timing.loads},{timing.skips_hw},{timing.skips_flag},{timing.dup_attempts},"
-        f"{timing.first_load_us},{timing.last_load_us},{timing.wall_us},"
-        f"{space.total_kb},{space.loaded_kb},{space.saved_kb},{space.base_only_kb}"
-    )
-    return header + "\n" + row + "\n"
+    values = {**vars(timing), **vars(space)}
+    names = list(chain.from_iterable(_SESSION_FIELDS))
+    return ",".join(names) + "\n" + ",".join(str(values[name]) for name in names) + "\n"

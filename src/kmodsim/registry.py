@@ -126,9 +126,32 @@ def write_index(index: IndexFile) -> str:
 
 
 def read_index(text: str, catalog: ModuleCatalog) -> IndexFile:
-    """Parse an index file and validate positional alignment with the catalog."""
+    """Parse an index file and validate positional alignment with the catalog.
+
+    A v1 index must also give every dependency of a nonzero entry a nonzero,
+    smaller value, as ``register_v1`` does: stage1 loads each nonzero entry
+    after the smaller values and never walks a dependency itself.
+    """
     index = _read_canonical(text, catalog)
-    return _read_lines(text, catalog) if index is None else index
+    if index is None:
+        index = _read_lines(text, catalog)
+    if index.version == "v1":
+        _check_depths(index.values, catalog)
+    return index
+
+
+def _check_depths(values: tuple[int, ...], catalog: ModuleCatalog) -> None:
+    """Raise at the first nonzero entry with a dependency valued 0 or not below it."""
+    offsets, targets = catalog.dep_offsets, catalog.dep_targets
+    for pos in compress(range(len(values)), values):
+        value = values[pos]
+        for dep in targets[offsets[pos] : offsets[pos + 1]]:
+            if not 0 < values[dep] < value:
+                raise ValueOutOfRange(
+                    f"entry {pos}: module {catalog.names[pos]!r} has value {value}, but its "
+                    f"dependency {catalog.names[dep]!r} has {values[dep]}; a v1 dependency "
+                    "needs a nonzero, smaller value"
+                )
 
 
 _VERSION_OF_HEADER = {header: version for version, header in INDEX_HEADERS.items()}

@@ -291,6 +291,41 @@ class TestLoad:
         assert "error: index-mismatch: " in capsys.readouterr().err
         assert (workdir / "trace.txt").read_text() == ""
 
+    @pytest.mark.parametrize("strategy, err", [
+        # The session's own error, not the trace write's.
+        ("stage1", "error: index-mismatch: stage1 needs a v1 index, got v0\n"),
+        ("stage0", "error: io: "),
+    ], ids=["failed-session", "finished-session"])
+    def test_an_unwritable_trace_reports_the_session_error_first(
+        self, workdir, capsys, strategy, err
+    ):
+        run_gen(workdir)
+        run_register(workdir, version="v0")
+        rc = main([
+            "load", "--catalog", str(workdir / "catalog.txt"),
+            "--index", str(workdir / "index.txt"),
+            "--inventory", str(workdir / "inventory.txt"),
+            "--strategy", strategy, "--trace", str(workdir / "missing" / "trace.txt"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(err)
+
+    # In either index stage1 would LOAD b without a, or before it.
+    @pytest.mark.parametrize("a_value", [0, 2])
+    def test_a_v1_index_with_a_dependency_not_below_is_rejected(
+        self, workdir, capsys, a_value
+    ):
+        (workdir / "catalog.txt").write_text("MODCAT v1\na|1||\nb|1|a|\n")
+        (workdir / "index.txt").write_text(f"MODINDEX v1\na {a_value}\nb 1\n")
+        rc = main([
+            "load", "--catalog", str(workdir / "catalog.txt"),
+            "--index", str(workdir / "index.txt"),
+            "--strategy", "stage1", "--trace", str(workdir / "trace.txt"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: value-out-of-range: entry 1: ")
+        assert not (workdir / "trace.txt").exists()
+
     def test_a_failed_load_keeps_the_events_recorded_before_it(self, workdir, capsys,
                                                                 monkeypatch):
         # stage0 attaches a and b; then z, the only 7 kB module, fails.
@@ -505,6 +540,41 @@ class TestBenchAndReport:
         data = dict(zip(header.split(","), row.split(",")))
         assert data["loads"] == "0"
         assert data["saved_kb"] == data["total_kb"]  # gen makes no @base modules
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("text", (
+            "loads:        2\n"
+            "skips_hw:     1\n"
+            "skips_flag:   1\n"
+            "dup_attempts: 1\n"
+            "first_load_us: 100\n"
+            "last_load_us:  300\n"
+            "wall_us:       200\n"
+            "total_kb:     92\n"
+            "loaded_kb:    30\n"
+            "saved_kb:     12\n"
+            "base_only_kb: 50\n"
+        )),
+        ("csv", (
+            "loads,skips_hw,skips_flag,dup_attempts,first_load_us,last_load_us,wall_us,"
+            "total_kb,loaded_kb,saved_kb,base_only_kb\n"
+            "2,1,1,1,100,300,200,92,30,12,50\n"
+        )),
+    ])
+    def test_report_bytes(self, workdir, capsys, fmt, expected):
+        (workdir / "catalog.txt").write_text(
+            "MODCAT v1\ncore|50||@base\na|10|core|\nb|20|a|\nc|5||\nd|7|core|gpu\n"
+        )
+        (workdir / "trace.txt").write_text(
+            "100 0 LOAD a\n250 1 DUP_ATTEMPT a\n300 0 LOAD b\n310 0 SKIP_FLAG c\n"
+            "320 0 SKIP_HW d\n"
+        )
+        rc = main([
+            "report", "--trace", str(workdir / "trace.txt"),
+            "--catalog", str(workdir / "catalog.txt"), "--format", fmt,
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("trace", list(IMPOSSIBLE_TRACES))
     def test_report_rejects_an_impossible_trace(self, workdir, capsys, trace):

@@ -21,6 +21,7 @@ from kmodsim.fixtures import generate_fixture
 from kmodsim.hardware import HardwareInventory, check_hardware_support, parse_inventory
 from kmodsim.registry import (
     INDEX_HEADERS,
+    IndexFile,
     read_index,
     register_v0,
     register_v1,
@@ -281,6 +282,29 @@ class TestIndexFiles:
         catalog = make_catalog("a|1||", "b|1||")
         with pytest.raises(ValueOutOfRange, match=r"^entry 0: value '\+1' is not an integer$"):
             read_index("MODINDEX v1\na +1\nb 1_0\n", catalog)
+
+    # stage1 would load b without a, or before it.
+    @pytest.mark.parametrize("a_value", [0, 1, 2])
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    def test_a_v1_dependency_needs_a_nonzero_smaller_value(self, a_value, line_end):
+        catalog = make_catalog("a|1||", "b|1|a|")
+        text = f"MODINDEX v1\na {a_value}\nb 1\n".replace("\n", line_end)
+        with pytest.raises(ValueOutOfRange) as err:
+            read_index(text, catalog)
+        assert str(err.value) == (
+            f"entry 1: module 'b' has value 1, but its dependency 'a' has {a_value}; "
+            "a v1 dependency needs a nonzero, smaller value"
+        )
+
+    @pytest.mark.parametrize("version, values", [
+        ("v1", (1, 0)),  # only a nonzero entry's dependencies are read
+        ("v1", (0, 0)),
+        ("v0", (0, 1)),  # a v0 flag is a selection, not a depth
+    ])
+    def test_the_dependency_rule_binds_only_nonzero_v1_entries(self, version, values):
+        catalog = make_catalog("a|1||", "b|1|a|")
+        text = write_index(IndexFile(version, catalog.names, values))
+        assert read_index(text, catalog).values == values
 
     def test_leading_zeros_are_still_digits(self):
         catalog = make_catalog("a|1||", "b|1||")
