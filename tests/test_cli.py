@@ -62,6 +62,16 @@ class TestGen:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: config: ")
 
+    def test_a_negative_seed_is_a_config_error(self, workdir, capsys):
+        # random.Random(-5) draws as Random(5) does, so --seed -5 would write
+        # --seed 5's records under other comment lines.
+        rc = main([
+            "gen", "--modules", "5", "--seed", "-5",
+            "--catalog", str(workdir / "c"), "--inventory", str(workdir / "i"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: config: seed must be at least 0, got -5\n"
+        assert list(workdir.iterdir()) == []
 
     @pytest.mark.parametrize("existing", [True, False], ids=["over-old-outputs", "fresh"])
     def test_a_failed_gen_creates_or_changes_neither_output(self, workdir, capsys, existing):

@@ -92,6 +92,32 @@ def test_two_extra_dependencies_across_samples_pool_to_set_switch(monkeypatch):
     assert {(n, 2) for n in (19, 20, 21, 22)} <= set(calls)
 
 
+def test_every_small_shape_matches_the_stdlib_draws():
+    # Each module at level k >= 1 has `n` modules at level k - 1 and `lower`
+    # at levels below k when it draws, so it picks its extra count from
+    # others = lower - 1. Small shapes give every case of the inlined draws:
+    # others of 0, 1 and 2, level k - 1 with fewer than 3 modules while the
+    # levels below hold more, and the pool branch of _sample.
+    seen = set()
+    for modules, max_depth, seed in itertools.product(range(1, 13), range(1, 7), range(20)):
+        args = (modules, max_depth, seed, 0.5)
+        catalog_text, inventory_text = generate_fixture(*args)
+        assert (catalog_text, inventory_text) == reference_fixture(*args), args
+        levels, counts = {}, [0] * max_depth
+        for line in catalog_text.splitlines()[2 : 2 + modules]:
+            name, _, deps, _ = line.split("|")
+            level = levels[deps.split(",")[0]] + 1 if deps else 0
+            if level:
+                n, lower = counts[level - 1], sum(counts[:level])
+                seen.add(("others", min(lower - 1, 3)))
+                seen.add(("few at k - 1", n < 3 < lower))
+                seen.add(("picks", len(deps.split(",")) - 1, lower - 1 <= 21))
+            levels[name] = level
+            counts[level] += 1
+    assert {("others", 0), ("others", 1), ("others", 2), ("few at k - 1", True)} <= seen
+    assert {("picks", 1, True), ("picks", 2, True)} <= seen
+
+
 def test_depth_255_matches_the_stdlib_draws():
     args = (3000, 255, 11, 0.5)
     assert generate_fixture(*args) == reference_fixture(*args)
@@ -185,7 +211,7 @@ def test_symbols_decoys_present_in_text_but_filtered_by_parse():
 
 
 @pytest.mark.parametrize(
-    "args", [(0, 1, 0, 1.0), (1, 0, 0, 1.0), (1, 1, 0, -0.1), (1, 1, 0, 1.5)]
+    "args", [(0, 1, 0, 1.0), (1, 0, 0, 1.0), (1, 1, 0, -0.1), (1, 1, 0, 1.5), (1, 1, -5, 1.0)]
 )
 def test_bad_shapes_rejected(args):
     with pytest.raises(ConfigError):

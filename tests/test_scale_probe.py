@@ -1,4 +1,4 @@
-"""tools/scale_probe.py: parse times for four shapes of one catalog, and the gate's time."""
+"""tools/scale_probe.py: gen's time, parse times for four shapes of one catalog, the gate's time."""
 
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ def test_every_shape_is_timed_at_200_modules(monkeypatch, capsys):
     assert out[0].startswith("# medians of 3 calls, ms;")
     rows = [line.split() for line in out[1:]]
     assert [row[:2] for row in rows] == [
+        ["200", "gen"],
         ["200", "file-order"], ["200", "name-order"], ["200", "reversed"], ["200", "repeat"],
         ["200", "gate"],
     ]

@@ -1,8 +1,9 @@
-"""Median ``parse_catalog`` and hardware-gate times at the north star's scale points.
+"""Median ``gen``, ``parse_catalog`` and hardware-gate times at the north star's scale points.
 
-For each size n, this generates the catalog and inventory of
-``generate_fixture(n, 16, 1, 0.8)`` and times ``kmodsim.catalog.parse_catalog``
-on four shapes of the catalog:
+For each size n, this first times ``generate_fixture(n, 16, 1, 0.8)``, as a
+``gen`` row, which builds the catalog and inventory that every later row
+reads. Then it times ``kmodsim.catalog.parse_catalog`` on four shapes of the
+catalog:
 
 - ``file-order``: the generated file, which lists every module after its
   dependencies, so one forward pass in file order gives the levels;
@@ -21,8 +22,8 @@ Then it times what one gated command pays for the gate, as a ``gate`` row: a
 fresh ``parse_inventory`` of the inventory, then ``supports`` for every
 module's tags, so the gate's sets are built once within each call.
 
-It prints one row per size and shape, and the ``gate`` row, after a header
-line:
+It prints, after a header line, the ``gen`` row, one row per shape and the
+``gate`` row for each size:
 
     <modules> <shape> <median ms>
 
@@ -82,11 +83,11 @@ def check_every_module(hardware_module, inventory_text: str, hw_tags) -> list[bo
     return [supports(tags) for tags in hw_tags]
 
 
-def median_ms(call, text: str, calls: int) -> float:
+def median_ms(call, arg, calls: int) -> float:
     times = []
     for _ in range(calls):
         start = time.perf_counter()
-        call(text)
+        call(arg)
         times.append(time.perf_counter() - start)
     return statistics.median(times) * 1e3
 
@@ -113,7 +114,10 @@ def main(argv: list[str] | None = None) -> int:
           f"{platform.python_version()}, {os.cpu_count()} CPUs")
     failed = 0
     for modules in args.modules or SIZES:
-        text, inventory_text = kmodsim.fixtures.generate_fixture(modules, 16, 1, 0.8)
+        gen_args = (modules, 16, 1, 0.8)
+        ms = median_ms(lambda a: kmodsim.fixtures.generate_fixture(*a), gen_args, args.calls)
+        print(f"{modules} gen {ms:.3f}")
+        text, inventory_text = kmodsim.fixtures.generate_fixture(*gen_args)
         expected = catalog_module.parse_catalog(text)
         for shape, shaped in shapes(catalog_module, text).items():
             if catalog_module.parse_catalog(shaped) != expected:
